@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphParseError, NonTreeError
@@ -411,11 +412,21 @@ def emit_dot(g: DualGraph) -> str:
 # -- canonical form ----------------------------------------------------
 
 
-def _ahu(g: DualGraph, root: str, parent: str | None) -> tuple:
-    kids = sorted(
-        _ahu(g, u, root) for u in g.neighbors(root) if u != parent
-    )
-    return (g.weight(root), tuple(kids))
+def _ahu(g: DualGraph, root: str) -> tuple[int, ...]:
+    """Flat, prefix-free preorder code of the tree hanging from root: weight,
+    child count, then the sorted child codes.  Neither building nor
+    comparing codes recurses."""
+    weight, parent, order = g.weights, {root: None}, [root]
+    for v in order:  # breadth-first: parents come before their children
+        for u in g.neighbors(v):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    code: dict[str, tuple[int, ...]] = {}
+    for v in reversed(order):
+        kids = sorted(code.pop(u) for u in g.neighbors(v) if u != parent[v])
+        code[v] = (weight[v], len(kids), *chain.from_iterable(kids))
+    return code[root]
 
 
 def _tree_centers(g: DualGraph, comp: tuple[str, ...]) -> list[str]:
@@ -446,5 +457,5 @@ def canonical_form(g: DualGraph):
     encodings = []
     for comp in g.components():
         centers = _tree_centers(g, comp)
-        encodings.append(min(_ahu(g, c, None) for c in centers))
+        encodings.append(min(_ahu(g, c) for c in centers))
     return tuple(sorted(encodings))

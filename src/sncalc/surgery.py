@@ -3,8 +3,9 @@
 A blow-up inserts a (-1)-vertex, sprouting on a vertex or subdividing an
 edge; contraction is its inverse and is only allowed where the image stays
 an snc tree.  A graph is a valid fiber when some contraction sequence ends
-in a single 0-vertex; its multiplicities are the primitive positive kernel
-vector of the intersection matrix.
+in a single 0-vertex; since any admissible contraction of a fiber leaves a
+fiber, one greedy pass decides this.  Its multiplicities are the primitive
+positive kernel vector of the intersection matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotAFiberError
-from .graphs import DualGraph, canonical_form
+from .graphs import DualGraph
 from .linalg import kernel_basis
 
 __all__ = [
@@ -87,37 +88,24 @@ def contract_minus_one(g: DualGraph, v: str) -> DualGraph:
 
 
 def is_valid_fiber(g: DualGraph) -> tuple[bool, list[str] | None]:
-    """Search for a contraction sequence ending in a single 0-vertex.
-
-    Returns (True, trace) with the contracted vertex ids in order, or
-    (False, None).  The search is depth-first over all (-1)-choices with
-    failures memoized on canonical forms, so isomorphic dead ends are
-    pruned.
+    """Contract the first (-1)-vertex meeting at most two others until one
+    vertex is left; return (True, trace of contracted ids) if it is a
+    0-vertex, else (False, None).  The greedy choice is sound: a fiber's
+    (-1)-curves meet at most two components and contracting one leaves a
+    fiber (Miyanishi, Open Algebraic Surfaces, lemma on singular fibers).
     """
     if len(g) == 0 or len(g.components()) != 1:
         raise ValueError("fiber candidates must be nonempty and connected")
     if len(g.edges) != len(g) - 1:
         return False, None  # a cycle never contracts to a tree
-    failed: set = set()
-
-    def search(h: DualGraph) -> list[str] | None:
-        if len(h) == 1:
-            return [] if h.vertices[0][1] == 0 else None
-        candidates = [v for v, w in h.vertices if w == -1 and h.degree(v) <= 2]
-        if not candidates:
-            return None  # cheap dead end; not worth memoizing
-        key = canonical_form(h)
-        if key in failed:
-            return None
-        for v in candidates:
-            tail = search(contract_minus_one(h, v))
-            if tail is not None:
-                return [v, *tail]
-        failed.add(key)
-        return None
-
-    trace = search(g)
-    return trace is not None, trace
+    trace: list[str] = []
+    while len(g) > 1:
+        v = next((v for v, w in g.vertices if w == -1 and g.degree(v) <= 2), None)
+        if v is None:
+            return False, None
+        g = contract_minus_one(g, v)
+        trace.append(v)
+    return (True, trace) if g.vertices[0][1] == 0 else (False, None)
 
 
 @dataclass(frozen=True)
@@ -209,7 +197,8 @@ def unique_minus_one_checks(f: FiberGraph) -> UniqueMinusOneReport:
         raise ValueError(f"{len(minus_ones)} components of weight -1; report needs exactly 1")
     c = minus_ones[0]
     ok, trace = is_valid_fiber(g)
-    assert ok and trace is not None
+    if not ok:
+        raise NotAFiberError("graph does not contract to a smooth 0-curve")
     # contracted first = created last; the surviving 0-curve has time 0
     creation = {v: len(trace) - i for i, v in enumerate(trace)}
     for v in g.ids:

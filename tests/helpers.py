@@ -1,5 +1,6 @@
 """Shared generators for randomized suites (all callers pass a seeded rng),
-and the canonical degree of a fiber-like kernel vector."""
+the canonical degree of a fiber-like kernel vector, and a backtracking
+fiber search used as an oracle."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from sncalc.graphs import DualGraph
+from sncalc.graphs import DualGraph, canonical_form
+from sncalc.surgery import contract_minus_one
 
 
 def random_tree(
@@ -55,3 +57,40 @@ def canonical_degree(weights, kernel_vector) -> int:
     g = gcd(*ints)
     m = [abs(x) // g for x in ints]
     return sum(mi * (-2 - w) for mi, w in zip(m, weights))
+
+
+def backtracking_fiber_search(g: DualGraph) -> tuple[bool, list[str] | None]:
+    """Search for a contraction sequence ending in a single 0-vertex.
+
+    The depth-first search that `sncalc.surgery.is_valid_fiber` replaced,
+    kept as a test oracle for its verdict and contraction trace.
+
+    Returns (True, trace) with the contracted vertex ids in order, or
+    (False, None).  The search is depth-first over all (-1)-choices with
+    failures memoized on canonical forms, so isomorphic dead ends are
+    pruned.
+    """
+    if len(g) == 0 or len(g.components()) != 1:
+        raise ValueError("fiber candidates must be nonempty and connected")
+    if len(g.edges) != len(g) - 1:
+        return False, None  # a cycle never contracts to a tree
+    failed: set = set()
+
+    def search(h: DualGraph) -> list[str] | None:
+        if len(h) == 1:
+            return [] if h.vertices[0][1] == 0 else None
+        candidates = [v for v, w in h.vertices if w == -1 and h.degree(v) <= 2]
+        if not candidates:
+            return None  # cheap dead end; not worth memoizing
+        key = canonical_form(h)
+        if key in failed:
+            return None
+        for v in candidates:
+            tail = search(contract_minus_one(h, v))
+            if tail is not None:
+                return [v, *tail]
+        failed.add(key)
+        return None
+
+    trace = search(g)
+    return trace is not None, trace

@@ -193,3 +193,16 @@ def test_canonical_form_is_isomorphism_invariant():
     assert canonical_form(g1) == canonical_form(relabeled)
     other = build_fork(-1, [(2,), (2, 3)])
     assert canonical_form(g1) != canonical_form(other)
+
+
+def test_canonical_form_of_long_chains():
+    # 3,000 levels deep: neither building nor comparing the forms recurses
+    weights = [-2 - (i % 3) for i in range(3000)]
+    g = DualGraph.from_chain_weights(weights)
+    # the same chain walked from the other end, under new names and order
+    relabeled = DualGraph.build(
+        [(f"u{i}", weights[2999 - i]) for i in reversed(range(3000))],
+        [(f"u{i}", f"u{i + 1}") for i in range(2999)],
+    )
+    assert canonical_form(g) == canonical_form(relabeled)
+    assert canonical_form(g) != canonical_form(g.with_weights({"v1": -5}))

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
-from helpers import canonical_degree, random_tree
+from helpers import backtracking_fiber_search, canonical_degree, random_tree
+import sncalc
 from sncalc.calculus import discriminant
 from sncalc.errors import NotAFiberError
 from sncalc.graphs import DualGraph, canonical_form
@@ -94,6 +98,13 @@ def test_is_valid_fiber_examples():
     assert not ok
     with pytest.raises(ValueError):
         is_valid_fiber(DualGraph.build([("a", 0), ("b", 0)], []))
+
+
+def test_is_valid_fiber_on_long_chains():
+    # 1,200 components: deeper than the stack if each contraction step recursed
+    ok, trace = is_valid_fiber(chain([-1] + [-2] * 1198 + [-1]))
+    assert ok and len(trace) == 1199
+    assert is_valid_fiber(chain([-2] * 600 + [-1] + [-2] * 599)) == (False, None)
 
 
 def test_fiber_multiplicity_examples():
@@ -229,6 +240,28 @@ def test_enumerated_fiber_facts():
                     assert degs[-1] <= 3
 
 
+def test_greedy_contraction_matches_backtracking_search():
+    """Verdict and trace agree with the old depth-first search on every
+    fiber shape up to 8 components, the single-weight +-1 perturbations of
+    those up to 6, and seeded random trees.  A perturbed fiber is never a
+    fiber, so the search runs to exhaustion on each; perturbing the 7- and
+    8-component shapes too would cost it about 50 s more."""
+    shapes = enumerate_fibers(8)
+    graphs = list(shapes)
+    for g in shapes:
+        if len(g) <= 6:
+            for v, w in g.vertices:
+                graphs += [g.with_weights({v: w - 1}), g.with_weights({v: w + 1})]
+    rng = random.Random(0x6EED)
+    graphs += [random_tree(rng, max_vertices=9, weights=(-4, 1)) for _ in range(2000)]
+    fibers = 0
+    for g in graphs:
+        result = is_valid_fiber(g)
+        assert result == backtracking_fiber_search(g), g.vertices
+        fibers += result[0]
+    assert fibers >= len(shapes)
+
+
 def test_multiplicities_match_backward_trace_replay():
     # second, independent route to the multiplicities: rebuild the fiber
     # from the 0-curve along the reversed contraction trace
@@ -259,6 +292,35 @@ def test_unique_minus_one_examples():
         unique_minus_one_checks(fiber_multiplicities(chain([-1, -2, -2, -1])))
     with pytest.raises(ValueError, match="exactly 1"):
         unique_minus_one_checks(fiber_multiplicities(chain([-1, -1])))
+
+
+def test_unique_minus_one_checks_rejects_a_non_fiber():
+    # passes FiberGraph's checks (Q.mu = 0, primitive) but is no fiber: K.F = 0
+    star = (
+        [("c", -1), ("a", -3), ("b", -3), ("d", -3)],
+        [("c", "a"), ("c", "b"), ("c", "d")],
+        {"c": 3, "a": 1, "b": 1, "d": 1},
+    )
+    verts, edges, mu = star
+    with pytest.raises(NotAFiberError):
+        unique_minus_one_checks(FiberGraph(DualGraph.build(verts, edges), mu))
+    # the same under python -O, where an assert would have been stripped
+    code = (
+        "from sncalc.errors import NotAFiberError\n"
+        "from sncalc.graphs import DualGraph\n"
+        "from sncalc.surgery import FiberGraph, unique_minus_one_checks\n"
+        f"verts, edges, mu = {star!r}\n"
+        "try:\n"
+        "    unique_minus_one_checks(FiberGraph(DualGraph.build(verts, edges), mu))\n"
+        "except NotAFiberError:\n"
+        "    print('NotAFiberError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sncalc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "NotAFiberError"
 
 
 def test_fujita_examples():
