@@ -58,3 +58,8 @@ class UnderconstrainedError(LatticeError):
     def __init__(self, message: str, free_directions=()):
         self.free_directions = tuple(tuple(v) for v in free_directions)
         super().__init__(message)
+
+
+class InvariantError(SncalcError, AssertionError):
+    """An internal invariant failed: a defect in this package, not in the
+    input.  Raised instead of ``assert`` so the check survives ``python -O``."""

@@ -24,7 +24,14 @@ from .errors import (
     UnderconstrainedError,
 )
 from .graphs import DualGraph
-from .linalg import TorsionGroup, is_negative_definite, solve_integer, torsion_of_cokernel
+from .linalg import (
+    TorsionGroup,
+    _ldl,
+    _rref,
+    solve_integer,
+    solve_rational,
+    torsion_of_cokernel,
+)
 from .surgery import RulingBookkeeping
 
 __all__ = [
@@ -415,30 +422,13 @@ def _solve_rational_overdetermined(a, b) -> list[Fraction] | None:
     Raises if the columns are dependent: fiber groups must have independent
     classes for the multiplicity question to be well-posed.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(a[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                fct = m[i][c] * inv
-                for j in range(c, cols + 1):
-                    m[i][j] -= fct * m[r][j]
-        pivots.append((r, c))
-        r += 1
-    if len(pivots) < cols:
+    cols = len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    if len(_rref(m, cols)) < cols:
         raise LatticeError("fiber group classes are linearly dependent")
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    return [m[i][cols] / m[i][c] for i, c in pivots]
+    if any(row[cols] != 0 for row in m[cols:]):
+        return None
+    return [row[cols] for row in m[:cols]]
 
 
 def solve_curve_class(
@@ -471,8 +461,10 @@ def solve_curve_class(
     x0, basis = sol
     if not basis:
         return [tuple(x0)] if _dot(x0, x0) == self_sq else []
-    gram = [[_dot(bi, bj) for bj in basis] for bi in basis]
-    if not is_negative_definite(gram):
+    # M = -gram must be positive definite; one pass tests it and gives LDL
+    m = [[-_dot(bi, bj) for bj in basis] for bi in basis]
+    ldl = _ldl(m)
+    if ldl is None:
         raise UnderconstrainedError(
             "constraints leave a direction space that is not negative definite; "
             "the solution family may be infinite",
@@ -480,17 +472,15 @@ def solve_curve_class(
         )
     lin = [_dot(x0, bi) for bi in basis]
     const = _dot(x0, x0)
-    # solve t' M t' = radius for M = -gram around center M^{-1} b
-    m = [[-x for x in row] for row in gram]
+    # solve t' M t' = radius around center M^{-1} b
     out: list[Vector] = []
     budget = [10**6]
-    center = _solve_pos_def(m, lin)
+    center = solve_rational(m, lin)
     radius = Fraction(const - self_sq) + sum(
         Fraction(lin[i]) * center[i] for i in range(len(basis))
     )
     if radius < 0:
         return []
-    chol = _rational_cholesky(m)
     t = [Fraction(0)] * len(basis)
 
     def recurse(i: int, remaining: Fraction):
@@ -504,8 +494,10 @@ def solve_curve_class(
                         vec[r] += int(t[j]) * bj[r]
                 out.append(tuple(vec))
             return
-        d, coeffs = chol[i]
-        shift = center[i] - sum(coeffs[j] * (t[j] - center[j]) for j in range(i + 1, len(basis)))
+        d, coeffs = ldl[i]
+        shift = center[i] - sum(
+            c * (tj - cj) for c, tj, cj in zip(coeffs, t[i + 1 :], center[i + 1 :])
+        )
         lo, hi = _integer_range(shift, remaining / d)
         for ti in range(lo, hi + 1):
             budget[0] -= 1
@@ -516,40 +508,6 @@ def solve_curve_class(
 
     recurse(len(basis) - 1, radius)
     out.sort()
-    return out
-
-
-def _solve_pos_def(m, b) -> list[Fraction]:
-    """Solve m x = b for symmetric positive definite m, exactly."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for k in range(n):
-        inv = 1 / a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k] * inv
-                for j in range(k, n + 1):
-                    a[i][j] -= f * a[k][j]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
-def _rational_cholesky(m) -> list[tuple[Fraction, list[Fraction]]]:
-    """LDL-style data for a positive definite rational matrix.
-
-    Returns per row i the positive pivot d_i and the coefficients c_ij
-    (j > i) such that x' M x = sum_i d_i (x_i + sum_j c_ij x_j)^2.
-    """
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    out: list[tuple[Fraction, list[Fraction]]] = []
-    for i in range(n):
-        d = a[i][i]
-        assert d > 0
-        coeffs = [a[i][j] / d for j in range(n)]
-        out.append((d, coeffs))
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] -= a[r][i] * a[i][c] / d
     return out
 
 

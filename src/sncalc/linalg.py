@@ -1,18 +1,20 @@
 """Exact integer and rational linear algebra.
 
 Everything here is exact: integer work uses Python's arbitrary-precision
-ints (Bareiss elimination, Smith normal form), rational work uses
-fractions.Fraction.  No floating point.
+ints, rational work uses fractions.Fraction.  No floating point.  Two
+elimination kernels serve every routine: one fraction-free Bareiss pass
+(determinants, Sylvester's test, LDL data, unimodularity checks) and one
+Gauss-Jordan RREF over Fraction (solves and kernels).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
-from .errors import SingularMatrixError
+from .errors import InvariantError, SingularMatrixError
 
 __all__ = [
     "TorsionGroup",
@@ -55,52 +57,108 @@ def det_exact(m) -> Fraction:
     rows, cols = _check_rectangular(m)
     if rows != cols:
         raise ValueError("determinant of a non-square matrix")
-    if rows == 0:
-        return Fraction(1)
+    a, scale = _integer_rows(m)
+    return Fraction(_bareiss(a), scale)
+
+
+def _integer_rows(m) -> tuple[list[list[int]], int]:
+    """A copy of m with each row scaled to integers by the lcm of its
+    denominators, and the product of those scales (1 for an integer m)."""
     if all(isinstance(x, int) for row in m for x in row):
-        return Fraction(_det_bareiss([list(row) for row in m]))
-    return _det_fraction([[Fraction(x) for x in row] for row in m])
+        return [list(row) for row in m], 1
+    out, scale = [], 1
+    for row in m:
+        row = [Fraction(x) for x in row]
+        s = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return out, scale
 
 
-def _det_bareiss(a: list[list[int]]) -> int:
-    """Fraction-free elimination; all intermediate divisions are exact."""
+def _bareiss(a: list[list[int]], definite: bool = False) -> int:
+    """Fraction-free elimination (Bareiss 1968) of a square integer matrix,
+    in place; returns its determinant.  Every division is exact.
+
+    Without row exchanges a[k][j] (j >= k) ends as the minor on rows 0..k
+    and columns 0..k-1, j, so a[k][k] is the (k+1)-th leading principal
+    minor.  With definite=True rows are never exchanged and 0 is returned
+    at the first pivot that is not positive: a positive result means every
+    leading principal minor is positive (Sylvester).
+    """
     n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def _det_fraction(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    det = Fraction(1)
+    sign = prev = 1
     for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
+        row = a[k]
+        pivot = row[k]
+        if definite:
+            if pivot <= 0:
+                return 0
+        elif pivot == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], row
+            row = a[k]
+            pivot = row[k]
+            sign = -sign
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * pivot - f * row[j]) // prev
+        prev = pivot
+    return sign * prev
+
+
+def _ldl(m) -> list[tuple[Fraction, list[Fraction]]] | None:
+    """LDL data of a symmetric integer matrix, or None unless it is
+    positive definite.
+
+    Returns per row i the pivot d_i > 0 and the coefficients c_ij for
+    j > i, such that x' m x = sum_i d_i (x_i + sum_j c_ij x_j)^2; they are
+    read off one Bareiss pass as d_i = B[i][i] / B[i-1][i-1] and
+    c_ij = B[i][j] / B[i][i].
+    """
+    b = [list(row) for row in m]
+    if _bareiss(b, definite=True) <= 0:
+        return None
+    out = []
+    prev = 1
+    for i, row in enumerate(b):
+        out.append((Fraction(row[i], prev), [Fraction(x, row[i]) for x in row[i + 1 :]]))
+        prev = row[i]
+    return out
+
+
+def _rref(a: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of a Fraction matrix, in place, pivoting
+    on its first ncols columns only (later columns are right-hand sides).
+
+    Returns the pivot columns: pivot row r is scaled so that a[r][pivots[r]]
+    is 1, and every other row is zero in that column.
+    """
+    rows = len(a)
+    width = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if found is None:
+            continue
+        a[r], a[found] = a[found], a[r]
+        row = a[r]
+        inv = 1 / row[c]
+        support = [j for j in range(c, width) if row[j] != 0]
+        for j in support:
+            row[j] *= inv
+        for i in range(rows):
+            ai = a[i]
+            f = ai[c]
+            if i != r and f != 0:
+                for j in support:
+                    ai[j] -= f * row[j]
+        pivots.append(c)
+    return pivots
 
 
 def solve_rational(m, b) -> list[Fraction]:
@@ -116,22 +174,12 @@ def solve_rational(m, b) -> list[Fraction]:
         raise ValueError("right-hand side has wrong length")
     a = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(m)]
     n = rows
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-        inv = 1 / a[k][k]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k] * inv
-                for j in range(k, n + 1):
-                    a[i][j] -= f * a[k][j]
-    x = [a[i][n] / a[i][i] for i in range(n)]
+    if len(_rref(a, n)) < n:
+        raise SingularMatrixError("matrix is singular")
+    x = [row[n] for row in a]
     for i in range(n):
         if sum(Fraction(m[i][j]) * x[j] for j in range(n)) != Fraction(b[i]):
-            raise AssertionError("back-substitution check failed")
+            raise InvariantError("back-substitution check failed")
     return x
 
 
@@ -139,8 +187,8 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
     """Return (u, s, v) with u m v = s, u and v unimodular, s diagonal.
 
     Diagonal entries are nonnegative and each divides the next.  The
-    postconditions are asserted on every call; at the matrix sizes this
-    package sees the cost is negligible.
+    postconditions are checked on every call and raise InvariantError; at
+    the matrix sizes this package sees the cost is negligible.
     """
     rows, cols = _check_rectangular(m)
     if any(not isinstance(x, int) for row in m for x in row):
@@ -222,20 +270,22 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
             for c in range(rows):
                 u[k][c] = -u[k][c]
 
-    assert mat_mul(mat_mul(u, [list(row) for row in m]), v) == s
-    assert abs(_det_bareiss([row[:] for row in u])) == 1
-    assert abs(_det_bareiss([row[:] for row in v])) == 1
     diag = [s[k][k] for k in range(min(rows, cols))]
-    assert all(
-        s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j
-    )
-    assert all(b % a == 0 for a, b in zip(diag, diag[1:]) if a)
+    if mat_mul(mat_mul(u, [list(row) for row in m]), v) != s:
+        raise InvariantError("Smith form: u m v differs from s")
+    if any(abs(_bareiss([row[:] for row in t])) != 1 for t in (u, v)):
+        raise InvariantError("Smith form: a transform is not unimodular")
+    if any(s[i][j] for i in range(rows) for j in range(cols) if i != j):
+        raise InvariantError("Smith form: s is not diagonal")
+    if any(b % a for a, b in zip(diag, diag[1:]) if a):
+        raise InvariantError("Smith form: the diagonal is not a divisibility chain")
     return u, s, v
 
 
 def is_negative_definite(m) -> bool:
     """Sylvester's criterion: leading principal minors alternate in sign
-    starting negative.  The matrix must be symmetric."""
+    starting negative, read off one Bareiss pass of -m that stops at the
+    first failing minor.  The matrix must be symmetric."""
     rows, cols = _check_rectangular(m)
     if rows != cols:
         raise ValueError("definiteness of a non-square matrix")
@@ -243,11 +293,8 @@ def is_negative_definite(m) -> bool:
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
-    for k in range(1, rows + 1):
-        minor = det_exact([row[:k] for row in m[:k]])
-        if minor * (-1) ** k <= 0:
-            return False
-    return True
+    a, _ = _integer_rows(m)
+    return _bareiss([[-x for x in row] for row in a], definite=True) > 0
 
 
 @dataclass(frozen=True)
@@ -288,30 +335,13 @@ def kernel_basis(m) -> list[list[Fraction]]:
     """A basis of the rational null space of m (solutions of m x = 0)."""
     rows, cols = _check_rectangular(m)
     a = [[Fraction(x) for x in row] for row in m]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = 1 / a[r][c]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c] * inv
-                for j in range(c, cols):
-                    a[i][j] -= f * a[r][j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    pivots = _rref(a, cols)
     basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][fc] / a[i][pc]
+        for row, pc in zip(a, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 

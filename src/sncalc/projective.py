@@ -210,14 +210,7 @@ class ProjConic:
         )
 
     def det(self) -> QuadExt:
-        m = self.matrix
-        out = QuadExt(0)
-        for (i, j, k), sign in (
-            ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-            ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
-        ):
-            out = out + QuadExt.of(sign) * m[0][i] * m[1][j] * m[2][k]
-        return out
+        return _det3(self.matrix)
 
     def is_smooth(self) -> bool:
         return bool(self.det())
@@ -230,15 +223,19 @@ def incident(p: ProjPoint, c: ProjLine | ProjConic) -> bool:
     return not c.apply(p)
 
 
-def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
-    rows = [p.coords for p in (p1, p2, p3)]
-    det = QuadExt(0)
+def _det3(rows) -> QuadExt:
+    """The six-term expansion of a 3x3 determinant over Q(eps)."""
+    out = QuadExt(0)
     for (i, j, k), sign in (
         ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
         ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
     ):
-        det = det + QuadExt.of(sign) * rows[0][i] * rows[1][j] * rows[2][k]
-    return not det
+        out = out + QuadExt.of(sign) * rows[0][i] * rows[1][j] * rows[2][k]
+    return out
+
+
+def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
+    return not _det3([p.coords for p in (p1, p2, p3)])
 
 
 def proj_eq(p: ProjPoint | ProjLine, q: ProjPoint | ProjLine) -> bool:
@@ -281,12 +278,7 @@ def apply_matrix(m: Sequence[Sequence], p: ProjPoint) -> ProjPoint:
 
 def _mat_inv3(m):
     rows = [[QuadExt.of(x) for x in row] for row in m]
-    det = QuadExt(0)
-    for (i, j, k), sign in (
-        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-        ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
-    ):
-        det = det + QuadExt.of(sign) * rows[0][i] * rows[1][j] * rows[2][k]
+    det = _det3(rows)
     if not det:
         raise ValueError("singular matrix")
     cof = [

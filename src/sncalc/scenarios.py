@@ -306,14 +306,7 @@ def _compute(name: str, ctx: _Context):
 
         def det_at(u):
             pts = (pj.ProjPoint(1, e, e), pj.ProjPoint(e, e, u), pj.ProjPoint(0, 1, 0))
-            rows = [p.coords for p in pts]
-            out = pj.QuadExt(0)
-            for (i, j, k), sg in (
-                ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
-            ):
-                out = out + pj.QuadExt.of(sg) * rows[0][i] * rows[1][j] * rows[2][k]
-            return out
+            return pj._det3([p.coords for p in pts])
 
         d0, d1 = det_at(pj.QuadExt(0)), det_at(pj.QuadExt(1))
         root = d0 / (d0 - d1)

@@ -1,6 +1,7 @@
 """Shared generators for randomized suites (all callers pass a seeded rng),
-the canonical degree of a fiber-like kernel vector, and a backtracking
-fiber search used as an oracle."""
+the canonical degree of a fiber-like kernel vector, and oracles: a
+backtracking fiber search and the eliminations that the exact linear
+algebra core replaced."""
 
 from __future__ import annotations
 
@@ -94,3 +95,97 @@ def backtracking_fiber_search(g: DualGraph) -> tuple[bool, list[str] | None]:
 
     trace = search(g)
     return trace is not None, trace
+
+
+def bareiss_det(a: list[list[int]]) -> int:
+    """Fraction-free elimination; all intermediate divisions are exact.
+
+    The integer determinant that `sncalc.linalg.det_exact` used before its
+    one Bareiss kernel, kept as a test oracle.
+    """
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def fraction_det(a: list[list[Fraction]]) -> Fraction:
+    """Gaussian elimination over Fraction: the rational determinant that
+    `sncalc.linalg.det_exact` used before, kept as a test oracle."""
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] * inv
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return det
+
+
+def reference_det(m) -> Fraction:
+    """The former `det_exact` dispatch: integer Bareiss or Fraction Gauss."""
+    if len(m) == 0:
+        return Fraction(1)
+    if all(isinstance(x, int) for row in m for x in row):
+        return Fraction(bareiss_det([list(row) for row in m]))
+    return fraction_det([[Fraction(x) for x in row] for row in m])
+
+
+def minor_loop_is_negative_definite(m) -> bool:
+    """Sylvester's criterion: leading principal minors alternate in sign
+    starting negative.  The matrix must be symmetric.
+
+    The former `is_negative_definite`: one determinant per leading minor,
+    O(n^4) in all, kept as a test oracle.
+    """
+    rows = len(m)
+    for k in range(1, rows + 1):
+        minor = reference_det([row[:k] for row in m[:k]])
+        if minor * (-1) ** k <= 0:
+            return False
+    return True
+
+
+def rational_cholesky(m) -> list[tuple[Fraction, list[Fraction]]]:
+    """LDL-style data for a positive definite rational matrix.
+
+    Returns per row i the positive pivot d_i and the coefficients c_ij
+    (j > i) such that x' M x = sum_i d_i (x_i + sum_j c_ij x_j)^2.
+
+    The elimination `sncalc.lattice.solve_curve_class` used before it read
+    the same data off one Bareiss pass, kept as a test oracle.
+    """
+    n = len(m)
+    a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
+    out: list[tuple[Fraction, list[Fraction]]] = []
+    for i in range(n):
+        d = a[i][i]
+        assert d > 0
+        coeffs = [a[i][j] / d for j in range(n)]
+        out.append((d, coeffs))
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] -= a[r][i] * a[i][c] / d
+    return out

@@ -1,12 +1,20 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from helpers import minor_loop_is_negative_definite, rational_cholesky, reference_det
+import sncalc
 from sncalc.errors import SingularMatrixError
 from sncalc.linalg import (
     TorsionGroup,
+    _ldl,
     det_exact,
     identity_matrix,
     is_negative_definite,
@@ -40,6 +48,10 @@ def test_det_examples():
     assert det_exact(identity_matrix(3)) == 1
     assert det_exact([[-2, 1, 0], [1, -1, 1], [0, 1, -2]]) == 0
     assert det_exact([]) == 1
+    # zero leading minor, nonzero determinant: needs a row exchange
+    assert det_exact([[0, 1], [1, 0]]) == -1
+    # rows with different denominators
+    assert det_exact([[Fraction(1, 2), 1], [Fraction(2, 3), Fraction(3, 4)]]) == Fraction(-7, 24)
 
 
 def test_det_rejects_non_square():
@@ -124,7 +136,7 @@ def test_snf_of_the_boundary_fork_form():
 
 
 def test_snf_random_postconditions():
-    # the unimodularity/diagonality/divisibility postconditions are asserted
+    # the unimodularity/diagonality/divisibility postconditions are checked
     # inside the implementation; this drives them over random shapes
     rng = random.Random(0x9A7)
     for _ in range(300):
@@ -143,6 +155,12 @@ def test_negative_definite_examples():
     assert is_negative_definite([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     # a fiber's degenerate form is only semidefinite
     assert not is_negative_definite([[-1, 1], [1, -1]])
+    assert is_negative_definite([])
+    # zero leading minor, nonzero determinant
+    assert not is_negative_definite([[0, 1], [1, 0]])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert is_negative_definite([[-half, third], [third, -half]])
+    assert not is_negative_definite([[-third, half], [half, -third]])
 
 
 def test_negative_definite_requires_symmetry():
@@ -215,3 +233,83 @@ def test_solve_integer():
     assert x0[0] + x0[1] == 5 and len(lattice) == 1
     k = lattice[0]
     assert k[0] + k[1] == 0 and k != [0, 0]
+
+
+def test_elimination_core_matches_the_replaced_routines():
+    # old-versus-new: the minor loop, the Fraction determinant and the
+    # Fraction LDL against the one Bareiss pass, on symmetric matrices with
+    # n <= 7; half are -B'B - cI (mostly definite), one in five rational
+    rng = random.Random(0xE11)
+    mismatches = []
+    n_definite = n_ldl = 0
+    for index in range(3000):
+        n = rng.randint(1, 7)
+        rational = index % 5 == 0
+
+        def entry():
+            x = rng.randint(-4, 4)
+            return Fraction(x, rng.randint(1, 6)) if rational else x
+
+        if index % 2 == 0:
+            b = [[entry() for _ in range(n)] for _ in range(n)]
+            c = rng.randint(0, 2)
+            m = [
+                [-sum(b[k][i] * b[k][j] for k in range(n)) - c * (i == j) for j in range(n)]
+                for i in range(n)
+            ]
+        else:
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = entry()
+        definite = is_negative_definite(m)
+        if det_exact(m) != reference_det(m):
+            mismatches.append(("det", m))
+        if definite != minor_loop_is_negative_definite(m):
+            mismatches.append(("definite", m))
+        n_definite += definite
+        if not rational:
+            neg = [[-x for x in row] for row in m]
+            ldl = _ldl(neg)
+            if (ldl is not None) != definite:
+                mismatches.append(("ldl verdict", m))
+            elif definite:
+                n_ldl += 1
+                old = [(d, coeffs[i + 1 :]) for i, (d, coeffs) in enumerate(rational_cholesky(neg))]
+                if ldl != old:
+                    mismatches.append(("ldl", m))
+    assert mismatches == []
+    assert n_definite > 1000 and n_ldl > 800
+
+
+def test_smith_postconditions_raise_under_optimization():
+    # a corrupted product must trip the u m v = s check even with -O
+    code = (
+        "import sncalc.linalg as la\n"
+        "from sncalc.errors import InvariantError\n"
+        "real = la.mat_mul\n"
+        "def corrupted(a, b):\n"
+        "    out = real(a, b)\n"
+        "    out[0][0] += 1\n"
+        "    return out\n"
+        "la.mat_mul = corrupted\n"
+        "try:\n"
+        "    la.smith_normal_form([[-2, 1], [1, -2]])\n"
+        "except InvariantError as exc:\n"
+        "    print('InvariantError:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sncalc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("InvariantError: Smith form")
+
+
+@pytest.mark.parametrize("module", ["linalg.py", "lattice.py"])
+def test_module_has_no_asserts(module):
+    # invariants in these modules raise, so they still hold under python -O
+    path = Path(sncalc.__file__).parent / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"assert statements in {module} at lines {lines}"
