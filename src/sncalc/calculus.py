@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NonAdmissibleError, NonTreeError, NotMinimalError
+from .errors import InvariantError, NonAdmissibleError, NonTreeError, NotMinimalError
 from .graphs import Chain, DualGraph, QDivisor, maximal_twigs
 from .linalg import det_exact, is_negative_definite, solve_rational
 
@@ -77,7 +77,8 @@ def det_branch_formula(g: DualGraph, c: str) -> Fraction:
         total *= d
     for i, comp in enumerate(comps):
         meeting = [v for v in comp if g.has_edge(v, c)]
-        assert len(meeting) == 1  # tree: each branch hangs off one edge
+        if len(meeting) != 1:  # tree: each branch hangs off one edge
+            raise InvariantError(f"a branch at {c!r} meets it {len(meeting)} times")
         term = discriminant(rest, [v for v in comp if v != meeting[0]])
         for j, d in enumerate(d_comp):
             if j != i:
@@ -129,7 +130,8 @@ def chain_invariants(ch: Chain) -> ChainInvariants:
     rev = ch.reversed()
     d_rev = _chain_d(rev.chain_weights)
     d_rev_prime = _chain_d(rev.chain_weights[1:])
-    assert d == d_rev
+    if d != d_rev:
+        raise InvariantError(f"chain {list(ch.bracket)}: d changes under reversal")
     return ChainInvariants(
         d=int(d),
         d_prime=int(d_prime),
@@ -209,7 +211,8 @@ def _bark_component(g: DualGraph, comp: tuple[str, ...], mode: str) -> dict[str,
     coeffs = dict(zip(support, x))
     # the defining equations must hold exactly
     for i, v in enumerate(support):
-        assert sum(q[i][j] * coeffs[support[j]] for j in range(len(support))) == rhs[i]
+        if sum(q[i][j] * coeffs[support[j]] for j in range(len(support))) != rhs[i]:
+            raise InvariantError(f"bark equation at {v!r} fails")
     return coeffs
 
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification check fails (including an
 invalid fiber), 2 on input errors such as unreadable files or parse
-problems.  Reports are deterministic; --json switches to a machine-readable
-encoding.
+problems, 3 on an internal error (a broken invariant or any other
+unexpected exception), reported as one "internal error:" line on stderr.
+Reports are deterministic; --json switches to a machine-readable encoding.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .calculus import bark, classify_boundary, discriminant
 from .casetable import run_case_table
-from .errors import SncalcError
+from .errors import InvariantError, SncalcError
 from .graphs import emit_dot, parse_graph
 from .lattice import parse_arrangement, run_program
 from .linalg import torsion_of_cokernel
@@ -190,14 +191,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _internal_error(exc: Exception) -> int:
+    """Report a defect in this package, not in the input, on one stderr line."""
+    message = " ".join(str(exc).split())
+    sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+    return 3
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantError as exc:
+        return _internal_error(exc)
     except (SncalcError, FileNotFoundError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        return _internal_error(exc)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InvariantError
+
 __all__ = [
     "QuadExt",
     "EPS",
@@ -420,7 +422,8 @@ def intersection_multiplicity(
             term2 = _poly_mul([QuadExt(2)], _poly_mul(paq, qs[i]))
             path.append(_poly_add(term1, [-c for c in term2]))
         at_zero = ProjPoint(tuple(comp[0] for comp in path))
-        assert proj_eq(at_zero, p)
+        if not proj_eq(at_zero, p):
+            raise InvariantError("the chord path does not start at the point")
         order = _vanishing_order(_form_on_path(c1, path))
     if order is None:
         raise ValueError("curves share a component through the point")
@@ -570,11 +573,13 @@ def _branch_series(f: dict, order: int = 4) -> list[_BiPoly]:
     """S(T) solving f(S(T), T) = 0 with S(0) = 0, as a truncated series.
 
     Needs f00 = 0 and an invertible constant linear coefficient f10; both
-    are asserted.
+    are checked and raise InvariantError.
     """
-    assert not f["00"]
+    if f["00"]:
+        raise InvariantError("branch series: f00 is not zero")
     lead = f["10"].constant_value()
-    assert lead != 0
+    if lead == 0:
+        raise InvariantError("branch series: f10 has no invertible constant term")
     inv = -1 / lead
     s = [_BiPoly() for _ in range(order)]
     t_series = [_BiPoly(), _BiPoly.const(1)]
@@ -650,7 +655,8 @@ def conic_family_solve() -> tuple[Fraction, Fraction]:
             (g["02"], _series_mul(t_series, t_series, order)),
         ):
             total = _series_add(total, [coeff * x for x in series])
-        assert not total[0]
+        if total[0]:
+            raise InvariantError("conic families: the base point is not on both")
         c1, c2 = total[1], total[2]
         # the conditions come out parameter-triangular in a good chart
         try:
@@ -674,7 +680,8 @@ def conic_family_solve() -> tuple[Fraction, Fraction]:
     t33 = ProjConic.from_coeffs(xx=1, yy=-1, yz=u_val)
     e = ProjConic.from_coeffs(xx=-v_val, yy=v_val, yz=-2 * v_val + 1, zz=-1, xz=1)
     p = ProjPoint(1, 1, 0)
-    assert intersection_multiplicity(e, t33, p) == 3
+    if intersection_multiplicity(e, t33, p) != 3:
+        raise InvariantError("conic families: E meets T33 at (1:1:0) with order != 3")
     return u_val, v_val
 
 

@@ -10,20 +10,19 @@ anchor string; the runner only computes actuals and compares.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from importlib import resources
+from operator import attrgetter
 
 from . import projective as pj
+from .calculus import chain_invariants, classify_boundary, discriminant, kobayashi_check
 from .errors import LatticeError
-from .calculus import (
-    chain_invariants,
-    classify_boundary,
-    discriminant,
-    kobayashi_check,
-)
 from .graphs import DualGraph, maximal_twigs
 from .lattice import (
+    RulingDecomposition,
     SurfaceLattice,
     euler_numbers,
     extract_boundary_graph,
@@ -55,20 +54,37 @@ def load_fixture(scenario: str) -> dict:
 
 @dataclass
 class _Context:
+    """One scenario run; each derived graph and ruling is computed at most once."""
+
     fixture: dict
     lattice: SurfaceLattice
     boundary: list[str]
     exceptional: list[str]
-    fiber: tuple[int, ...]
+    fiber: tuple[int, ...] = ()
     solutions: dict[str, list[tuple[int, ...]]] = field(default_factory=dict)
+    rulings: dict[str, RulingDecomposition] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def g_boundary(self) -> DualGraph:
         return extract_boundary_graph(self.lattice, self.boundary)
 
-    @property
+    @cached_property
     def g_exceptional(self) -> DualGraph:
         return extract_boundary_graph(self.lattice, self.exceptional)
+
+    @cached_property
+    def g_full(self) -> DualGraph:
+        return extract_boundary_graph(self.lattice, self.boundary + self.exceptional)
+
+    @cached_property
+    def euler(self) -> tuple[int, int, int, int]:
+        return euler_numbers(self.lattice, self.boundary, self.exceptional)
+
+    @cached_property
+    def kobayashi(self) -> tuple[bool, Fraction]:
+        ks = k_plus_sharp_class(self.lattice, self.boundary)
+        sq = self.lattice.pair(ks, ks)
+        return kobayashi_check(self.euler[3], self.fixture["kobayashi_orders"], sq)
 
     def class_of_support(self, support: dict) -> tuple[int, ...]:
         vec = [0] * self.lattice.rank
@@ -77,15 +93,20 @@ class _Context:
             vec = [a + mult * b for a, b in zip(vec, cls)]
         return tuple(vec)
 
-    def decomposition(self, include_exceptional: bool, second: bool = False):
-        bnd = self.boundary + (self.exceptional if include_exceptional else [])
-        if second:
-            ruling = self.fixture["second_ruling"]
-            fiber = self.class_of_support(ruling["fiber_support"])
-            return ruling_decompose(self.lattice, fiber, ruling["curves"], bnd)
-        return ruling_decompose(
-            self.lattice, self.fiber, self.fixture["ruling_curves"], bnd
-        )
+    def ruling(self, which: str) -> RulingDecomposition:
+        """Decompose along the fixture's ruling ('main'), the same ruling with
+        the exceptional curves left out of the boundary ('open'), or the
+        fixture's second ruling ('second')."""
+        if which not in self.rulings:
+            bnd = self.boundary + (self.exceptional if which != "open" else [])
+            if which == "second":
+                ruling = self.fixture["second_ruling"]
+                fiber = self.class_of_support(ruling["fiber_support"])
+                curves = ruling["curves"]
+            else:
+                fiber, curves = self.fiber, self.fixture["ruling_curves"]
+            self.rulings[which] = ruling_decompose(self.lattice, fiber, curves, bnd)
+        return self.rulings[which]
 
 
 def _prepare(fixture: dict) -> _Context:
@@ -95,7 +116,6 @@ def _prepare(fixture: dict) -> _Context:
         lattice=lat,
         boundary=list(fixture["boundary"]),
         exceptional=list(fixture["exceptional"]),
-        fiber=(0,) * lat.rank,
     )
     ctx.fiber = ctx.class_of_support(fixture["fiber_support"])
     for spec in fixture.get("derived_curves", ()):
@@ -114,226 +134,207 @@ def _prepare(fixture: dict) -> _Context:
 
 
 # -- the check catalog ---------------------------------------------------
+#
+# Every check is named "head" or "head:arg,arg,..." and computed by
+# _CHECKS[head](ctx, args).
 
 
-def _twig_brackets(g: DualGraph) -> list[list[int]]:
-    return sorted(list(t.bracket) for t in maximal_twigs(g))
+def _branch_weight(ctx: _Context, args):
+    g = ctx.g_boundary
+    branch = [v for v in g.ids if g.degree(v) >= 3]
+    return g.weight(branch[0]) if len(branch) == 1 else None
+
+
+def _boundary_triple(ctx: _Context, args):
+    bt = classify_boundary(ctx.g_boundary)
+    return None if bt.triple is None else list(bt.triple)
+
+
+def _exceptional_count_identity(ctx: _Context, args):
+    b2 = ctx.g_boundary
+    branch = next(v for v in b2.ids if b2.degree(v) >= 3)
+    return len(ctx.exceptional) == 8 - b2.weight(branch) - len(ctx.boundary)
+
+
+def _h1(g: DualGraph) -> list[int]:
+    return list(torsion_of_cokernel(g.intersection_matrix()).invariant_factors)
+
+
+def _fiber_through(ctx: _Context, which: str, name: str):
+    for piece in ctx.ruling(which).fibers:
+        if name in piece.names:
+            if piece.multiplicities is None:
+                return {"names": list(piece.names), "incomplete": True}
+            return dict(zip(piece.names, piece.multiplicities))
+    return None
+
+
+def _bookkeeping(which: str, read, ctx: _Context, args):
+    return read(ctx.ruling(which).bookkeeping)
+
+
+def _gram(ctx: _Context, names) -> list[list]:
+    return [[ctx.lattice.pair(a, b) for b in names] for a in names]
+
+
+def _contraction_lattice(ctx: _Context, args):
+    # the contracted curves must span a unimodular negative definite
+    # sublattice for the blow-down to end on a smooth rank-1 surface
+    gram = _gram(ctx, args)
+    return {
+        "rank_drop": len(args),
+        "det_abs": abs(int(det_exact(gram))),
+        "negative_definite": is_negative_definite(gram),
+    }
+
+
+def _degrees_after(ctx: _Context, contracted, cls) -> dict[str, int]:
+    """Pair each boundary or exceptional curve that a contraction keeps with cls."""
+    kept = [n for n in ctx.boundary + ctx.exceptional if n not in contracted]
+    return {name: int(ctx.lattice.pair(name, cls)) for name in kept}
+
+
+def _image_degrees(ctx: _Context, args):
+    # degrees of the remaining curves against the pulled-back line class
+    # of the contraction: the unique square-one class orthogonal to all
+    # contracted curves (degree 1 everywhere means lines)
+    line = solve_curve_class(ctx.lattice, [(name, 0) for name in args], 1)
+    if len(line) != 1:
+        raise LatticeError(f"{len(line)} candidate line classes, need 1")
+    return _degrees_after(ctx, args, line[0])
+
+
+def _eight_orthogonal(ctx: _Context, args):
+    # disjoint (-1)-curves: the Gram matrix of the named curves is minus the identity
+    n = len(args)
+    return _gram(ctx, args) == [[-int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _delta_sum_one(ctx: _Context, args):
+    twigs = maximal_twigs(ctx.g_boundary)
+    return sum((chain_invariants(t).delta for t in twigs), Fraction(0)) == 1
+
+
+# coordinate-level checks
+def _mult(ctx: _Context, args):
+    c1, c2, p = (pj.Y244_DATA[a] for a in args)
+    return pj.intersection_multiplicity(c1, c2, p)
+
+
+def _bezout(ctx: _Context, args):
+    c1, c2 = pj.Y244_DATA[args[0]], pj.Y244_DATA[args[1]]
+    points = [pj.Y244_DATA[name] for name in ("P1", "P2", "P3")]
+    on_both = [p for p in points if pj.incident(p, c1) and pj.incident(p, c2)]
+    return sum(pj.intersection_multiplicity(c1, c2, p) for p in on_both)
+
+
+def _theorem_collinearities(ctx: _Context, args):
+    e, pt = pj.EPS, pj.ProjPoint
+    return [
+        pj.collinear(pt(1, e, e), pt(e, e, e * e), pt(0, 1, 0)),
+        pj.collinear(pt(1, 1, 1), pt(0, e, e * e), pt(1, e, 0)),
+    ]
+
+
+def _collinearity_forces_u(ctx: _Context, args):
+    # the determinant is linear in the free coordinate; solve it exactly
+    e = pj.EPS
+
+    def det_at(u):
+        pts = (pj.ProjPoint(1, e, e), pj.ProjPoint(e, e, u), pj.ProjPoint(0, 1, 0))
+        return pj._det3([p.coords for p in pts])
+
+    d0, d1 = det_at(pj.QuadExt(0)), det_at(pj.QuadExt(1))
+    root = d0 / (d0 - d1)
+    return [root.a, root.b]  # coordinates over (1, eps)
+
+
+def _dual_hesse(ctx: _Context, args):
+    rep = pj.dual_hesse_check()
+    return {
+        "points_deg3": all(d == 3 for d in rep.point_degrees.values()),
+        "lines_deg4": all(d == 4 for d in rep.line_degrees.values()),
+        "total": rep.total_incidences,
+        "table_ok": rep.incidence_table_ok,
+    }
+
+
+def _l3_distinct_meeting(ctx: _Context, args):
+    l3 = pj.line_through(pj.Y333_POINTS["B1"], pj.Y333_POINTS["A3"])
+    t21, t22 = pj.Y333_LINES["T21"], pj.Y333_LINES["T22"]
+    return not pj.proj_eq(pj.meet(t22, t21), pj.meet(t22, l3))
+
+
+_CHECKS = {
+    "rank": lambda ctx, args: ctx.lattice.rank,
+    "branch_weight": _branch_weight,
+    "boundary_triple": _boundary_triple,
+    "boundary_twigs": lambda ctx, args: sorted(
+        list(t.bracket) for t in maximal_twigs(ctx.g_boundary)
+    ),
+    "exceptional_bracket": lambda ctx, args: [
+        -ctx.g_exceptional.weight(v) for v in ctx.g_exceptional.chain_order()
+    ],
+    "d_boundary": lambda ctx, args: discriminant(ctx.g_boundary),
+    "d_boundary_negative": lambda ctx, args: discriminant(ctx.g_boundary) < 0,
+    "d_full": lambda ctx, args: discriminant(ctx.g_full),
+    "d_full_nonzero": lambda ctx, args: discriminant(ctx.g_full) != 0,
+    "k_plus_sharp_zero": lambda ctx, args: all(
+        x == 0 for x in k_plus_sharp_class(ctx.lattice, ctx.boundary)
+    ),
+    "chi": lambda ctx, args: list(ctx.euler),
+    "chi_open": lambda ctx, args: ctx.euler[3],
+    "exceptional_count_identity": _exceptional_count_identity,
+    "k_squared": lambda ctx, args: ctx.lattice.pair("K", "K"),
+    "noether": lambda ctx, args: (
+        12 == ctx.lattice.pair("K", "K") + 2 + len(ctx.boundary) + len(ctx.exceptional)
+    ),
+    "h1_boundary": lambda ctx, args: _h1(ctx.g_boundary),
+    "h1_exceptional": lambda ctx, args: _h1(ctx.g_exceptional),
+    "h1_order": lambda ctx, args: h1_order(ctx.lattice, ctx.boundary).order,
+    "fiber_square": lambda ctx, args: ctx.lattice.pair(ctx.fiber, ctx.fiber),
+    "fiber_dot_k": lambda ctx, args: ctx.lattice.pair(ctx.fiber, "K"),
+    "class": lambda ctx, args: [list(v) for v in ctx.solutions[args[0]]],
+    "pair": lambda ctx, args: ctx.lattice.pair(args[0], args[1]),
+    "fiber": lambda ctx, args: _fiber_through(ctx, "main", args[0]),
+    "fiber2": lambda ctx, args: _fiber_through(ctx, "second", args[0]),
+    "horizontal": lambda ctx, args: [[n, d] for n, d in ctx.ruling("main").horizontal],
+    "h_boundary": partial(_bookkeeping, "main", attrgetter("h")),
+    "nu": partial(_bookkeeping, "main", attrgetter("nu")),
+    "sigma": partial(_bookkeeping, "main", attrgetter("sigma_excess")),
+    "sigma_open": partial(_bookkeeping, "open", attrgetter("sigma_excess")),
+    "b2_boundary_only": partial(_bookkeeping, "open", attrgetter("b2_boundary")),
+    "h2": partial(_bookkeeping, "second", attrgetter("h")),
+    "nu2": partial(_bookkeeping, "second", attrgetter("nu")),
+    "sigma2": partial(_bookkeeping, "second", attrgetter("sigma_excess")),
+    "fujita": partial(_bookkeeping, "main", fujita_check),
+    "fujita_open": partial(_bookkeeping, "open", fujita_check),
+    "fujita2": partial(_bookkeeping, "second", fujita_check),
+    "contraction_lattice": _contraction_lattice,
+    "pair_with_contracted": lambda ctx, args: _degrees_after(
+        ctx, args, ctx.class_of_support(Counter(args))
+    ),
+    "image_degrees": _image_degrees,
+    "kobayashi_holds": lambda ctx, args: ctx.kobayashi[0],
+    "kobayashi_slack": lambda ctx, args: ctx.kobayashi[1],
+    "eight_orthogonal": _eight_orthogonal,
+    "delta_sum_one": _delta_sum_one,
+    "uv_params": lambda ctx, args: list(pj.conic_family_solve()),
+    "mult": _mult,
+    "bezout": _bezout,
+    "theorem_collinearities": _theorem_collinearities,
+    "collinearity_forces_u": _collinearity_forces_u,
+    "dual_hesse": _dual_hesse,
+    "actions_failed": lambda ctx, args: list(pj.automorphism_action_check().failed()),
+    "l3_distinct_meeting": _l3_distinct_meeting,
+}
 
 
 def _compute(name: str, ctx: _Context):
-    lat = ctx.lattice
-    if ":" in name:
-        head, arg = name.split(":", 1)
-        args = arg.split(",")
-    else:
-        head, args = name, []
-
-    if head == "rank":
-        return lat.rank
-    if head == "branch_weight":
-        g = ctx.g_boundary
-        branch = [v for v in g.ids if g.degree(v) >= 3]
-        return g.weight(branch[0]) if len(branch) == 1 else None
-    if head == "boundary_triple":
-        bt = classify_boundary(ctx.g_boundary)
-        return None if bt.triple is None else list(bt.triple)
-    if head == "boundary_twigs":
-        return _twig_brackets(ctx.g_boundary)
-    if head == "exceptional_bracket":
-        g = ctx.g_exceptional
-        return [-g.weight(v) for v in g.chain_order()]
-    if head == "d_boundary":
-        return discriminant(ctx.g_boundary)
-    if head == "d_boundary_negative":
-        return discriminant(ctx.g_boundary) < 0
-    if head == "d_full":
-        return discriminant(
-            extract_boundary_graph(lat, ctx.boundary + ctx.exceptional)
-        )
-    if head == "d_full_nonzero":
-        return _compute("d_full", ctx) != 0
-    if head == "k_plus_sharp_zero":
-        return all(x == 0 for x in k_plus_sharp_class(lat, ctx.boundary))
-    if head == "chi":
-        return list(euler_numbers(lat, ctx.boundary, ctx.exceptional))
-    if head == "chi_open":
-        return euler_numbers(lat, ctx.boundary, ctx.exceptional)[3]
-    if head == "exceptional_count_identity":
-        b2 = ctx.g_boundary
-        branch = next(v for v in b2.ids if b2.degree(v) >= 3)
-        return len(ctx.exceptional) == 8 - b2.weight(branch) - len(ctx.boundary)
-    if head == "k_squared":
-        return lat.pair("K", "K")
-    if head == "noether":
-        return 12 == lat.pair("K", "K") + 2 + len(ctx.boundary) + len(ctx.exceptional)
-    if head == "h1_boundary":
-        tg = torsion_of_cokernel(ctx.g_boundary.intersection_matrix())
-        return list(tg.invariant_factors)
-    if head == "h1_exceptional":
-        tg = torsion_of_cokernel(ctx.g_exceptional.intersection_matrix())
-        return list(tg.invariant_factors)
-    if head == "h1_order":
-        return h1_order(lat, ctx.boundary).order
-    if head == "fiber_square":
-        return lat.pair(ctx.fiber, ctx.fiber)
-    if head == "fiber_dot_k":
-        return lat.pair(ctx.fiber, "K")
-    if head == "class":
-        return [list(v) for v in ctx.solutions[args[0]]]
-    if head == "pair":
-        return lat.pair(args[0], args[1])
-    if head == "fiber":
-        dec = ctx.decomposition(include_exceptional=True)
-        for piece in dec.fibers:
-            if args[0] in piece.names:
-                if piece.multiplicities is None:
-                    return {"names": list(piece.names), "incomplete": True}
-                return dict(zip(piece.names, piece.multiplicities))
-        return None
-    if head == "horizontal":
-        dec = ctx.decomposition(include_exceptional=True)
-        return [[n, d] for n, d in dec.horizontal]
-    if head == "h_boundary":
-        return ctx.decomposition(include_exceptional=True).bookkeeping.h
-    if head == "nu":
-        return ctx.decomposition(include_exceptional=True).bookkeeping.nu
-    if head == "sigma":
-        return ctx.decomposition(include_exceptional=True).bookkeeping.sigma_excess
-    if head == "fujita":
-        return fujita_check(ctx.decomposition(include_exceptional=True).bookkeeping)
-    if head == "fujita_open":
-        return fujita_check(ctx.decomposition(include_exceptional=False).bookkeeping)
-    if head == "b2_boundary_only":
-        return ctx.decomposition(include_exceptional=False).bookkeeping.b2_boundary
-    if head == "sigma_open":
-        return ctx.decomposition(include_exceptional=False).bookkeeping.sigma_excess
-    if head == "fiber2":
-        dec = ctx.decomposition(include_exceptional=True, second=True)
-        for piece in dec.fibers:
-            if args[0] in piece.names:
-                if piece.multiplicities is None:
-                    return {"names": list(piece.names), "incomplete": True}
-                return dict(zip(piece.names, piece.multiplicities))
-        return None
-    if head == "h2":
-        return ctx.decomposition(include_exceptional=True, second=True).bookkeeping.h
-    if head == "nu2":
-        return ctx.decomposition(include_exceptional=True, second=True).bookkeeping.nu
-    if head == "sigma2":
-        return ctx.decomposition(
-            include_exceptional=True, second=True
-        ).bookkeeping.sigma_excess
-    if head == "fujita2":
-        return fujita_check(
-            ctx.decomposition(include_exceptional=True, second=True).bookkeeping
-        )
-    if head == "contraction_lattice":
-        # the contracted curves must span a unimodular negative definite
-        # sublattice for the blow-down to end on a smooth rank-1 surface
-        gram = [[ctx.lattice.pair(a, b) for b in args] for a in args]
-        det = det_exact(gram)
-        return {
-            "rank_drop": len(args),
-            "det_abs": abs(int(det)),
-            "negative_definite": is_negative_definite(gram),
-        }
-    if head == "pair_with_contracted":
-        total = [0] * ctx.lattice.rank
-        for name in args:
-            cls = ctx.lattice.class_of(name)
-            total = [a + b for a, b in zip(total, cls)]
-        out = {}
-        for name in ctx.boundary + ctx.exceptional:
-            if name not in args:
-                out[name] = int(ctx.lattice.pair(name, total))
-        return out
-    if head == "image_degrees":
-        # degrees of the remaining curves against the pulled-back line class
-        # of the contraction: the unique square-one class orthogonal to all
-        # contracted curves (degree 1 everywhere means lines)
-        line = solve_curve_class(ctx.lattice, [(name, 0) for name in args], 1)
-        if len(line) != 1:
-            raise LatticeError(f"{len(line)} candidate line classes, need 1")
-        return {
-            name: int(ctx.lattice.pair(name, line[0]))
-            for name in ctx.boundary + ctx.exceptional
-            if name not in args
-        }
-    if head == "kobayashi_holds":
-        return _kobayashi(ctx)[0]
-    if head == "kobayashi_slack":
-        return _kobayashi(ctx)[1]
-    if head == "eight_orthogonal":
-        names = args
-        for i, a in enumerate(names):
-            if lat.pair(a, a) != -1:
-                return False
-            for b in names[i + 1 :]:
-                if lat.pair(a, b) != 0:
-                    return False
-        return True
-    if head == "delta_sum_one":
-        twigs = maximal_twigs(ctx.g_boundary)
-        return sum((chain_invariants(t).delta for t in twigs), Fraction(0)) == 1
-
-    # coordinate-level checks
-    if head == "uv_params":
-        u, v = pj.conic_family_solve()
-        return [u, v]
-    if head == "mult":
-        c1, c2, p = (pj.Y244_DATA[a] for a in args)
-        return pj.intersection_multiplicity(c1, c2, p)
-    if head == "bezout":
-        c1, c2 = pj.Y244_DATA[args[0]], pj.Y244_DATA[args[1]]
-        total = 0
-        for pname in ("P1", "P2", "P3"):
-            p = pj.Y244_DATA[pname]
-            if pj.incident(p, c1) and pj.incident(p, c2):
-                total += pj.intersection_multiplicity(c1, c2, p)
-        return total
-    if head == "theorem_collinearities":
-        e = pj.EPS
-        first = pj.collinear(
-            pj.ProjPoint(1, e, e), pj.ProjPoint(e, e, e * e), pj.ProjPoint(0, 1, 0)
-        )
-        second = pj.collinear(
-            pj.ProjPoint(1, 1, 1), pj.ProjPoint(0, e, e * e), pj.ProjPoint(1, e, 0)
-        )
-        return [first, second]
-    if head == "collinearity_forces_u":
-        # the determinant is linear in the free coordinate; solve it exactly
-        e = pj.EPS
-
-        def det_at(u):
-            pts = (pj.ProjPoint(1, e, e), pj.ProjPoint(e, e, u), pj.ProjPoint(0, 1, 0))
-            return pj._det3([p.coords for p in pts])
-
-        d0, d1 = det_at(pj.QuadExt(0)), det_at(pj.QuadExt(1))
-        root = d0 / (d0 - d1)
-        return [root.a, root.b]  # coordinates over (1, eps)
-    if head == "dual_hesse":
-        rep = pj.dual_hesse_check()
-        return {
-            "points_deg3": all(d == 3 for d in rep.point_degrees.values()),
-            "lines_deg4": all(d == 4 for d in rep.line_degrees.values()),
-            "total": rep.total_incidences,
-            "table_ok": rep.incidence_table_ok,
-        }
-    if head == "actions_failed":
-        return list(pj.automorphism_action_check().failed())
-    if head == "l3_distinct_meeting":
-        l3 = pj.line_through(pj.Y333_POINTS["B1"], pj.Y333_POINTS["A3"])
-        t22 = pj.Y333_LINES["T22"]
-        t21 = pj.Y333_LINES["T21"]
-        return not pj.proj_eq(pj.meet(t22, t21), pj.meet(t22, l3))
-    raise KeyError(f"unknown check {name!r}")
-
-
-def _kobayashi(ctx: _Context) -> tuple[bool, Fraction]:
-    chi_open = euler_numbers(ctx.lattice, ctx.boundary, ctx.exceptional)[3]
-    ks = k_plus_sharp_class(ctx.lattice, ctx.boundary)
-    sq = ctx.lattice.pair(ks, ks)
-    return kobayashi_check(chi_open, ctx.fixture["kobayashi_orders"], sq)
+    head, sep, arg = name.partition(":")
+    if head not in _CHECKS:
+        raise KeyError(f"unknown check {name!r}")
+    return _CHECKS[head](ctx, arg.split(",") if sep else [])
 
 
 def run_scenario(name: str, fixture: dict | None = None) -> Report:
@@ -345,22 +346,19 @@ def run_scenario(name: str, fixture: dict | None = None) -> Report:
     fixture = load_fixture(name) if fixture is None else fixture
     report = Report(fixture.get("title", name))
     try:
-        ctx = _prepare(fixture)
+        ctx, failure = _prepare(fixture), None
     except Exception as exc:  # fixture-level failure: every check fails
-        for check_name, entry in fixture["checks"].items():
-            report.add_error(
-                check_name, entry["expect"], exc, entry["tag"], entry.get("ref", "")
-            )
-        return report
+        ctx, failure = None, exc
     for check_name, entry in fixture["checks"].items():
-        try:
-            actual = _compute(check_name, ctx)
-        except Exception as exc:
-            report.add_error(
-                check_name, entry["expect"], exc, entry["tag"], entry.get("ref", "")
-            )
-            continue
-        report.add(
-            check_name, entry["expect"], actual, entry["tag"], entry.get("ref", "")
-        )
+        expect, tag, ref = entry["expect"], entry["tag"], entry.get("ref", "")
+        error = failure
+        if error is None:
+            try:
+                actual = _compute(check_name, ctx)
+            except Exception as exc:
+                error = exc
+        if error is None:
+            report.add(check_name, expect, actual, tag, ref)
+        else:
+            report.add_error(check_name, expect, error, tag, ref)
     return report

@@ -1,12 +1,16 @@
 import copy
+import hashlib
 import json
 
 import pytest
 
+import sncalc.cli
+import sncalc.scenarios
 from sncalc.casetable import load_cases, run_case_table
 from sncalc.cli import main
+from sncalc.errors import InvariantError
 from sncalc.reports import TAGS, Report
-from sncalc.scenarios import SCENARIO_NAMES, load_fixture, run_scenario
+from sncalc.scenarios import _CHECKS, SCENARIO_NAMES, load_fixture, run_scenario
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -68,11 +72,60 @@ def test_run_scenario_survives_broken_arrangement():
     assert all(not c.passed for c in rep.checks)
 
 
+def test_check_registry_matches_the_fixtures():
+    # every check head the fixtures use has one entry, and no entry is unused
+    heads = {
+        check_name.partition(":")[0]
+        for name in SCENARIO_NAMES
+        for check_name in load_fixture(name)["checks"]
+    }
+    assert heads == set(_CHECKS)
+
+
+def test_each_ruling_is_decomposed_once(monkeypatch):
+    real = sncalc.scenarios.ruling_decompose
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sncalc.scenarios, "ruling_decompose", counting)
+    # y244: main, open and second ruling; y333: main and open
+    for name, rulings in (("y244", 3), ("y333", 2)):
+        calls.clear()
+        assert run_scenario(name).passed
+        assert len(calls) == rulings, name
+
+
+def test_unknown_check_is_reported():
+    fixture = copy.deepcopy(load_fixture("y244"))
+    fixture["checks"]["no_such:1"] = {"expect": 1, "tag": "direct"}
+    rep = run_scenario("y244", fixture)
+    failed = [(c.name, c.actual) for c in rep.checks if not c.passed]
+    assert failed == [("no_such:1", "error: \"unknown check 'no_such:1'\"")]
+
+
 def test_reports_are_deterministic():
     a = run_scenario("y244").render()
     b = run_scenario("y244").render()
     assert a == b
     assert run_case_table().render() == run_case_table().render()
+
+
+# sha256 of the `verify all` stdout, text and --json; a refactor of the
+# scenario runner must leave both byte for byte unchanged
+VERIFY_ALL_SHA256 = {
+    "text": "9cae7772213935212915b3cb82189ed6fd1f4544088b70ffb29b93ce682182eb",
+    "json": "3102485bfe22521037e5698982aef919070b4f0ec119ee7fb198d64285719cb9",
+}
+
+
+def test_verify_all_output_is_pinned(capsys):
+    for key, argv in (("text", ["verify", "all"]), ("json", ["--json", "verify", "all"])):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[key], key
 
 
 def test_report_tag_validation():
@@ -168,6 +221,26 @@ def test_cli_input_errors(capsys, tmp_path):
     assert main(["det", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "exc, first_line",
+    [
+        (InvariantError("Smith form: s is not diagonal"), "InvariantError: Smith form"),
+        (RuntimeError("boom\nsecond line"), "RuntimeError: boom second line"),
+    ],
+    ids=["invariant", "unexpected"],
+)
+def test_cli_internal_error_exits_3(capsys, monkeypatch, exc, first_line):
+    # a defect in the package is neither bad input (2) nor a failed check (1)
+    def broken(name):
+        raise exc
+
+    monkeypatch.setattr(sncalc.cli, "run_scenario", broken)
+    assert main(["verify", "y244"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {first_line}")
+    assert err.count("\n") == 1
 
 
 def test_cli_verify_all_is_fast(capsys):
