@@ -2,7 +2,9 @@
 
 The scalar field adjoins eps with eps^2 = eps - 1; then -eps is a primitive
 third root of unity, which is exactly what the bundled line and conic data
-needs.  Projective equality is tested through 2x2 minors, never by
+needs.  A scalar (a + b eps) / d is stored as three integers in canonical
+form, d > 0 and gcd(a, b, d) = 1, so its arithmetic builds no Fraction.
+Projective equality is tested through 2x2 minors, never by
 normalizing, and intersection multiplicities come from exact rational
 parametrizations of smooth conics.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InvariantError
@@ -41,69 +44,94 @@ __all__ = [
 
 
 class QuadExt:
-    """a + b eps with eps^2 = eps - 1, coefficients exact rationals.
+    """(a + b eps) / d with eps^2 = eps - 1, stored as three integers.
 
-    The conjugate swaps eps for 1 - eps; the norm a^2 + ab + b^2 vanishes
-    only at zero, so every nonzero element is invertible.
+    The form is canonical: d > 0 and gcd(a, b, d) = 1, so equal values have
+    equal fields and all arithmetic is on integers.  `a`, `b` and `norm()`
+    read back as Fractions.  The conjugate swaps eps for 1 - eps; the norm
+    a^2 + ab + b^2 vanishes only at zero, so every nonzero element is
+    invertible.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        if type(a) is int and type(b) is int:
+            self._a, self._b, self._d = a, b, 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        # over the lcm of two reduced denominators the numerators are coprime
+        # to it, so the form is canonical without a gcd
+        d = lcm(a.denominator, b.denominator)
+        self._a = a.numerator * (d // a.denominator)
+        self._b = b.numerator * (d // b.denominator)
+        self._d = d
 
     @classmethod
     def of(cls, x) -> "QuadExt":
         return x if isinstance(x, QuadExt) else cls(x)
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
         other = QuadExt.of(other)
-        return self.a == other.a and self.b == other.b
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other):
         other = QuadExt.of(other)
-        return QuadExt(self.a + other.a, self.b + other.b)
+        d, e = self._d, other._d
+        if d == e:
+            return _quad(self._a + other._a, self._b + other._b, d)
+        return _quad(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b)
+        return _quad(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        return self + (-QuadExt.of(other))
+        other = QuadExt.of(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _quad(self._a - other._a, self._b - other._b, d)
+        return _quad(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
-        return QuadExt.of(other) + (-self)
+        return QuadExt.of(other) - self
 
     def __mul__(self, other):
         other = QuadExt.of(other)
-        # (a + b eps)(c + d eps) = ac + (ad + bc) eps + bd (eps - 1)
-        return QuadExt(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a + self.b * other.b,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        # (a + b eps)(c + e eps) = ac + (ae + bc) eps + be (eps - 1)
+        return _quad(a * c - b * e, a * e + b * c + b * e, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a + self.b, -self.b)
+        return _quad(self._a + self._b, -self._b, self._d)
 
     def norm(self) -> Fraction:
-        return self.a * self.a + self.a * self.b + self.b * self.b
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + a * b + b * b, d * d)
 
     def inverse(self) -> "QuadExt":
-        n = self.norm()
+        a, b, d = self._a, self._b, self._d
+        n = a * a + a * b + b * b  # positive unless zero, so no sign to move
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        c = self.conjugate()
-        return QuadExt(c.a / n, c.b / n)
+        return _quad(d * (a + b), -d * b, n)
 
     def __truediv__(self, other):
         return self * QuadExt.of(other).inverse()
@@ -123,15 +151,23 @@ class QuadExt:
             k >>= 1
         return out
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __repr__(self):
-        if self.b == 0:
+        if self._b == 0:
             return f"{self.a}"
-        if self.a == 0:
+        if self._a == 0:
             return f"{self.b}*eps"
         return f"({self.a} + {self.b}*eps)"
+
+
+def _quad(a: int, b: int, d: int) -> QuadExt:
+    """The element (a + b eps) / d for d > 0, in canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    out = object.__new__(QuadExt)
+    out._a, out._b, out._d = a, b, d
+    return out
 
 
 EPS = QuadExt(0, 1)
@@ -232,7 +268,8 @@ def _det3(rows) -> QuadExt:
         ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
         ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
     ):
-        out = out + QuadExt.of(sign) * rows[0][i] * rows[1][j] * rows[2][k]
+        term = rows[0][i] * rows[1][j] * rows[2][k]
+        out = out + term if sign > 0 else out - term
     return out
 
 
@@ -419,8 +456,8 @@ def intersection_multiplicity(
         path = []
         for i in range(3):
             term1 = [p.coords[i] * c for c in qaq]
-            term2 = _poly_mul([QuadExt(2)], _poly_mul(paq, qs[i]))
-            path.append(_poly_add(term1, [-c for c in term2]))
+            term2 = [c * -2 for c in _poly_mul(paq, qs[i])]
+            path.append(_poly_add(term1, term2))
         at_zero = ProjPoint(tuple(comp[0] for comp in path))
         if not proj_eq(at_zero, p):
             raise InvariantError("the chord path does not start at the point")
@@ -628,6 +665,8 @@ def conic_family_solve() -> tuple[Fraction, Fraction]:
     the second family along the first's local branch and killing the first
     two Taylor coefficients gives two polynomial conditions, solved exactly
     and then re-verified against the parametrization-based multiplicity.
+    The solve takes no input, so any failure is a defect and raises
+    InvariantError.
     """
     fu, gv = _family_matrices()
     p3 = (1, 1, 0)
@@ -674,7 +713,7 @@ def conic_family_solve() -> tuple[Fraction, Fraction]:
         except ValueError:
             continue
     if solution is None:
-        raise ValueError("no chart produced a triangular condition system")
+        raise InvariantError("no chart produced a triangular condition system")
     u_val, v_val = solution
     # independent re-check through the concrete curves
     t33 = ProjConic.from_coeffs(xx=1, yy=-1, yz=u_val)

@@ -1,7 +1,8 @@
 """Shared generators for randomized suites (all callers pass a seeded rng),
 the canonical degree of a fiber-like kernel vector, and oracles: a
 backtracking fiber search and the eliminations that the exact linear
-algebra core replaced."""
+algebra core replaced, and the Fraction-pair arithmetic of Q(eps) that the
+integer-backed QuadExt replaced."""
 
 from __future__ import annotations
 
@@ -189,3 +190,101 @@ def rational_cholesky(m) -> list[tuple[Fraction, list[Fraction]]]:
             for c in range(i + 1, n):
                 a[r][c] -= a[r][i] * a[i][c] / d
     return out
+
+
+class FractionQuadExt:
+    """a + b eps with eps^2 = eps - 1, coefficients exact rationals.
+
+    The Fraction-pair representation `sncalc.projective.QuadExt` used
+    before it moved to integer numerators over one common denominator,
+    kept as the oracle for that representation.
+
+    The conjugate swaps eps for 1 - eps; the norm a^2 + ab + b^2 vanishes
+    only at zero, so every nonzero element is invertible.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    @classmethod
+    def of(cls, x) -> "FractionQuadExt":
+        return x if isinstance(x, FractionQuadExt) else cls(x)
+
+    def __bool__(self) -> bool:
+        return self.a != 0 or self.b != 0
+
+    def __eq__(self, other) -> bool:
+        other = FractionQuadExt.of(other)
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __add__(self, other):
+        other = FractionQuadExt.of(other)
+        return FractionQuadExt(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQuadExt(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-FractionQuadExt.of(other))
+
+    def __rsub__(self, other):
+        return FractionQuadExt.of(other) + (-self)
+
+    def __mul__(self, other):
+        other = FractionQuadExt.of(other)
+        # (a + b eps)(c + d eps) = ac + (ad + bc) eps + bd (eps - 1)
+        return FractionQuadExt(
+            self.a * other.a - self.b * other.b,
+            self.a * other.b + self.b * other.a + self.b * other.b,
+        )
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "FractionQuadExt":
+        return FractionQuadExt(self.a + self.b, -self.b)
+
+    def norm(self) -> Fraction:
+        return self.a * self.a + self.a * self.b + self.b * self.b
+
+    def inverse(self) -> "FractionQuadExt":
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero")
+        c = self.conjugate()
+        return FractionQuadExt(c.a / n, c.b / n)
+
+    def __truediv__(self, other):
+        return self * FractionQuadExt.of(other).inverse()
+
+    def __rtruediv__(self, other):
+        return FractionQuadExt.of(other) * self.inverse()
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = FractionQuadExt(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def __repr__(self):
+        if self.b == 0:
+            return f"{self.a}"
+        if self.a == 0:
+            return f"{self.b}*eps"
+        return f"({self.a} + {self.b}*eps)"

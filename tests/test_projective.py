@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+import sncalc.projective
+from helpers import FractionQuadExt
+from sncalc.errors import InvariantError
 from sncalc.projective import (
     EPS,
     ProjConic,
@@ -25,6 +29,7 @@ from sncalc.projective import (
     meet,
     proj_eq,
 )
+from sncalc.scenarios import run_scenario
 
 scalars = st.builds(
     QuadExt,
@@ -66,6 +71,78 @@ def test_thousand_random_inverses():
         assert a * a.inverse() == QuadExt(1)
         assert a.inverse() == 1 / a
         checked += 1
+
+
+def _random_rational(rng: random.Random) -> Fraction:
+    """Zero, small values and values with 60-bit or longer numerators, over
+    denominators of either sign."""
+    if rng.random() < 0.15:
+        return Fraction(0)
+    bits = rng.choice((3, 10, 62, 80))
+    num = rng.randint(-(2**bits), 2**bits)
+    den = rng.choice((1, -1, 2, -3, 6, -12, rng.randint(1, 2**bits)))
+    return Fraction(num, den)
+
+
+def _pair(rng: random.Random) -> tuple[QuadExt, FractionQuadExt]:
+    a = Fraction(0) if rng.random() < 0.1 else _random_rational(rng)
+    b = Fraction(0) if rng.random() < 0.3 else _random_rational(rng)
+    if a.denominator == 1 and b.denominator == 1 and rng.random() < 0.5:
+        a, b = int(a), int(b)  # the constructor's int path
+    return QuadExt(a, b), FractionQuadExt(a, b)
+
+
+def _assert_matches(x, ref) -> None:
+    assert type(x) is QuadExt
+    assert x._d > 0 and gcd(x._a, x._b, x._d) == 1, (x._a, x._b, x._d)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert (x.a, x.b) == (ref.a, ref.b)
+    assert repr(x) == repr(ref)
+    assert bool(x) == bool(ref)
+
+
+def test_integer_quadext_matches_fraction_reference():
+    # every operation of the integer-backed QuadExt against the Fraction-pair
+    # representation it replaced, on the same operands
+    rng = random.Random(0x6E0)
+    pairs = 0
+    while pairs < 5000:
+        x, rx = _pair(rng)
+        y, ry = _pair(rng)
+        n = rng.randint(-(2**64), 2**64)
+        f = _random_rational(rng)
+        checks = [
+            (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+            (x + n, rx + n), (n + x, n + rx), (x - f, rx - f), (f - x, f - rx),
+            (x * f, rx * f), (n * x, n * rx), (-x, -rx), (x.conjugate(), rx.conjugate()),
+        ]
+        k = rng.randint(-3, 3)
+        if ry:
+            checks += [(x / y, rx / ry), (y.inverse(), ry.inverse()), (n / y, n / ry)]
+            checks.append((y**k, ry**k))
+        else:
+            for fail in (y.inverse, lambda: x / y, lambda: y**-1):
+                with pytest.raises(ZeroDivisionError):
+                    fail()
+            checks.append((y ** abs(k), ry ** abs(k)))
+        if f:
+            checks.append((x / f, rx / f))
+        for got, want in checks:
+            _assert_matches(got, want)
+        _assert_matches(x, rx)
+        assert type(x.norm()) is Fraction and x.norm() == rx.norm()
+        assert (x == y) == (rx == ry)
+        assert (x == n) == (rx == n) and (x == f) == (rx == f)
+        assert (x == x.a) == (rx == rx.a)
+        # the same value reached another way is equal and hashes equally
+        again = (x + y) - y
+        assert again == x and hash(again) == hash(x)
+        pairs += 1
+    assert QuadExt(7) == QuadExt(Fraction(7), 0) == QuadExt(14, 0) / 2 == 7
+    assert hash(QuadExt(7)) == hash(QuadExt(Fraction(7), 0)) == hash(QuadExt(14, 0) / 2)
+    assert QuadExt(Fraction(2, 4)) == QuadExt(Fraction(1, 2), 0) == QuadExt("1/2")
+    assert hash(QuadExt(Fraction(2, 4))) == hash(QuadExt(Fraction(1, 2), 0))
+    assert hash(QuadExt(Fraction(2, 4))) == hash(QuadExt(0.5, 0))
 
 
 def test_zero_has_no_inverse():
@@ -167,6 +244,22 @@ def test_bezout_totals_on_the_bundled_conics():
 
 def test_conic_family_solve():
     assert conic_family_solve() == (Fraction(-2), Fraction(1, 2))
+
+
+def test_conic_family_solve_failure_is_internal(monkeypatch):
+    # the solve takes no input, so a chart search that finds nothing is a
+    # defect; the scenario still reports it as one failed check
+    def off_the_point(*args):
+        return {"00": sncalc.projective._BiPoly.const(1)}
+
+    monkeypatch.setattr(sncalc.projective, "_chart_coefficients", off_the_point)
+    with pytest.raises(InvariantError, match="no chart"):
+        conic_family_solve()
+    rep = run_scenario("y244")
+    failed = [(c.name, c.actual) for c in rep.checks if not c.passed]
+    assert failed == [
+        ("uv_params", "error: no chart produced a triangular condition system")
+    ]
 
 
 def test_conic_smoothness():
