@@ -295,10 +295,16 @@ class QDivisor:
 
 
 def parse_graph(text: str) -> DualGraph:
-    """Parse the line-based graph format; raise GraphParseError on bad input."""
+    """Parse the line-based graph format; raise GraphParseError on bad input.
+
+    Every error carries its line number; a cycle is reported at the edge
+    that closes the first one.
+    """
     vertices: list[tuple[str, int]] = []
     seen: set[str] = set()
     edges: set[tuple[str, str]] = set()
+    parent: dict[str, str] = {}  # union-find over the edges read so far
+    cycle_at = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -328,12 +334,25 @@ def parse_graph(text: str) -> DualGraph:
             if e in edges:
                 raise GraphParseError(f"duplicate edge {a!r} {b!r}", lineno)
             edges.add(e)
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra == rb:
+                cycle_at = cycle_at or lineno
+            else:
+                parent[ra] = rb
         else:
             raise GraphParseError(f"unknown directive {parts[0]!r}", lineno)
-    g = DualGraph(tuple(vertices), frozenset(edges))
-    if not g.is_forest():
-        raise GraphParseError("graph contains a cycle; only forests are supported")
-    return g
+    if cycle_at is not None:
+        raise GraphParseError("graph contains a cycle; only forests are supported", cycle_at)
+    return DualGraph(tuple(vertices), frozenset(edges))
+
+
+def _find(parent: dict[str, str], v: str) -> str:
+    """The root of v in a union-find forest, halving the path on the way."""
+    parent.setdefault(v, v)
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 def serialize_graph(g: DualGraph) -> str:

@@ -5,8 +5,11 @@ third root of unity, which is exactly what the bundled line and conic data
 needs.  A scalar (a + b eps) / d is stored as three integers in canonical
 form, d > 0 and gcd(a, b, d) = 1, so its arithmetic builds no Fraction.
 Projective equality is tested through 2x2 minors, never by
-normalizing, and intersection multiplicities come from exact rational
-parametrizations of smooth conics.
+normalizing.  Intersection multiplicities of lines and conics come from a
+few bilinear-form values through the pencil rule
+I_p(F, G) = I_p(F - lambda G, G), with no series or parametrization, and
+the same rule turns the osculation of two conic families into the rational
+roots of one polynomial.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InvariantError
+from .linalg import solve_rational
 
 __all__ = [
     "QuadExt",
@@ -48,9 +52,10 @@ class QuadExt:
 
     The form is canonical: d > 0 and gcd(a, b, d) = 1, so equal values have
     equal fields and all arithmetic is on integers.  `a`, `b` and `norm()`
-    read back as Fractions.  The conjugate swaps eps for 1 - eps; the norm
-    a^2 + ab + b^2 vanishes only at zero, so every nonzero element is
-    invertible.
+    read back as Fractions.  A rational value equals, and hashes like, the
+    int or Fraction of that value; other types compare unequal.  The
+    conjugate swaps eps for 1 - eps; the norm a^2 + ab + b^2 vanishes only
+    at zero, so every nonzero element is invertible.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -83,10 +88,15 @@ class QuadExt:
         return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
-        other = QuadExt.of(other)
+        if not isinstance(other, QuadExt):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QuadExt(other)
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
+        if self._b == 0:
+            return hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
     def __add__(self, other):
@@ -242,10 +252,7 @@ class ProjConic:
         return out
 
     def gradient(self, p: ProjPoint) -> tuple[QuadExt, QuadExt, QuadExt]:
-        v = p.coords
-        return tuple(
-            sum((self.matrix[i][j] * v[j] for j in range(3)), QuadExt(0)) for i in range(3)
-        )
+        return _mat_vec(self.matrix, p.coords)
 
     def det(self) -> QuadExt:
         return _det3(self.matrix)
@@ -257,7 +264,7 @@ class ProjConic:
 def incident(p: ProjPoint, c: ProjLine | ProjConic) -> bool:
     """Exact evaluation of the defining form at the point."""
     if isinstance(c, ProjLine):
-        return not sum((a * b for a, b in zip(c.coeffs, p.coords)), QuadExt(0))
+        return not _dot(c.coeffs, p.coords)
     return not c.apply(p)
 
 
@@ -288,6 +295,14 @@ def proj_eq(p: ProjPoint | ProjLine, q: ProjPoint | ProjLine) -> bool:
     return True
 
 
+def _dot(x, y) -> QuadExt:
+    return sum((a * b for a, b in zip(x, y)), QuadExt(0))
+
+
+def _mat_vec(m, x) -> tuple[QuadExt, QuadExt, QuadExt]:
+    return tuple(sum((row[j] * x[j] for j in range(3)), QuadExt(0)) for row in m)
+
+
 def _cross(a, b):
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -310,9 +325,7 @@ def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
 
 def apply_matrix(m: Sequence[Sequence], p: ProjPoint) -> ProjPoint:
     rows = [tuple(QuadExt.of(x) for x in row) for row in m]
-    return ProjPoint(
-        tuple(sum((row[j] * p.coords[j] for j in range(3)), QuadExt(0)) for row in rows)
-    )
+    return ProjPoint(_mat_vec(rows, p.coords))
 
 
 def _mat_inv3(m):
@@ -360,368 +373,157 @@ def conics_proportional(c1: ProjConic, c2: ProjConic) -> bool:
 # -- intersection multiplicities ----------------------------------------
 
 
-def _poly_mul(p: list[QuadExt], q: list[QuadExt]) -> list[QuadExt]:
-    out = [QuadExt(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
+def _pencil(x, m1, y, m2) -> list[list[QuadExt]]:
+    """The symmetric matrix x M1 + y M2."""
+    return [[x * a + y * b for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else QuadExt(0)) + (q[i] if i < len(q) else QuadExt(0))
-        for i in range(n)
-    ]
-
-
-def _form_on_path(curve: ProjLine | ProjConic, path: list[list[QuadExt]]) -> list[QuadExt]:
-    """Compose a line or conic form with a polynomial path s -> P^2."""
-    if isinstance(curve, ProjLine):
-        out: list[QuadExt] = [QuadExt(0)]
-        for coeff, comp in zip(curve.coeffs, path):
-            out = _poly_add(out, [coeff * c for c in comp])
-        return out
-    out = [QuadExt(0)]
-    for i in range(3):
-        for j in range(3):
-            term = _poly_mul(path[i], path[j])
-            out = _poly_add(out, [curve.matrix[i][j] * c for c in term])
-    return out
-
-
-def _vanishing_order(poly: list[QuadExt]) -> int | None:
-    for k, c in enumerate(poly):
-        if c:
-            return k
-    return None
+_UNIT = tuple(tuple(QuadExt(int(i == k)) for i in range(3)) for k in range(3))
 
 
 def intersection_multiplicity(
     c1: ProjLine | ProjConic, c2: ProjLine | ProjConic, p: ProjPoint
 ) -> int:
-    """Local intersection number at p, with c2 parametrized through p.
+    """Local intersection number at p of c1 with a line or smooth conic c2.
 
-    c2 is a line or a smooth conic; either way it carries a rational
-    parametrization sending the parameter origin to p, and the multiplicity
-    is the vanishing order of c1's form along that path.
+    Every case reduces to a few bilinear-form values through the pencil rule
+    I_p(F, G) = I_p(F - lambda G, G) (Fulton, Algebraic Curves, sec. 3.3).
+    Let q be the point where c2, or for a conic its tangent t = A2 p, meets
+    the coordinate line x_k = 0 for some p_k != 0; q is not p.
+
+    On a line c2, c1 restricts to the binary form with coefficients
+    p^T A1 q and q^T A1 q along p + s q (just L.q for a line c1), and the
+    order is the index of the first nonzero one.  On a smooth conic c2, a
+    line c1 has order 2 if it is t and 1 otherwise, and a conic c1 has order
+    1 unless A1 p = lambda t.  Then H = A1 - lambda A2 is singular at p, so
+    it is a pair of lines through p, each adding 1, or 2 if it is t: the
+    order is 2 if q^T H q != 0, 3 if H q != 0 and 4 otherwise.  When c1
+    vanishes all along c2 (H = 0), the curves share a component.
     """
     if not incident(p, c1) or not incident(p, c2):
         raise ValueError("the point must lie on both curves")
+    k = next(i for i in range(3) if p.coords[i])
     if isinstance(c2, ProjLine):
-        # second spanning point of the line, chosen by the first nonzero rule
-        k = next(i for i in range(3) if c2.coeffs[i])
-        others = [i for i in range(3) if i != k]
-        candidates = []
-        for o in others:
-            vec = [QuadExt(0)] * 3
-            vec[o] = c2.coeffs[k]
-            vec[k] = -c2.coeffs[o]
-            candidates.append(ProjPoint(vec))
-        q = next(c for c in candidates if not proj_eq(c, p))
-        path = [
-            [p.coords[i], q.coords[i]] for i in range(3)
-        ]  # s -> p + s q, exact on the line
-        order = _vanishing_order(_form_on_path(c1, path))
+        q = _cross(c2.coeffs, _UNIT[k])
+        if isinstance(c1, ProjLine):
+            if _dot(c1.coeffs, q):
+                return 1
+        else:
+            aq = _mat_vec(c1.matrix, q)
+            if _dot(p.coords, aq):
+                return 1
+            if _dot(q, aq):
+                return 2
     else:
         if not c2.is_smooth():
             raise ValueError("the parametrized conic must be smooth")
-        # lines through p hit the conic in one more point; running the second
-        # base point along a coordinate line not containing p parametrizes c2
-        k = next(i for i in range(3) if p.coords[i])
-        spans = [i for i in range(3) if i != k]
-        u = [QuadExt(0)] * 3
-        w = [QuadExt(0)] * 3
-        u[spans[0]] = QuadExt(1)
-        w[spans[1]] = QuadExt(1)
-        ap = c2.gradient(p)
-        alpha = sum((ap[i] * u[i] for i in range(3)), QuadExt(0))
-        beta = sum((ap[i] * w[i] for i in range(3)), QuadExt(0))
-        # parameter of p itself: where the chord through p degenerates to the
-        # tangent, i.e. (t0, t1) with alpha t0 + beta t1 = 0
-        t0, t1 = beta, -alpha
-        v0, v1 = (QuadExt(0), QuadExt(1)) if t0 else (QuadExt(1), QuadExt(0))
-        # q(s) = (t0 + s v0) u + (t1 + s v1) w, then the second intersection:
-        # phi(s) = (q A q) p - 2 (p A q) q
-        qs = [[t0 * u[i] + t1 * w[i], v0 * u[i] + v1 * w[i]] for i in range(3)]
-        a = c2.matrix
-        qaq: list[QuadExt] = [QuadExt(0)]
-        for i in range(3):
-            for j in range(3):
-                qaq = _poly_add(qaq, [a[i][j] * c for c in _poly_mul(qs[i], qs[j])])
-        paq: list[QuadExt] = [QuadExt(0)]
-        for i in range(3):
-            paq = _poly_add(paq, [ap[i] * c for c in qs[i]])
-        path = []
-        for i in range(3):
-            term1 = [p.coords[i] * c for c in qaq]
-            term2 = [c * -2 for c in _poly_mul(paq, qs[i])]
-            path.append(_poly_add(term1, term2))
-        at_zero = ProjPoint(tuple(comp[0] for comp in path))
-        if not proj_eq(at_zero, p):
-            raise InvariantError("the chord path does not start at the point")
-        order = _vanishing_order(_form_on_path(c1, path))
-    if order is None:
-        raise ValueError("curves share a component through the point")
-    return order
+        t = c2.gradient(p)
+        if isinstance(c1, ProjLine):
+            return 1 if any(_cross(c1.coeffs, t)) else 2
+        g = c1.gradient(p)
+        if any(_cross(g, t)):
+            return 1
+        # H scaled by t_j != 0, so that lambda = g_j / t_j needs no division
+        j = next(i for i in range(3) if t[i])
+        h = _pencil(t[j], c1.matrix, -g[j], c2.matrix)
+        q = _cross(t, _UNIT[k])
+        hq = _mat_vec(h, q)
+        if _dot(q, hq):
+            return 2
+        if any(hq):
+            return 3
+        if any(map(any, h)):
+            return 4
+    raise ValueError("curves share a component through the point")
 
 
 # -- the one-parameter conic families ------------------------------------
 
-
-class _BiPoly:
-    """Dense-enough polynomials in two unknowns over the rationals."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for key, val in terms.items():
-                val = Fraction(val)
-                if val:
-                    self.terms[key] = val
-
-    @classmethod
-    def const(cls, c) -> "_BiPoly":
-        return cls({(0, 0): Fraction(c)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, _BiPoly) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return _BiPoly(out)
-
-    def __neg__(self):
-        return _BiPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _BiPoly({k: v * other for k, v in self.terms.items()})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), v1 in self.terms.items():
-            for (i2, j2), v2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return _BiPoly(out)
-
-    def scale(self, c) -> "_BiPoly":
-        return _BiPoly({k: v * Fraction(c) for k, v in self.terms.items()})
-
-    def constant_value(self) -> Fraction:
-        if any(k != (0, 0) for k in self.terms):
-            raise ValueError("not a constant")
-        return self.terms.get((0, 0), Fraction(0))
-
-    def substitute(self, u: Fraction | None = None, v: Fraction | None = None) -> "_BiPoly":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), val in self.terms.items():
-            key_i, key_j = i, j
-            if u is not None:
-                val = val * Fraction(u) ** i
-                key_i = 0
-            if v is not None:
-                val = val * Fraction(v) ** j
-                key_j = 0
-            key = (key_i, key_j)
-            out[key] = out.get(key, Fraction(0)) + val
-        return _BiPoly(out)
-
-    def linear_root(self, var: int) -> Fraction:
-        """Root of c0 + c1 x, when the polynomial is univariate linear in
-        the var-th unknown (0 for the first, 1 for the second)."""
-        c0 = Fraction(0)
-        c1 = Fraction(0)
-        for (i, j), val in self.terms.items():
-            deg = (i, j)[var]
-            other = (i, j)[1 - var]
-            if other != 0 or deg > 1:
-                raise ValueError("not univariate linear")
-            if deg == 0:
-                c0 = val
-            else:
-                c1 = val
-        if c1 == 0:
-            raise ValueError("degenerate linear equation")
-        return -c0 / c1
-
-    def __repr__(self):
-        return f"_BiPoly({self.terms})"
+# x^2 - y^2 + u y z = F0 + u F1, through T23 (u = 2) and T33 (u = -2), and
+# v (y^2 - x^2 - 2 y z) - z^2 + y z + x z = G0 + v G1, through E (v = 1/2);
+# every member of either family passes through [1, 1, 0]
+_F0, _F1 = ProjConic.from_coeffs(xx=1, yy=-1), ProjConic.from_coeffs(yz=1)
+_G0 = ProjConic.from_coeffs(zz=-1, yz=1, xz=1)
+_G1 = ProjConic.from_coeffs(xx=-1, yy=1, yz=-2)
+_FAMILY_POINT = ProjPoint(1, 1, 0)
 
 
-def _series_mul(a: list[_BiPoly], b: list[_BiPoly], order: int) -> list[_BiPoly]:
-    out = [_BiPoly() for _ in range(order)]
-    for i, ai in enumerate(a):
-        if i >= order:
-            break
-        for j, bj in enumerate(b):
-            if i + j >= order:
-                break
-            out[i + j] = out[i + j] + ai * bj
-    return out
+def _family_contact(v) -> tuple[QuadExt, QuadExt, QuadExt]:
+    """(a, b, c) at the parameter v of the second family.
 
-
-def _series_add(a: list[_BiPoly], b: list[_BiPoly]) -> list[_BiPoly]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else _BiPoly()) + (b[i] if i < len(b) else _BiPoly())
-        for i in range(n)
-    ]
-
-
-def _chart_coefficients(matrix, p: tuple[int, int, int], i_s: int, i_t: int):
-    """Quadratic form pulled to the affine chart p + S e_s + T e_t.
-
-    Returns the six coefficients f00, f10, f01, f20, f11, f02 as bivariate
-    polynomials in the family parameters.
+    F_u p and G_v p are both orthogonal to p, so they are parallel exactly
+    when the first entry of their cross product, a + u b, vanishes (p_0 is
+    not 0).  With x = F0 p, y = F1 p and w = G_v p in that plane,
+    b x - a y = -kappa w for the constant kappa = (x cross y)_0, so
+    F = b F0 - a F1 (F_u scaled by b) and H = kappa G_v + F satisfy
+    H p = 0.  c = q^T H q, for q the point of the tangent line w on x = 0,
+    is the order-three condition of `intersection_multiplicity`.
     """
-    pv = [_BiPoly.const(x) for x in p]
-    es = [_BiPoly.const(1 if i == i_s else 0) for i in range(3)]
-    et = [_BiPoly.const(1 if i == i_t else 0) for i in range(3)]
-
-    def form(a, b):
-        out = _BiPoly()
-        for i in range(3):
-            for j in range(3):
-                out = out + matrix[i][j] * a[i] * b[j]
-        return out
-
-    return {
-        "00": form(pv, pv),
-        "10": form(pv, es) * 2,
-        "01": form(pv, et) * 2,
-        "20": form(es, es),
-        "11": form(es, et) * 2,
-        "02": form(et, et),
-    }
+    p = _FAMILY_POINT.coords
+    x, y = _mat_vec(_F0.matrix, p), _mat_vec(_F1.matrix, p)
+    g = _pencil(1, _G0.matrix, v, _G1.matrix)
+    w = _mat_vec(g, p)
+    a, b = _cross(x, w)[0], _cross(y, w)[0]
+    h = _pencil(_cross(x, y)[0], g, 1, _pencil(b, _F0.matrix, -a, _F1.matrix))
+    q = _cross(w, _UNIT[0])
+    return a, b, _dot(q, _mat_vec(h, q))
 
 
-def _branch_series(f: dict, order: int = 4) -> list[_BiPoly]:
-    """S(T) solving f(S(T), T) = 0 with S(0) = 0, as a truncated series.
+def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
+    """Rational roots of a nonzero polynomial given low degree first, by the
+    rational root theorem."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    while not ints[-1]:
+        ints.pop()
+    roots = [Fraction(0)] if not ints[0] else []
+    while not ints[0]:
+        ints.pop(0)
 
-    Needs f00 = 0 and an invertible constant linear coefficient f10; both
-    are checked and raise InvariantError.
-    """
-    if f["00"]:
-        raise InvariantError("branch series: f00 is not zero")
-    lead = f["10"].constant_value()
-    if lead == 0:
-        raise InvariantError("branch series: f10 has no invertible constant term")
-    inv = -1 / lead
-    s = [_BiPoly() for _ in range(order)]
-    t_series = [_BiPoly(), _BiPoly.const(1)]
-    for _ in range(order):
-        s2 = _series_mul(s, s, order)
-        st = _series_mul(s, t_series, order)
-        rhs = [_BiPoly() for _ in range(order)]
-        for coeff, series in (
-            (f["01"], t_series),
-            (f["20"], s2),
-            (f["11"], st),
-            (f["02"], _series_mul(t_series, t_series, order)),
-        ):
-            rhs = _series_add(rhs, [coeff * x for x in series])
-        s = [x.scale(inv) for x in rhs]
-    return s
+    def divisors(n: int) -> list[int]:
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
 
-
-def _family_matrices():
-    """Symmetric matrices over Q[u, v] for the two bundled conic families."""
-    u = _BiPoly({(1, 0): 1})
-    v = _BiPoly({(0, 1): 1})
-    half = Fraction(1, 2)
-    zero = _BiPoly()
-    one = _BiPoly.const(1)
-    # first family: u y z - y^2 + x^2 = 0
-    fu = [
-        [one, zero, zero],
-        [zero, -one, u.scale(half)],
-        [zero, u.scale(half), zero],
-    ]
-    # second family: v (y^2 - x^2 - 2 y z) - z^2 + y z + x z = 0
-    gv = [
-        [-v, zero, _BiPoly.const(half)],
-        [zero, v, -v + _BiPoly.const(half)],
-        [_BiPoly.const(half), -v + _BiPoly.const(half), -one],
-    ]
-    return fu, gv
+    for num in divisors(ints[0]):
+        for den in divisors(ints[-1]):
+            for r in (Fraction(num, den), Fraction(-num, den)):
+                if r not in roots and not sum(c * r**i for i, c in enumerate(ints)):
+                    roots.append(r)
+    return sorted(roots)
 
 
 def conic_family_solve() -> tuple[Fraction, Fraction]:
-    """Parameters making the two bundled conic families osculate to order
-    three at [1, 1, 0].
+    """The parameters (u, v) at which the conics x^2 - y^2 + u y z and
+    v (y^2 - x^2 - 2 y z) - z^2 + y z + x z meet to order three at
+    [1, 1, 0], which lies on both for every u and v.
 
-    The first family runs through the point for every parameter; expanding
-    the second family along the first's local branch and killing the first
-    two Taylor coefficients gives two polynomial conditions, solved exactly
-    and then re-verified against the parametrization-based multiplicity.
-    The solve takes no input, so any failure is a defect and raises
+    Tangency there is linear in u, u = -a(v) / b(v); scaled by b(v), the
+    order-three condition of `intersection_multiplicity` becomes one
+    polynomial c(v) of degree at most 3 (see `_family_contact`), which its
+    values at v = 0..3 fix.  Each rational root with b(v) != 0 is re-checked
+    with `intersection_multiplicity`, and exactly one must remain.  The
+    solve takes no input, so any failure is a defect and raises
     InvariantError.
     """
-    fu, gv = _family_matrices()
-    p3 = (1, 1, 0)
-    solution = None
-    for i_s, i_t in ((0, 2), (1, 2), (2, 0), (2, 1)):
-        f = _chart_coefficients(fu, p3, i_s, i_t)
-        g = _chart_coefficients(gv, p3, i_s, i_t)
-        if f["00"] or g["00"]:
-            continue  # base point must lie on both families identically
-        try:
-            f["10"].constant_value()
-        except ValueError:
-            continue  # branch solve needs a parameter-free linear term
-        if not f["10"]:
+    samples = range(4)
+    values = [_family_contact(v)[2].a for v in samples]
+    coeffs = solve_rational([[Fraction(v) ** n for n in samples] for v in samples], values)
+    if not any(coeffs):
+        raise InvariantError("conic families: the contact condition vanishes identically")
+    found = []
+    for v in _rational_roots(coeffs):
+        a, b, _ = _family_contact(v)
+        if not b:
             continue
-        s = _branch_series(f)
-        t_series = [_BiPoly(), _BiPoly.const(1)]
-        order = len(s)
-        total = [g["00"]]
-        for coeff, series in (
-            (g["10"], s),
-            (g["01"], t_series),
-            (g["20"], _series_mul(s, s, order)),
-            (g["11"], _series_mul(s, t_series, order)),
-            (g["02"], _series_mul(t_series, t_series, order)),
-        ):
-            total = _series_add(total, [coeff * x for x in series])
-        if total[0]:
-            raise InvariantError("conic families: the base point is not on both")
-        c1, c2 = total[1], total[2]
-        # the conditions come out parameter-triangular in a good chart
-        try:
-            u_val = c2.linear_root(0)
-            v_val = c1.substitute(u=u_val).linear_root(1)
-            solution = (u_val, v_val)
-            break
-        except ValueError:
-            pass
-        try:
-            v_val = c2.linear_root(1)
-            u_val = c1.substitute(v=v_val).linear_root(0)
-            solution = (u_val, v_val)
-            break
-        except ValueError:
-            continue
-    if solution is None:
-        raise InvariantError("no chart produced a triangular condition system")
-    u_val, v_val = solution
-    # independent re-check through the concrete curves
-    t33 = ProjConic.from_coeffs(xx=1, yy=-1, yz=u_val)
-    e = ProjConic.from_coeffs(xx=-v_val, yy=v_val, yz=-2 * v_val + 1, zz=-1, xz=1)
-    p = ProjPoint(1, 1, 0)
-    if intersection_multiplicity(e, t33, p) != 3:
-        raise InvariantError("conic families: E meets T33 at (1:1:0) with order != 3")
-    return u_val, v_val
+        u = (-a / b).a
+        t33 = ProjConic(_pencil(1, _F0.matrix, u, _F1.matrix))
+        e = ProjConic(_pencil(1, _G0.matrix, v, _G1.matrix))
+        if intersection_multiplicity(e, t33, _FAMILY_POINT) == 3:
+            found.append((u, v))
+    if len(found) != 1:
+        raise InvariantError(
+            f"conic families: {len(found)} parameter pairs meet to order three, not one"
+        )
+    return found[0]
 
 
 # -- bundled coordinate data ---------------------------------------------

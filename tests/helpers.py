@@ -1,8 +1,9 @@
 """Shared generators for randomized suites (all callers pass a seeded rng),
 the canonical degree of a fiber-like kernel vector, and oracles: a
 backtracking fiber search and the eliminations that the exact linear
-algebra core replaced, and the Fraction-pair arithmetic of Q(eps) that the
-integer-backed QuadExt replaced."""
+algebra core replaced, the Fraction-pair arithmetic of Q(eps) that the
+integer-backed QuadExt replaced, and the power-series intersection
+multiplicity that the pencil criterion replaced."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+from sncalc.errors import InvariantError
 from sncalc.graphs import DualGraph, canonical_form
+from sncalc.projective import ProjConic, ProjLine, ProjPoint, QuadExt, incident, proj_eq
 from sncalc.surgery import contract_minus_one
 
 
@@ -288,3 +291,115 @@ class FractionQuadExt:
         if self.a == 0:
             return f"{self.b}*eps"
         return f"({self.a} + {self.b}*eps)"
+
+
+# -- the series-based intersection multiplicity ------------------------------
+# `sncalc.projective.intersection_multiplicity` before it moved to the pencil
+# criterion, with its four helpers, kept verbatim as the oracle.
+
+
+def _poly_mul(p: list[QuadExt], q: list[QuadExt]) -> list[QuadExt]:
+    out = [QuadExt(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _poly_add(p, q):
+    n = max(len(p), len(q))
+    return [
+        (p[i] if i < len(p) else QuadExt(0)) + (q[i] if i < len(q) else QuadExt(0))
+        for i in range(n)
+    ]
+
+
+def _form_on_path(curve: ProjLine | ProjConic, path: list[list[QuadExt]]) -> list[QuadExt]:
+    """Compose a line or conic form with a polynomial path s -> P^2."""
+    if isinstance(curve, ProjLine):
+        out: list[QuadExt] = [QuadExt(0)]
+        for coeff, comp in zip(curve.coeffs, path):
+            out = _poly_add(out, [coeff * c for c in comp])
+        return out
+    out = [QuadExt(0)]
+    for i in range(3):
+        for j in range(3):
+            term = _poly_mul(path[i], path[j])
+            out = _poly_add(out, [curve.matrix[i][j] * c for c in term])
+    return out
+
+
+def _vanishing_order(poly: list[QuadExt]) -> int | None:
+    for k, c in enumerate(poly):
+        if c:
+            return k
+    return None
+
+
+def intersection_multiplicity(
+    c1: ProjLine | ProjConic, c2: ProjLine | ProjConic, p: ProjPoint
+) -> int:
+    """Local intersection number at p, with c2 parametrized through p.
+
+    c2 is a line or a smooth conic; either way it carries a rational
+    parametrization sending the parameter origin to p, and the multiplicity
+    is the vanishing order of c1's form along that path.
+    """
+    if not incident(p, c1) or not incident(p, c2):
+        raise ValueError("the point must lie on both curves")
+    if isinstance(c2, ProjLine):
+        # second spanning point of the line, chosen by the first nonzero rule
+        k = next(i for i in range(3) if c2.coeffs[i])
+        others = [i for i in range(3) if i != k]
+        candidates = []
+        for o in others:
+            vec = [QuadExt(0)] * 3
+            vec[o] = c2.coeffs[k]
+            vec[k] = -c2.coeffs[o]
+            candidates.append(ProjPoint(vec))
+        q = next(c for c in candidates if not proj_eq(c, p))
+        path = [
+            [p.coords[i], q.coords[i]] for i in range(3)
+        ]  # s -> p + s q, exact on the line
+        order = _vanishing_order(_form_on_path(c1, path))
+    else:
+        if not c2.is_smooth():
+            raise ValueError("the parametrized conic must be smooth")
+        # lines through p hit the conic in one more point; running the second
+        # base point along a coordinate line not containing p parametrizes c2
+        k = next(i for i in range(3) if p.coords[i])
+        spans = [i for i in range(3) if i != k]
+        u = [QuadExt(0)] * 3
+        w = [QuadExt(0)] * 3
+        u[spans[0]] = QuadExt(1)
+        w[spans[1]] = QuadExt(1)
+        ap = c2.gradient(p)
+        alpha = sum((ap[i] * u[i] for i in range(3)), QuadExt(0))
+        beta = sum((ap[i] * w[i] for i in range(3)), QuadExt(0))
+        # parameter of p itself: where the chord through p degenerates to the
+        # tangent, i.e. (t0, t1) with alpha t0 + beta t1 = 0
+        t0, t1 = beta, -alpha
+        v0, v1 = (QuadExt(0), QuadExt(1)) if t0 else (QuadExt(1), QuadExt(0))
+        # q(s) = (t0 + s v0) u + (t1 + s v1) w, then the second intersection:
+        # phi(s) = (q A q) p - 2 (p A q) q
+        qs = [[t0 * u[i] + t1 * w[i], v0 * u[i] + v1 * w[i]] for i in range(3)]
+        a = c2.matrix
+        qaq: list[QuadExt] = [QuadExt(0)]
+        for i in range(3):
+            for j in range(3):
+                qaq = _poly_add(qaq, [a[i][j] * c for c in _poly_mul(qs[i], qs[j])])
+        paq: list[QuadExt] = [QuadExt(0)]
+        for i in range(3):
+            paq = _poly_add(paq, [ap[i] * c for c in qs[i]])
+        path = []
+        for i in range(3):
+            term1 = [p.coords[i] * c for c in qaq]
+            term2 = [c * -2 for c in _poly_mul(paq, qs[i])]
+            path.append(_poly_add(term1, term2))
+        at_zero = ProjPoint(tuple(comp[0] for comp in path))
+        if not proj_eq(at_zero, p):
+            raise InvariantError("the chord path does not start at the point")
+        order = _vanishing_order(_form_on_path(c1, path))
+    if order is None:
+        raise ValueError("curves share a component through the point")
+    return order

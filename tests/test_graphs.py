@@ -57,6 +57,7 @@ def test_parse_comments_and_blank_lines():
         ("vertex a\n", 1, "expected"),
         ("frob a b\n", 1, "unknown directive"),
         ("vertex a w=-2\nvertex b w=-2\nedge a b\nedge b a\n", 4, "duplicate edge"),
+        ("vertex a w=-1\nvertex b w=-1\nvertex c w=-1\nedge a b\nedge b c\nedge c a\n", 6, "cycle"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno, needle):

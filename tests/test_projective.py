@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sncalc.projective
-from helpers import FractionQuadExt
+from helpers import FractionQuadExt, intersection_multiplicity as series_multiplicity
 from sncalc.errors import InvariantError
 from sncalc.projective import (
     EPS,
@@ -145,6 +145,21 @@ def test_integer_quadext_matches_fraction_reference():
     assert hash(QuadExt(Fraction(2, 4))) == hash(QuadExt(0.5, 0))
 
 
+def test_quadext_equality_and_hash_across_types():
+    # equal to the int or Fraction of the same value, with the same hash;
+    # anything else compares unequal instead of being parsed or raising
+    assert QuadExt(7) == 7 and hash(QuadExt(7)) == hash(7)
+    assert {QuadExt(7), 7, Fraction(7)} == {7}
+    half = QuadExt(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert {half: "x"}[Fraction(1, 2)] == "x"
+    assert hash(QuadExt(14, 0) / 4) == hash(Fraction(7, 2))
+    assert QuadExt(1) != "1" and not (QuadExt(1) == "1")
+    assert QuadExt(1) != None and QuadExt(1) not in [None, "1"]  # noqa: E711
+    assert EPS != "eps" and EPS not in {None: 0}
+    assert hash(EPS) == hash(QuadExt(0, 1)) and EPS != 0
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         QuadExt(0).inverse()
@@ -204,6 +219,9 @@ def test_intersection_multiplicity_lines():
         intersection_multiplicity(l1, l2, ProjPoint(1, 1, 1))
     with pytest.raises(ValueError, match="share"):
         intersection_multiplicity(l1, ProjLine(2, 0, 0), ProjPoint(0, 0, 1))
+    # the line pair x y = 0 contains l2
+    with pytest.raises(ValueError, match="share"):
+        intersection_multiplicity(ProjConic.from_coeffs(xy=1), l2, ProjPoint(0, 0, 1))
 
 
 def test_intersection_multiplicity_tangent_line():
@@ -222,6 +240,118 @@ def test_intersection_multiplicity_conic_examples():
     assert intersection_multiplicity(d["E"], d["T33"], d["P3"]) == 3
     assert intersection_multiplicity(d["T33"], d["T23"], d["P1"]) == 2
     assert intersection_multiplicity(d["T33"], d["T23"], d["P2"]) == 1
+    # T23 plus the square of its tangent line at P1 meets T23 only there
+    t = d["T23"].gradient(d["P1"])
+    square = ProjConic([[a * b for b in t] for a in t])
+    plus_square = ProjConic([[a + b for a, b in zip(r1, r2)]
+                             for r1, r2 in zip(d["T23"].matrix, square.matrix)])
+    assert intersection_multiplicity(plus_square, d["T23"], d["P1"]) == 4
+
+
+def _scalar(rng: random.Random) -> QuadExt:
+    if rng.random() < 0.25:
+        return QuadExt(0)
+    b = rng.randint(-2, 2) if rng.random() < 0.3 else 0
+    if rng.random() < 0.2:
+        return QuadExt(Fraction(rng.randint(-4, 4), rng.randint(2, 3)), b)
+    return QuadExt(rng.randint(-4, 4), b)
+
+
+def _vector(rng: random.Random) -> tuple:
+    while True:
+        v = tuple(_scalar(rng) for _ in range(3))
+        if any(v):
+            return v
+
+
+def _line_through(rng: random.Random, p: ProjPoint) -> tuple:
+    while True:
+        line = sncalc.projective._cross(p.coords, _vector(rng))
+        if any(line):
+            return line
+
+
+def _product(l1, l2) -> list[list[QuadExt]]:
+    """A symmetric matrix of the line pair l1 l2 (twice the usual one)."""
+    return [[a * d + b * c for b, d in zip(l1, l2)] for a, c in zip(l1, l2)]
+
+
+def _through(rng: random.Random, p: ProjPoint) -> list[list[QuadExt]]:
+    """A random conic through p: the sum of two line pairs, each with one
+    line through p."""
+    m, n = (_product(_line_through(rng, p), _vector(rng)) for _ in range(2))
+    return sncalc.projective._pencil(1, m, 1, n)
+
+
+def _multiplicity_case(rng: random.Random, kind: str):
+    """c1, c2, p for one comparison, with c1 built to reach a given order."""
+    pencil = sncalc.projective._pencil
+    p = ProjPoint(_vector(rng))
+    c1_line = kind.startswith("line")
+    if kind.endswith("/line"):
+        c2 = ProjLine(_line_through(rng, p))
+        if c1_line:
+            c1 = c2.coeffs if rng.random() < 0.1 else _line_through(rng, p)
+        else:
+            # a multiple of c2 plus a line pair with one or two lines through p
+            second = _line_through(rng, p) if rng.random() < 0.5 else _vector(rng)
+            pair = _product(_line_through(rng, p), second)
+            scale = QuadExt(0) if rng.random() < 0.1 else QuadExt(1)
+            c1 = pencil(_scalar(rng), _product(c2.coeffs, _vector(rng)), scale, pair)
+    else:
+        c2 = ProjConic(_through(rng, p))
+        if rng.random() < 0.05:  # a line pair through p is not smooth
+            c2 = ProjConic(_product(_line_through(rng, p), _line_through(rng, p)))
+        t = c2.gradient(p)
+        if c1_line:
+            c1 = t if rng.random() < 0.4 and any(t) else _line_through(rng, p)
+        else:
+            # lambda c2 plus a line pair through p that holds the tangent
+            # zero, one or two times, or a general conic through p
+            r = rng.random()
+            if r < 0.15:
+                extra = _through(rng, p)
+            elif r < 0.2:
+                extra = [[QuadExt(0)] * 3] * 3
+            else:
+                lines = [t if rng.random() < 0.5 else _line_through(rng, p) for _ in range(2)]
+                extra = _product(*lines)
+            c1 = pencil(_scalar(rng), c2.matrix, QuadExt(1), extra)
+    if rng.random() < 0.03:  # almost surely off the point
+        c1 = _vector(rng) if c1_line else _product(_vector(rng), _vector(rng))
+    if c1_line:
+        c1 = ProjLine(c1) if any(c1) else ProjLine(_line_through(rng, p))
+    else:
+        c1 = ProjConic(c1)
+    return c1, c2, p
+
+
+def _outcome(fn, c1, c2, p):
+    try:
+        return fn(c1, c2, p)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_pencil_multiplicity_matches_series_reference():
+    # the pencil criterion against the power-series multiplicity it replaced
+    rng = random.Random(0x1A7)
+    kinds = ("line/line", "line/conic", "conic/line", "conic/conic")
+    seen: dict = {}
+    for n in range(6000):
+        kind = kinds[n % 4]
+        c1, c2, p = _multiplicity_case(rng, kind)
+        got = _outcome(intersection_multiplicity, c1, c2, p)
+        want = _outcome(series_multiplicity, c1, c2, p)
+        assert got == want, (kind, c1, c2, p)
+        key = got if isinstance(got, int) else got[1].split(" ")[1]
+        seen[key] = seen.get(key, 0) + 1
+        seen[kind, key] = seen.get((kind, key), 0) + 1
+    assert all(seen[order] >= 100 for order in (1, 2, 3, 4)), seen
+    # the errors: off the point, not smooth, a shared component
+    assert seen["point"] >= 20 and seen["parametrized"] >= 20, seen
+    assert all(seen[kind, "share"] >= 20 for kind in ("line/line", "conic/line", "conic/conic")), seen
+    assert seen["conic/conic", 3] >= 100 and seen["conic/conic", 4] >= 100, seen
 
 
 def test_intersection_multiplicity_rejects_degenerate_conic():
@@ -247,19 +377,15 @@ def test_conic_family_solve():
 
 
 def test_conic_family_solve_failure_is_internal(monkeypatch):
-    # the solve takes no input, so a chart search that finds nothing is a
+    # the solve takes no input, so a root search that finds nothing is a
     # defect; the scenario still reports it as one failed check
-    def off_the_point(*args):
-        return {"00": sncalc.projective._BiPoly.const(1)}
-
-    monkeypatch.setattr(sncalc.projective, "_chart_coefficients", off_the_point)
-    with pytest.raises(InvariantError, match="no chart"):
+    monkeypatch.setattr(sncalc.projective, "_rational_roots", lambda coeffs: [])
+    message = "conic families: 0 parameter pairs meet to order three, not one"
+    with pytest.raises(InvariantError, match=message):
         conic_family_solve()
     rep = run_scenario("y244")
     failed = [(c.name, c.actual) for c in rep.checks if not c.passed]
-    assert failed == [
-        ("uv_params", "error: no chart produced a triangular condition system")
-    ]
+    assert failed == [("uv_params", f"error: {message}")]
 
 
 def test_conic_smoothness():
