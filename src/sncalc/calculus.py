@@ -177,26 +177,17 @@ def _is_admissible_chain_or_fork(g: DualGraph, comp: tuple[str, ...]) -> bool:
     return is_negative_definite(sub.intersection_matrix())
 
 
-def _bark_component(g: DualGraph, comp: tuple[str, ...], mode: str) -> dict[str, Fraction]:
+def _bark_component(g: DualGraph, comp: tuple[str, ...], whole: bool) -> dict[str, Fraction]:
     """Bark coefficients for one connected component.
 
-    mode 'component' solves (K + D - Bk).D_i = 0 over the whole component;
-    mode 'twigs' solves it over the maximal admissible twigs only.  Both
-    reduce to Q x = rhs with rhs_i = deg(i) - 2 by adjunction.
+    With whole=True it solves (K + D - Bk).D_i = 0 over the whole component,
+    otherwise over its maximal twigs, which must be admissible.  Both reduce
+    to Q x = rhs with rhs_i = deg(i) - 2 by adjunction.
     """
-    sub = g.subgraph(comp)
-    if mode == "component":
-        if not _is_admissible_chain_or_fork(g, comp):
-            raise NonAdmissibleError(
-                f"component {comp} is not an admissible chain or fork"
-            )
+    if whole:
         support = list(comp)
     else:
-        if all(sub.degree(v) <= 2 for v in comp):
-            raise NonAdmissibleError(
-                f"component {comp} is a chain; twig bark undefined"
-            )
-        twigs = maximal_twigs(sub)
+        twigs = maximal_twigs(g.subgraph(comp))
         for t in twigs:
             if not t.is_admissible():
                 raise NonAdmissibleError(
@@ -216,36 +207,23 @@ def _bark_component(g: DualGraph, comp: tuple[str, ...], mode: str) -> dict[str,
     return coeffs
 
 
-def bark(g: DualGraph, kind: str = "auto") -> QDivisor:
+def bark(g: DualGraph) -> QDivisor:
     """The bark of a reduced snc-minimal forest.
 
-    kind 'auto' treats each connected component the way its shape demands:
+    Each connected component is treated the way its shape demands:
     admissible chains and admissible forks get whole-component barks, other
     components get barks supported on their maximal admissible twigs, and
-    non-admissible chains (which have no twigs) contribute nothing.  kinds
-    'component' (alias 'whole-component') and 'twigs' force the respective
-    system on every component.
+    non-admissible chains (which have no twigs) contribute nothing.
     """
-    if kind == "whole-component":
-        kind = "component"
-    if kind not in ("auto", "component", "twigs"):
-        raise ValueError(f"unknown bark kind {kind!r}")
     if not g.is_forest():
         raise NonTreeError("bark of a cyclic graph is undefined")
     _check_minimal(g)
     coeffs: dict[str, Fraction] = {}
     for comp in g.components():
-        if kind == "auto":
-            sub = g.subgraph(comp)
-            if _is_admissible_chain_or_fork(g, comp):
-                mode = "component"
-            elif all(sub.degree(v) <= 2 for v in comp):
-                continue  # non-admissible chain: empty bark
-            else:
-                mode = "twigs"
-        else:
-            mode = kind
-        coeffs.update(_bark_component(g, comp, mode))
+        whole = _is_admissible_chain_or_fork(g, comp)
+        if not whole and all(g.degree(v) <= 2 for v in comp):
+            continue  # non-admissible chain: empty bark
+        coeffs.update(_bark_component(g, comp, whole))
     return QDivisor(g, coeffs)
 
 
@@ -262,9 +240,9 @@ def bark_chain(ch: Chain) -> QDivisor:
     return QDivisor(ch.to_graph(), dict(zip(ch.ids, solve_rational(q, rhs))))
 
 
-def sharp(g: DualGraph, kind: str = "auto") -> QDivisor:
+def sharp(g: DualGraph) -> QDivisor:
     """D - Bk D, coefficientwise on the reduced divisor."""
-    bk = bark(g, kind)
+    bk = bark(g)
     return QDivisor(g, {v: 1 - bk[v] for v in g.ids})
 
 

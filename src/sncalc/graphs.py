@@ -305,7 +305,7 @@ def parse_graph(text: str) -> DualGraph:
     edges: set[tuple[str, str]] = set()
     parent: dict[str, str] = {}  # union-find over the edges read so far
     cycle_at = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

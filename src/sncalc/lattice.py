@@ -77,7 +77,7 @@ def parse_arrangement(text: str) -> BlowupProgram:
     """
     steps: list[tuple] = []
     names: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -517,12 +517,7 @@ def _integer_range(center: Fraction, sq_bound: Fraction) -> tuple[int, int]:
         return 0, -1
     p, q = sq_bound.numerator, sq_bound.denominator
     a, b = center.numerator, center.denominator
-    # |t b - a| <= b sqrt(p/q)
-    umax = isqrt(p * b * b // q) + 1
-    lo = -((umax - a) // b)  # ceil((a - umax) / b)
-    hi = (a + umax) // b
-    while Fraction(lo, 1) < center and (lo - center) ** 2 > sq_bound:
-        lo += 1
-    while Fraction(hi, 1) > center and (hi - center) ** 2 > sq_bound:
-        hi -= 1
-    return lo, hi
+    # (t b - a)^2 q <= p b^2 holds for an integer t exactly when
+    # |t b - a| <= isqrt(floor(p b^2 / q)), since the left side is an integer
+    umax = isqrt(p * b * b // q)
+    return -((umax - a) // b), (a + umax) // b  # ceil, floor of (a -+ umax) / b

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import InvariantError, SingularMatrixError
@@ -183,12 +183,52 @@ def solve_rational(m, b) -> list[Fraction]:
     return x
 
 
+_SWAP = (0, 1, 1, 0)
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int, int]:
+    """A unimodular step (x, y; p, q) that takes the pair (a, b), a != 0,
+    to (g, 0), where g = x a + y b is a gcd of a and b, p = -b/g, q = a/g.
+    When a divides b it is (1, 0; -b/a, 1), which leaves a's line alone."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    x = pow(a, -1, abs(b))
+    return x, (1 - x * a) // b, -b, a
+
+
+def _rows(mats, i: int, j: int, step) -> None:
+    """Rows i, j of each matrix become x r_i + y r_j, p r_i + q r_j (x = 1 when y = 0)."""
+    x, y, p, q = step
+    for a in mats:
+        ri, rj = a[i], a[j]
+        if y:
+            a[i] = [x * e + y * f for e, f in zip(ri, rj)]
+        a[j] = [p * e + q * f for e, f in zip(ri, rj)]
+
+
+def _cols(mats, i: int, j: int, step) -> None:
+    """Columns i, j of each matrix become x c_i + y c_j, p c_i + q c_j (x = 1 when y = 0)."""
+    x, y, p, q = step
+    for a in mats:
+        for r in a:
+            e, f = r[i], r[j]
+            if y:
+                r[i] = x * e + y * f
+            r[j] = p * e + q * f
+
+
 def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (u, s, v) with u m v = s, u and v unimodular, s diagonal.
 
-    Diagonal entries are nonnegative and each divides the next.  The
-    postconditions are checked on every call and raise InvariantError; at
-    the matrix sizes this package sees the cost is negligible.
+    Diagonal entries are nonnegative and each divides the next.  Each step
+    moves a smallest nonzero of the trailing block to the pivot and clears
+    its row and column with one Bezout step per entry (`_bezout`).  A step
+    that changes the pivot replaces it by a proper divisor, so the loop
+    ends.  The postconditions are checked on every call and raise
+    InvariantError; at the matrix sizes this package sees the cost is
+    negligible.
     """
     rows, cols = _check_rectangular(m)
     if any(not isinstance(x, int) for row in m for x in row):
@@ -196,79 +236,36 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
     s = [list(row) for row in m]
     u = identity_matrix(rows)
     v = identity_matrix(cols)
-
-    def row_sub(i, j, q):  # row i -= q * row j
-        for c in range(cols):
-            s[i][c] -= q * s[j][c]
-        for c in range(rows):
-            u[i][c] -= q * u[j][c]
-
-    def col_sub(i, j, q):  # col i -= q * col j
-        for r in range(rows):
-            s[r][i] -= q * s[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # move a smallest-magnitude nonzero of the trailing block to (t, t)
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    for t in range(min(rows, cols)):
+        nonzero = [(abs(s[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if s[i][j]]
+        if not nonzero:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        _, i, j = min(nonzero)
+        if i != t:
+            _rows((s, u), t, i, _SWAP)
+        if j != t:
+            _cols((s, v), t, j, _SWAP)
         while True:
-            dirty = False
             for i in range(t + 1, rows):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_sub(i, t, q)
-                    if s[i][t] != 0:  # remainder beats the pivot
-                        swap_rows(i, t)
-                        dirty = True
+                if s[i][t]:
+                    _rows((s, u), t, i, _bezout(s[t][t], s[i][t]))
             for j in range(t + 1, cols):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    col_sub(j, t, q)
-                    if s[t][j] != 0:
-                        swap_cols(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the whole trailing block for the chain
+                if s[t][j]:
+                    _cols((s, v), t, j, _bezout(s[t][t], s[t][j]))
+            if any(s[i][t] for i in range(t + 1, rows)):
+                continue  # a column step shrank the pivot and refilled its column
+            # the pivot must divide the whole trailing block for the chain
+            pivot = s[t][t]
             offender = next(
-                (
-                    i
-                    for i in range(t + 1, rows)
-                    if any(s[i][j] % s[t][t] for j in range(t + 1, cols))
-                ),
-                None,
+                (i for i in range(t + 1, rows) if any(x % pivot for x in s[i][t + 1 :])), None
             )
             if offender is None:
                 break
-            row_sub(t, offender, -1)
-        t += 1
+            _rows((s, u), t, offender, (1, 1, 0, 1))  # row t += row offender
 
     for k in range(min(rows, cols)):
         if s[k][k] < 0:
-            for c in range(cols):
-                s[k][c] = -s[k][c]
-            for c in range(rows):
-                u[k][c] = -u[k][c]
+            s[k], u[k] = [-x for x in s[k]], [-x for x in u[k]]
 
     diag = [s[k][k] for k in range(min(rows, cols))]
     if mat_mul(mat_mul(u, [list(row) for row in m]), v) != s:

@@ -53,7 +53,8 @@ class QuadExt:
     The form is canonical: d > 0 and gcd(a, b, d) = 1, so equal values have
     equal fields and all arithmetic is on integers.  `a`, `b` and `norm()`
     read back as Fractions.  A rational value equals, and hashes like, the
-    int or Fraction of that value; other types compare unequal.  The
+    int or Fraction of that value; other types compare unequal, and
+    arithmetic with them raises TypeError.  The
     conjugate swaps eps for 1 - eps; the norm a^2 + ab + b^2 vanishes only
     at zero, so every nonzero element is invertible.
     """
@@ -88,10 +89,9 @@ class QuadExt:
         return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadExt):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = QuadExt(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
@@ -100,7 +100,9 @@ class QuadExt:
         return hash((self._a, self._b, self._d))
 
     def __add__(self, other):
-        other = QuadExt.of(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         d, e = self._d, other._d
         if d == e:
             return _quad(self._a + other._a, self._b + other._b, d)
@@ -112,17 +114,22 @@ class QuadExt:
         return _quad(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = QuadExt.of(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         d, e = self._d, other._d
         if d == e:
             return _quad(self._a - other._a, self._b - other._b, d)
         return _quad(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
-        return QuadExt.of(other) - self
+        other = _operand(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        other = QuadExt.of(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
         # (a + b eps)(c + e eps) = ac + (ae + bc) eps + be (eps - 1)
         return _quad(a * c - b * e, a * e + b * c + b * e, self._d * other._d)
@@ -144,10 +151,12 @@ class QuadExt:
         return _quad(d * (a + b), -d * b, n)
 
     def __truediv__(self, other):
-        return self * QuadExt.of(other).inverse()
+        other = _operand(other)
+        return NotImplemented if other is None else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return QuadExt.of(other) * self.inverse()
+        other = _operand(other)
+        return NotImplemented if other is None else other * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -167,6 +176,13 @@ class QuadExt:
         if self._a == 0:
             return f"{self.b}*eps"
         return f"({self.a} + {self.b}*eps)"
+
+
+def _operand(x) -> QuadExt | None:
+    """x as a QuadExt if it is a QuadExt, int or Fraction, else None."""
+    if isinstance(x, QuadExt):
+        return x
+    return QuadExt(x) if isinstance(x, (int, Fraction)) else None
 
 
 def _quad(a: int, b: int, d: int) -> QuadExt:

@@ -2,17 +2,21 @@
 the canonical degree of a fiber-like kernel vector, and oracles: a
 backtracking fiber search and the eliminations that the exact linear
 algebra core replaced, the Fraction-pair arithmetic of Q(eps) that the
-integer-backed QuadExt replaced, and the power-series intersection
-multiplicity that the pencil criterion replaced."""
+integer-backed QuadExt replaced, the power-series intersection
+multiplicity that the pencil criterion replaced, and the Euclid-and-swap
+Smith normal form that the Bezout steps replaced."""
 
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
 from sncalc.errors import InvariantError
 from sncalc.graphs import DualGraph, canonical_form
+from sncalc.linalg import _bareiss, _check_rectangular, identity_matrix, mat_mul
 from sncalc.projective import ProjConic, ProjLine, ProjPoint, QuadExt, incident, proj_eq
 from sncalc.surgery import contract_minus_one
 
@@ -403,3 +407,125 @@ def intersection_multiplicity(
     if order is None:
         raise ValueError("curves share a component through the point")
     return order
+
+
+# -- the Euclid-and-swap Smith normal form ------------------------------------
+# `sncalc.linalg.smith_normal_form` before it cleared each entry with one
+# Bezout step, kept verbatim as the oracle.  Its transforms can grow to
+# hundreds of thousands of bits, so callers run it under `time_limit`.
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time pass
+    (SIGALRM, so Unix and the main thread only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def euclid_smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (u, s, v) with u m v = s, u and v unimodular, s diagonal.
+
+    Diagonal entries are nonnegative and each divides the next.  The
+    postconditions are checked on every call and raise InvariantError; at
+    the matrix sizes this package sees the cost is negligible.
+    """
+    rows, cols = _check_rectangular(m)
+    if any(not isinstance(x, int) for row in m for x in row):
+        raise ValueError("Smith normal form needs an integer matrix")
+    s = [list(row) for row in m]
+    u = identity_matrix(rows)
+    v = identity_matrix(cols)
+
+    def row_sub(i, j, q):  # row i -= q * row j
+        for c in range(cols):
+            s[i][c] -= q * s[j][c]
+        for c in range(rows):
+            u[i][c] -= q * u[j][c]
+
+    def col_sub(i, j, q):  # col i -= q * col j
+        for r in range(rows):
+            s[r][i] -= q * s[r][j]
+        for r in range(cols):
+            v[r][i] -= q * v[r][j]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            s[r][i], s[r][j] = s[r][j], s[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    t = 0
+    while t < min(rows, cols):
+        # move a smallest-magnitude nonzero of the trailing block to (t, t)
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if s[i][t] != 0:
+                    q = s[i][t] // s[t][t]
+                    row_sub(i, t, q)
+                    if s[i][t] != 0:  # remainder beats the pivot
+                        swap_rows(i, t)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if s[t][j] != 0:
+                    q = s[t][j] // s[t][t]
+                    col_sub(j, t, q)
+                    if s[t][j] != 0:
+                        swap_cols(j, t)
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide the whole trailing block for the chain
+            offender = next(
+                (
+                    i
+                    for i in range(t + 1, rows)
+                    if any(s[i][j] % s[t][t] for j in range(t + 1, cols))
+                ),
+                None,
+            )
+            if offender is None:
+                break
+            row_sub(t, offender, -1)
+        t += 1
+
+    for k in range(min(rows, cols)):
+        if s[k][k] < 0:
+            for c in range(cols):
+                s[k][c] = -s[k][c]
+            for c in range(rows):
+                u[k][c] = -u[k][c]
+
+    diag = [s[k][k] for k in range(min(rows, cols))]
+    if mat_mul(mat_mul(u, [list(row) for row in m]), v) != s:
+        raise InvariantError("Smith form: u m v differs from s")
+    if any(abs(_bareiss([row[:] for row in t])) != 1 for t in (u, v)):
+        raise InvariantError("Smith form: a transform is not unimodular")
+    if any(s[i][j] for i in range(rows) for j in range(cols) if i != j):
+        raise InvariantError("Smith form: s is not diagonal")
+    if any(b % a for a, b in zip(diag, diag[1:]) if a):
+        raise InvariantError("Smith form: the diagonal is not a divisibility chain")
+    return u, s, v

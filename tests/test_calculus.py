@@ -180,10 +180,6 @@ def test_bark_errors():
     )
     with pytest.raises(NonTreeError):
         bark(tri)
-    with pytest.raises(NonAdmissibleError):
-        bark(chain([0]), kind="component")
-    with pytest.raises(NonAdmissibleError):
-        bark(chain([-2, -2]), kind="twigs")
 
 
 def test_bark_random_fork_properties():

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
@@ -9,6 +11,7 @@ from sncalc.errors import (
     UnderconstrainedError,
 )
 from sncalc.lattice import (
+    _integer_range,
     euler_numbers,
     extract_boundary_graph,
     h1_order,
@@ -187,3 +190,19 @@ def test_ruling_decompose_disconnected_pieces_stay_separate():
     dec = ruling_decompose(lat, f, ["A", "E2"], [])
     assert len(dec.fibers) == 2
     assert all(not p.complete for p in dec.fibers)
+
+
+def test_integer_range_matches_its_definition():
+    # the integers t with (t - c)^2 <= r, by brute force around c; one bound
+    # in three is the square of a distance to an integer, so both ends of
+    # the range are hit exactly
+    rng = random.Random(0x1E6)
+    for index in range(6000):
+        c = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+        if index % 3 == 0:
+            r = (rng.randint(-15, 15) + floor(c) - c) ** 2
+        else:
+            r = Fraction(rng.randint(-10, 200), rng.randint(1, 12))
+        lo, hi = _integer_range(c, r)
+        expected = [t for t in range(floor(c) - 20, ceil(c) + 21) if (t - c) ** 2 <= r]
+        assert list(range(lo, hi + 1)) == expected, (c, r)

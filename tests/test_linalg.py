@@ -6,12 +6,21 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
-from helpers import minor_loop_is_negative_definite, rational_cholesky, reference_det
+from helpers import (
+    euclid_smith_normal_form,
+    minor_loop_is_negative_definite,
+    rational_cholesky,
+    reference_det,
+    time_limit,
+)
 import sncalc
+from sncalc import linalg
 from sncalc.errors import SingularMatrixError
+from sncalc.graphs import parse_graph
 from sncalc.linalg import (
     TorsionGroup,
     _ldl,
@@ -147,6 +156,233 @@ def test_snf_random_postconditions():
         assert mat_mul(mat_mul(u, m), v) == s
         diag = [s[k][k] for k in range(min(rows, cols))]
         assert all(d >= 0 for d in diag)
+
+
+# Seed-1 inputs 38, 4 and 58 of the benchmark's `smith` workload, with
+# d = det(-Q): the Euclid-and-swap Smith form ran for minutes on each.
+STALLED_TREES = [
+    (
+        16_670_016,
+        """\
+vertex v10 w=-3
+vertex v5 w=-4
+vertex v2 w=-2
+vertex v11 w=-3
+vertex v6 w=-3
+vertex v0 w=-3
+vertex v1 w=-8
+vertex v12 w=-4
+vertex v4 w=-4
+vertex v7 w=-4
+vertex v8 w=-4
+vertex v13 w=-2
+vertex v9 w=-4
+vertex v3 w=-4
+edge v1 v0
+edge v2 v1
+edge v3 v1
+edge v4 v1
+edge v5 v1
+edge v6 v4
+edge v7 v1
+edge v8 v5
+edge v9 v5
+edge v10 v3
+edge v11 v0
+edge v12 v7
+edge v13 v5
+""",
+    ),
+    (
+        5_825_459_662,
+        """\
+vertex v6 w=-5
+vertex v4 w=-3
+vertex v2 w=-3
+vertex v11 w=-3
+vertex v14 w=-4
+vertex v15 w=-4
+vertex v16 w=-2
+vertex v3 w=-5
+vertex v12 w=-3
+vertex v19 w=-3
+vertex v7 w=-2
+vertex v1 w=-5
+vertex v17 w=-4
+vertex v10 w=-2
+vertex v13 w=-4
+vertex v9 w=-4
+vertex v0 w=-3
+vertex v5 w=-4
+vertex v18 w=-4
+vertex v8 w=-3
+edge v1 v0
+edge v2 v1
+edge v3 v1
+edge v4 v3
+edge v5 v1
+edge v6 v3
+edge v7 v6
+edge v8 v5
+edge v9 v2
+edge v10 v4
+edge v11 v3
+edge v12 v11
+edge v13 v10
+edge v14 v6
+edge v15 v4
+edge v16 v1
+edge v17 v14
+edge v18 v13
+edge v19 v14
+""",
+    ),
+    (
+        6_678_280_000,
+        """\
+vertex v3 w=-5
+vertex v7 w=-3
+vertex v17 w=-2
+vertex v0 w=-8
+vertex v11 w=-4
+vertex v4 w=-2
+vertex v6 w=-5
+vertex v19 w=-4
+vertex v2 w=-4
+vertex v13 w=-4
+vertex v16 w=-4
+vertex v15 w=-3
+vertex v12 w=-2
+vertex v14 w=-2
+vertex v18 w=-4
+vertex v1 w=-3
+vertex v8 w=-3
+vertex v9 w=-3
+vertex v5 w=-4
+vertex v10 w=-3
+edge v1 v0
+edge v2 v1
+edge v3 v0
+edge v4 v0
+edge v5 v3
+edge v6 v0
+edge v7 v0
+edge v8 v4
+edge v9 v7
+edge v10 v6
+edge v11 v0
+edge v12 v9
+edge v13 v0
+edge v14 v6
+edge v15 v5
+edge v16 v12
+edge v17 v16
+edge v18 v3
+edge v19 v1
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("d, text", STALLED_TREES, ids=["input38", "input4", "input58"])
+def test_torsion_of_formerly_stalled_trees(d, text):
+    q = parse_graph(text).intersection_matrix()
+    assert det_exact([[-x for x in row] for row in q]) == d
+    with time_limit(1.0):
+        torsion = torsion_of_cokernel(q)
+    assert torsion.order == d
+
+
+def _apply(m, x):
+    return [sum(a * c for a, c in zip(row, x)) for row in m]
+
+
+def _same_lattice(b1, b2) -> bool:
+    """Whether two row bases span one lattice: b1 = c b2, c integer, det c = +-1."""
+    if len(b1) != len(b2):
+        return False
+    if not b1:
+        return True
+    gram = mat_mul(b2, [list(col) for col in zip(*b2)])
+    c = [solve_rational(gram, _apply(b2, row)) for row in b1]
+    return (
+        mat_mul(c, b2) == b1
+        and all(x.denominator == 1 for row in c for x in row)
+        and abs(det_exact(c)) == 1
+    )
+
+
+def _compare_with_euclid(m, rng, mismatches) -> bool:
+    """Smith form and integer solve against the Euclid-and-swap oracle;
+    False when the oracle does not finish within 0.5 s."""
+    # b = m x is solvable; a random b mostly is not
+    if rng.random() < 0.5:
+        b = _apply(m, [rng.randint(-3, 3) for _ in m[0]])
+    else:
+        b = [rng.randint(-9, 9) for _ in m]
+    try:
+        with time_limit(0.5):
+            old = euclid_smith_normal_form(m)
+    except TimeoutError:
+        return False
+    with time_limit(1.0):
+        new = smith_normal_form(m)
+    if new[1] != old[1]:
+        mismatches.append(("s", m))
+    with patch.object(linalg, "smith_normal_form", lambda _: old):
+        old_sol = solve_integer(m, b)
+    new_sol = solve_integer(m, b)
+    if (old_sol is None) != (new_sol is None):
+        mismatches.append(("solvable", m, b))
+    elif new_sol is not None:
+        x0, basis = new_sol
+        if _apply(m, x0) != b:
+            mismatches.append(("x0", m, b))
+        if not _same_lattice(basis, old_sol[1]):
+            mismatches.append(("lattice", m, b))
+    return True
+
+
+def test_smith_form_matches_the_euclid_oracle_on_matrices():
+    # old-versus-new on random shapes up to 7x7, one in three a product
+    # through a narrower middle so that rank deficits are common
+    rng = random.Random(0x5B1)
+    mismatches = []
+    index = compared = 0
+    while compared < 3000:
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        if index % 3 == 0:
+            k = rng.randint(1, min(rows, cols))
+            a = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rows)]
+            m = mat_mul(a, [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(k)])
+        else:
+            m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        compared += _compare_with_euclid(m, rng, mismatches)
+        index += 1
+    assert mismatches == []
+
+
+def test_smith_form_matches_the_euclid_oracle_on_trees():
+    # tree forms with 8, 14 and 20 vertices, every other one negative
+    # definite by its weights, as in the benchmark's forms workload
+    rng = random.Random(0x7EE)
+    mismatches = []
+    compared = 0
+    for index in range(150):
+        n = (8, 14, 20)[index % 3]
+        parent = [-1] + [rng.randrange(i) for i in range(1, n)]
+        degree = [sum(parent[j] == i for j in range(n)) + (i > 0) for i in range(n)]
+        if index % 2 == 0:
+            weights = [-d - (d <= 1) - rng.randint(0, 2) for d in degree]
+        else:
+            weights = [rng.randint(-4, 0) for _ in range(n)]
+        q = [
+            [weights[i] if i == j else int(parent[i] == j or parent[j] == i) for j in range(n)]
+            for i in range(n)
+        ]
+        compared += _compare_with_euclid(q, rng, mismatches)
+    assert mismatches == []
+    assert compared > 130
 
 
 def test_negative_definite_examples():

@@ -1,6 +1,7 @@
 """Seeded fuzzing of the two line-based parsers: every input either parses
 or raises GraphParseError carrying the number of an input line."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sncalc.errors import GraphParseError
@@ -72,7 +73,7 @@ def _parses_or_names_a_line(parse, text: str) -> None:
         parse(text)
     except GraphParseError as exc:
         assert exc.lineno is not None, exc
-        assert 1 <= exc.lineno <= len(text.splitlines()), exc
+        assert 1 <= exc.lineno <= len(text.split("\n")), exc
         assert str(exc).startswith(f"line {exc.lineno}: ")
 
 
@@ -86,3 +87,19 @@ def test_parse_graph_fuzz(text):
 @given(arrangement_texts)
 def test_parse_arrangement_fuzz(text):
     _parses_or_names_a_line(parse_arrangement, text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, lineno, needle",
+    [
+        (parse_graph, "vertex a w=1\x0cvertex b w=x\n", 1, "expected 'vertex"),
+        (parse_graph, "vertex a w=1\u2028\r\nvertex b w=x\n", 2, "bad weight"),
+        (parse_arrangement, "curve L degree=1\x0bcurve M degree=1\n", 1, "expected 'curve"),
+        (parse_arrangement, "curve L degree=1\x85\ncurve L degree=1\n", 2, "already declared"),
+    ],
+)
+def test_line_numbers_count_newlines_only(parse, text, lineno, needle):
+    # other characters that str.splitlines breaks at are whitespace inside a line
+    with pytest.raises(GraphParseError) as exc:
+        parse(text)
+    assert exc.value.lineno == lineno and needle in str(exc.value)

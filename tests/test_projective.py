@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -158,6 +159,23 @@ def test_quadext_equality_and_hash_across_types():
     assert QuadExt(1) != None and QuadExt(1) not in [None, "1"]  # noqa: E711
     assert EPS != "eps" and EPS not in {None: 0}
     assert hash(EPS) == hash(QuadExt(0, 1)) and EPS != 0
+
+
+@pytest.mark.parametrize("other", ["1", 0.1, None, 1j, [1]])
+def test_quadext_arithmetic_refuses_other_types(other):
+    # only QuadExt, int and Fraction operands; the constructor still takes
+    # whatever Fraction takes
+    x = QuadExt(1, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    half = Fraction(1, 2)
+    assert x + 1 == 1 + x == QuadExt(2, 2) and x - half == QuadExt(half, 2)
+    assert 1 - x == QuadExt(0, -2) and half * x == x * half == QuadExt(half, 1)
+    assert x / 2 == QuadExt(half, 1) and 2 / x == QuadExt(2) * x.inverse()
+    assert True * x == x
 
 
 def test_zero_has_no_inverse():
