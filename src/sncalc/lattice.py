@@ -27,7 +27,7 @@ from .graphs import DualGraph
 from .linalg import (
     TorsionGroup,
     _ldl,
-    _rref,
+    _solve,
     solve_integer,
     solve_rational,
     torsion_of_cokernel,
@@ -423,12 +423,10 @@ def _solve_rational_overdetermined(a, b) -> list[Fraction] | None:
     classes for the multiplicity question to be well-posed.
     """
     cols = len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    if len(_rref(m, cols)) < cols:
+    rank, sol = _solve(a, b)
+    if rank < cols:
         raise LatticeError("fiber group classes are linearly dependent")
-    if any(row[cols] != 0 for row in m[cols:]):
-        return None
-    return [row[cols] for row in m[:cols]]
+    return sol
 
 
 def solve_curve_class(

@@ -2,9 +2,10 @@
 
 Everything here is exact: integer work uses Python's arbitrary-precision
 ints, rational work uses fractions.Fraction.  No floating point.  Two
-elimination kernels serve every routine: one fraction-free Bareiss pass
-(determinants, Sylvester's test, LDL data, unimodularity checks) and one
-Gauss-Jordan RREF over Fraction (solves and kernels).
+integer elimination kernels serve every routine: one fraction-free Bareiss
+pass (determinants, Sylvester's test, LDL data, unimodularity checks) and
+one integer echelon form with back-substitution over a common denominator
+(solves and kernels), which builds Fractions only for the values returned.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import InvariantError, SingularMatrixError
@@ -45,11 +47,12 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 
 def mat_mul(a, b):
-    ra, ca = _check_rectangular(a)
-    rb, cb = _check_rectangular(b)
+    _, ca = _check_rectangular(a)
+    rb, _ = _check_rectangular(b)
     if ca != rb:
         raise ValueError("dimension mismatch")
-    return [[sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb)] for i in range(ra)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def det_exact(m) -> Fraction:
@@ -130,35 +133,84 @@ def _ldl(m) -> list[tuple[Fraction, list[Fraction]]] | None:
     return out
 
 
-def _rref(a: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination of a Fraction matrix, in place, pivoting
+def _echelon(a: list[list[int]], ncols: int) -> list[int]:
+    """Forward elimination of an integer matrix over Z, in place, pivoting
     on its first ncols columns only (later columns are right-hand sides).
 
-    Returns the pivot columns: pivot row r is scaled so that a[r][pivots[r]]
-    is 1, and every other row is zero in that column.
+    Returns the pivot columns: row r starts at column pivots[r], and the
+    rows past the rank are zero in the first ncols columns.  A row below a
+    pivot p with f != 0 in its column becomes (p/g) row - (f/g) pivot row,
+    g = gcd(p, f), divided by its content; rows that are zero there are
+    not touched.  An updated row is primitive, so it equals, up to sign,
+    the row of minors of Bareiss's elimination divided by its gcd, and no
+    entry exceeds a minor of the input.
     """
     rows = len(a)
-    width = len(a[0]) if rows else 0
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        found = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        found = next((i for i in range(r, rows) if a[i][c]), None)
         if found is None:
             continue
         a[r], a[found] = a[found], a[r]
         row = a[r]
-        inv = 1 / row[c]
-        support = [j for j in range(c, width) if row[j] != 0]
-        for j in support:
-            row[j] *= inv
-        for i in range(rows):
-            ai = a[i]
-            f = ai[c]
-            if i != r and f != 0:
-                for j in support:
-                    ai[j] -= f * row[j]
+        p = row[c]
+        for i in range(r + 1, rows):
+            f = a[i][c]
+            if f:
+                g = gcd(p, f)
+                u, v = p // g, f // g
+                new = [u * x - v * y for x, y in zip(a[i], row)]
+                h = gcd(*new)
+                a[i] = [x // h for x in new] if h > 1 else new
         pivots.append(c)
     return pivots
+
+
+def _back_substitute(
+    a: list[list[int]], pivots: list[int], col: int, value: int
+) -> tuple[list[int], int]:
+    """The solution of the echelon system a (from `_echelon`) with column
+    col set to value and every other non-pivot column to 0, as integers y
+    over one denominator d > 0: the solution is y / d and y[col] = value d.
+    """
+    y = [0] * len(a[0])
+    y[col] = value
+    d = 1
+    for r in reversed(range(len(pivots))):
+        row, p = a[r], pivots[r]
+        s = sum(map(mul, row[p + 1 :], y[p + 1 :]))
+        q = row[p]
+        g = gcd(s, q) if q > 0 else -gcd(s, q)
+        if g != q:
+            f = q // g
+            y = [x * f for x in y]
+            d *= f
+        y[p] = -s // g
+    return y, d
+
+
+def _solve(m, b) -> tuple[int, list[Fraction] | None]:
+    """The rank of m and the unique rational solution of m x = b, or None
+    when m has dependent columns or the system is inconsistent.
+
+    The solution is re-checked against m and b before returning.
+    """
+    rows, cols = _check_rectangular(m)
+    if len(b) != rows:
+        raise ValueError("right-hand side has wrong length")
+    if not rows:
+        return 0, []
+    a, _ = _integer_rows([[*row, rhs] for row, rhs in zip(m, b)])
+    pivots = _echelon(a, cols)
+    rank = len(pivots)
+    if rank < cols or any(row[cols] for row in a[rank:]):
+        return rank, None
+    y, d = _back_substitute(a, pivots, cols, -1)
+    del y[cols]
+    if any(sum(map(mul, row, y)) != rhs * d for row, rhs in zip(m, b)):
+        raise InvariantError("back-substitution check failed")
+    return rank, [Fraction(x, d) for x in y]
 
 
 def solve_rational(m, b) -> list[Fraction]:
@@ -170,16 +222,9 @@ def solve_rational(m, b) -> list[Fraction]:
     rows, cols = _check_rectangular(m)
     if rows != cols:
         raise ValueError("solve requires a square matrix")
-    if len(b) != rows:
-        raise ValueError("right-hand side has wrong length")
-    a = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(m)]
-    n = rows
-    if len(_rref(a, n)) < n:
+    rank, x = _solve(m, b)
+    if rank < cols:
         raise SingularMatrixError("matrix is singular")
-    x = [row[n] for row in a]
-    for i in range(n):
-        if sum(Fraction(m[i][j]) * x[j] for j in range(n)) != Fraction(b[i]):
-            raise InvariantError("back-substitution check failed")
     return x
 
 
@@ -329,17 +374,18 @@ def torsion_of_cokernel(m) -> TorsionGroup:
 
 
 def kernel_basis(m) -> list[list[Fraction]]:
-    """A basis of the rational null space of m (solutions of m x = 0)."""
-    rows, cols = _check_rectangular(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots = _rref(a, cols)
+    """A basis of the rational null space of m (solutions of m x = 0): one
+    vector per non-pivot column c, with 1 at c and 0 at the other
+    non-pivot columns.  Each vector is re-checked against m."""
+    _, cols = _check_rectangular(m)
+    a, _ = _integer_rows(m)
+    pivots = _echelon(a, cols)
     basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(a, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        y, d = _back_substitute(a, pivots, fc, 1)
+        if any(sum(map(mul, row, y)) for row in m):
+            raise InvariantError("kernel check failed")
+        basis.append([Fraction(x, d) for x in y])
     return basis
 
 

@@ -3,8 +3,9 @@ the canonical degree of a fiber-like kernel vector, and oracles: a
 backtracking fiber search and the eliminations that the exact linear
 algebra core replaced, the Fraction-pair arithmetic of Q(eps) that the
 integer-backed QuadExt replaced, the power-series intersection
-multiplicity that the pencil criterion replaced, and the Euclid-and-swap
-Smith normal form that the Bezout steps replaced."""
+multiplicity that the pencil criterion replaced, the Euclid-and-swap
+Smith normal form that the Bezout steps replaced, and the Gauss-Jordan
+solves and kernels over Fraction that the integer echelon form replaced."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
-from sncalc.errors import InvariantError
+from sncalc.errors import InvariantError, LatticeError, SingularMatrixError
 from sncalc.graphs import DualGraph, canonical_form
 from sncalc.linalg import _bareiss, _check_rectangular, identity_matrix, mat_mul
 from sncalc.projective import ProjConic, ProjLine, ProjPoint, QuadExt, incident, proj_eq
@@ -529,3 +530,92 @@ def euclid_smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[
     if any(b % a for a, b in zip(diag, diag[1:]) if a):
         raise InvariantError("Smith form: the diagonal is not a divisibility chain")
     return u, s, v
+
+
+# -- the Gauss-Jordan solves and kernels over Fraction -------------------------
+# `sncalc.linalg._rref`, `solve_rational` and `kernel_basis` and
+# `sncalc.lattice._solve_rational_overdetermined` before the integer echelon
+# form replaced them, kept verbatim (up to names) as the oracle.
+
+
+def fraction_rref(a: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of a Fraction matrix, in place, pivoting
+    on its first ncols columns only (later columns are right-hand sides).
+
+    Returns the pivot columns: pivot row r is scaled so that a[r][pivots[r]]
+    is 1, and every other row is zero in that column.
+    """
+    rows = len(a)
+    width = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if found is None:
+            continue
+        a[r], a[found] = a[found], a[r]
+        row = a[r]
+        inv = 1 / row[c]
+        support = [j for j in range(c, width) if row[j] != 0]
+        for j in support:
+            row[j] *= inv
+        for i in range(rows):
+            ai = a[i]
+            f = ai[c]
+            if i != r and f != 0:
+                for j in support:
+                    ai[j] -= f * row[j]
+        pivots.append(c)
+    return pivots
+
+
+def rref_solve_rational(m, b) -> list[Fraction]:
+    """Unique solution of m x = b over the rationals.
+
+    Raises SingularMatrixError when the matrix is singular; the result is
+    re-checked against the inputs before returning.
+    """
+    rows, cols = _check_rectangular(m)
+    if rows != cols:
+        raise ValueError("solve requires a square matrix")
+    if len(b) != rows:
+        raise ValueError("right-hand side has wrong length")
+    a = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(m)]
+    n = rows
+    if len(fraction_rref(a, n)) < n:
+        raise SingularMatrixError("matrix is singular")
+    x = [row[n] for row in a]
+    for i in range(n):
+        if sum(Fraction(m[i][j]) * x[j] for j in range(n)) != Fraction(b[i]):
+            raise InvariantError("back-substitution check failed")
+    return x
+
+
+def rref_kernel_basis(m) -> list[list[Fraction]]:
+    """A basis of the rational null space of m (solutions of m x = 0)."""
+    rows, cols = _check_rectangular(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    pivots = fraction_rref(a, cols)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(a, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def rref_solve_rational_overdetermined(a, b) -> list[Fraction] | None:
+    """Unique rational solution of a (possibly tall) system, or None.
+
+    Raises if the columns are dependent: fiber groups must have independent
+    classes for the multiplicity question to be well-posed.
+    """
+    cols = len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    if len(fraction_rref(m, cols)) < cols:
+        raise LatticeError("fiber group classes are linearly dependent")
+    if any(row[cols] != 0 for row in m[cols:]):
+        return None
+    return [row[cols] for row in m[:cols]]

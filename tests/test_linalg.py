@@ -15,12 +15,16 @@ from helpers import (
     minor_loop_is_negative_definite,
     rational_cholesky,
     reference_det,
+    rref_kernel_basis,
+    rref_solve_rational,
+    rref_solve_rational_overdetermined,
     time_limit,
 )
 import sncalc
 from sncalc import linalg
-from sncalc.errors import SingularMatrixError
+from sncalc.errors import SncalcError, SingularMatrixError
 from sncalc.graphs import parse_graph
+from sncalc.lattice import _solve_rational_overdetermined
 from sncalc.linalg import (
     TorsionGroup,
     _ldl,
@@ -457,6 +461,115 @@ def test_kernel_basis():
     assert v[0] == v[2] and v[1] == 2 * v[0]
 
 
+def _outcome(f, *args):
+    """repr of the result, or the type and message of the error raised."""
+    try:
+        return repr(f(*args))
+    except (SncalcError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_solves_and_kernels_match_the_rref_oracle():
+    # old-versus-new: the Gauss-Jordan routines over Fraction against the
+    # integer echelon form on shapes up to 7x7; one in five rational, every
+    # third a product through a narrower middle (rank-deficient), every
+    # square one also solved and every tall one solved as an overdetermined
+    # system with b = m x (consistent) or a random b (mostly inconsistent)
+    rng = random.Random(0xEC4)
+    mismatches = []
+    counts = dict.fromkeys(["singular", "solved", "kernel", "consistent", "inconsistent"], 0)
+    for index in range(3000):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        if index % 7 == 0:
+            cols = rows
+        elif index % 7 == 1:
+            rows = max(rows, cols)
+        rational = index % 5 == 0
+
+        def entry(bound=4):
+            x = rng.randint(-bound, bound)
+            return Fraction(x, rng.randint(1, 6)) if rational else x
+
+        if index % 3 == 0:
+            k = rng.randint(0, min(rows, cols) - 1)
+            left = [[entry(2) for _ in range(k)] for _ in range(rows)]
+            right = [[entry(2) for _ in range(cols)] for _ in range(k)]
+            m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+            m = [row or [0] * cols for row in m]
+        else:
+            m = [[entry() for _ in range(cols)] for _ in range(rows)]
+        kernel = _outcome(kernel_basis, m)
+        counts["kernel"] += kernel != "[]"
+        if kernel != _outcome(rref_kernel_basis, m):
+            mismatches.append(("kernel", m))
+        if rng.random() < 0.5:
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
+            b = [sum((a * c for a, c in zip(row, x)), Fraction(0)) for row in m]
+        else:
+            b = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 3])) for _ in range(rows)]
+        if rng.random() < 0.5 and all(v.denominator == 1 for v in b):
+            b = [int(v) for v in b]
+        solved = _outcome(solve_rational, m, b)
+        if rows == cols:
+            counts["singular"] += isinstance(solved, tuple)
+            counts["solved"] += not isinstance(solved, tuple)
+        if solved != _outcome(rref_solve_rational, m, b):
+            mismatches.append(("solve", m, b))
+        if rows >= cols:
+            over = _outcome(_solve_rational_overdetermined, m, b)
+            counts["consistent"] += over != "None" and not isinstance(over, tuple)
+            counts["inconsistent"] += over == "None"
+            if over != _outcome(rref_solve_rational_overdetermined, m, b):
+                mismatches.append(("overdetermined", m, b))
+    assert mismatches == []
+    assert counts["singular"] > 150 and counts["solved"] > 300, counts
+    assert counts["kernel"] > 1000, counts
+    assert counts["consistent"] > 300 and counts["inconsistent"] > 300, counts
+
+
+def test_kernel_of_the_long_chain():
+    # the fiber (-1, -2, ..., -2, -1): its kernel is the all-ones vector
+    n = 1200
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = -1 if i in (0, n - 1) else -2
+        if i:
+            q[i][i - 1] = q[i - 1][i] = 1
+    with time_limit(3):
+        assert kernel_basis(q) == [[1] * n]
+
+
+def test_mat_mul_of_empty_operands():
+    assert mat_mul([], []) == []
+    assert mat_mul([[]], []) == [[]]
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_mul([[1], [2]], [[]]) == [[], []]
+    assert mat_mul([[1, 2, 3], [4, 5, 6]], [[], [], []]) == [[], []]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_mul([[1, 2]], [[1]])
+
+
+def test_solves_and_kernels_build_fractions_only_for_the_result(monkeypatch):
+    # elimination stays in the integers: Fractions are made for the values
+    # returned, n per solution and n per kernel vector
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "Fraction", Counting)
+    m = [[-2, 1, 0, 0, 3], [1, -3, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -4, 1], [5, 0, 0, 1, -1]]
+    assert solve_rational(m, [1, -2, 3, 0, 7]) == rref_solve_rational(m, [1, -2, 3, 0, 7])
+    assert len(made) == 5
+    made.clear()
+    m = [[1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 12], [1, 0, -1, 0, 1, 0], [0, 1, 0, -1, 0, 1]]
+    kernel = kernel_basis(m)
+    assert kernel == rref_kernel_basis(m) and len(kernel) == 3
+    assert len(made) == 3 * 6
+
+
 def test_solve_integer():
     sol = solve_integer([[2, 0], [0, 3]], [4, 9])
     assert sol is not None
@@ -540,6 +653,35 @@ def test_smith_postconditions_raise_under_optimization():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("InvariantError: Smith form")
+
+
+def test_solve_and_kernel_postconditions_raise_under_optimization():
+    # a corrupted back-substitution must trip both re-checks even with -O
+    code = (
+        "import sncalc.linalg as la\n"
+        "from sncalc.errors import InvariantError\n"
+        "real = la._back_substitute\n"
+        "def corrupted(*args):\n"
+        "    y, d = real(*args)\n"
+        "    y[0] += 1\n"
+        "    return y, d\n"
+        "la._back_substitute = corrupted\n"
+        "for call in (lambda: la.solve_rational([[2, 1], [1, 1]], [1, 0]),\n"
+        "             lambda: la.kernel_basis([[1, -1]])):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InvariantError as exc:\n"
+        "        print('InvariantError:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sncalc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "InvariantError: back-substitution check failed",
+        "InvariantError: kernel check failed",
+    ]
 
 
 @pytest.mark.parametrize(
