@@ -4,9 +4,10 @@ The scalar field adjoins eps with eps^2 = eps - 1; then -eps is a primitive
 third root of unity, which is exactly what the bundled line and conic data
 needs.  A scalar (a + b eps) / d is stored as three integers in canonical
 form, d > 0 and gcd(a, b, d) = 1, so its arithmetic builds no Fraction.
-Projective equality is tested through 2x2 minors, never by
-normalizing.  Intersection multiplicities of lines and conics come from a
-few bilinear-form values through the pencil rule
+Points and lines are stored divided by their first nonzero entry; over a
+field that representative is unique, so projective equality is plain `==`
+and points and lines hash by value.  Intersection multiplicities of lines
+and conics come from a few bilinear-form values through the pencil rule
 I_p(F, G) = I_p(F - lambda G, G), with no series or parametrization, and
 the same rule turns the osculation of two conic families into the rational
 roots of one polynomial.
@@ -199,49 +200,65 @@ def _quad(a: int, b: int, d: int) -> QuadExt:
 EPS = QuadExt(0, 1)
 
 
-def _vec3(coords) -> tuple[QuadExt, QuadExt, QuadExt]:
-    v = tuple(QuadExt.of(c) for c in coords)
+def _scaled(v: tuple[QuadExt, ...]) -> tuple[QuadExt, ...] | None:
+    """v divided by its first nonzero entry, or None if v is zero."""
+    lead = next((c for c in v if c), None)
+    if lead is None:
+        return None
+    if lead == 1:
+        return v
+    inv = lead.inverse()
+    return tuple(c * inv for c in v)
+
+
+def _homogeneous(values: tuple, noun: str) -> tuple[QuadExt, QuadExt, QuadExt]:
+    """Three entries, given one by one or as one tuple or list, scaled."""
+    if len(values) == 1 and isinstance(values[0], (tuple, list)):
+        values = values[0]
+    v = tuple(QuadExt.of(c) for c in values)
     if len(v) != 3:
         raise ValueError("need exactly three homogeneous coordinates")
-    return v
+    scaled = _scaled(v)
+    if scaled is None:
+        raise ValueError(f"all {noun} zero")
+    return scaled
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProjPoint:
+    """A point of P^2, its coordinates divided by the first nonzero one.
+
+    So `ProjPoint(2, 4, 6)` stores and prints [1, 2, 3], and `==`, `hash`,
+    sets and dicts compare points up to scalar.
+    """
+
     coords: tuple[QuadExt, QuadExt, QuadExt]
 
     def __init__(self, *coords):
-        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
-            coords = tuple(coords[0])
-        v = _vec3(coords)
-        if not any(v):
-            raise ValueError("all coordinates zero")
-        object.__setattr__(self, "coords", v)
+        object.__setattr__(self, "coords", _homogeneous(coords, "coordinates"))
 
     def __repr__(self):
         return f"[{', '.join(map(repr, self.coords))}]"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProjLine:
-    """Dual coordinates: the locus l0 x + l1 y + l2 z = 0."""
+    """Dual coordinates: the locus l0 x + l1 y + l2 z = 0, stored divided
+    by the first nonzero coefficient, so `==` is equality of lines.  A line
+    never equals a point with the same entries."""
 
     coeffs: tuple[QuadExt, QuadExt, QuadExt]
 
     def __init__(self, *coeffs):
-        if len(coeffs) == 1 and isinstance(coeffs[0], (tuple, list)):
-            coeffs = tuple(coeffs[0])
-        v = _vec3(coeffs)
-        if not any(v):
-            raise ValueError("all coefficients zero")
-        object.__setattr__(self, "coeffs", v)
+        object.__setattr__(self, "coeffs", _homogeneous(coeffs, "coefficients"))
 
     def __repr__(self):
         return f"line{self.coeffs!r}"
 
 
 class ProjConic:
-    """A ternary quadratic form, stored as its symmetric matrix."""
+    """A ternary quadratic form, stored as its symmetric matrix exactly as
+    given: a pencil F0 + u F1 keeps its parameter u."""
 
     def __init__(self, matrix: Sequence[Sequence]):
         self.matrix = tuple(tuple(QuadExt.of(x) for x in row) for row in matrix)
@@ -260,12 +277,7 @@ class ProjConic:
         return cls(((xx, xy, xz), (xy, yy, yz), (xz, yz, zz)))
 
     def apply(self, p: ProjPoint) -> QuadExt:
-        v = p.coords
-        out = QuadExt(0)
-        for i in range(3):
-            for j in range(3):
-                out = out + self.matrix[i][j] * v[i] * v[j]
-        return out
+        return _dot(p.coords, _mat_vec(self.matrix, p.coords))
 
     def gradient(self, p: ProjPoint) -> tuple[QuadExt, QuadExt, QuadExt]:
         return _mat_vec(self.matrix, p.coords)
@@ -301,14 +313,9 @@ def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
 
 
 def proj_eq(p: ProjPoint | ProjLine, q: ProjPoint | ProjLine) -> bool:
-    """Equality up to scalar, via vanishing 2x2 minors."""
-    a = p.coords if isinstance(p, ProjPoint) else p.coeffs
-    b = q.coords if isinstance(q, ProjPoint) else q.coeffs
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if a[i] * b[j] - a[j] * b[i]:
-                return False
-    return True
+    """Equality up to scalar, which for the stored scaled entries is `==`;
+    a point never equals a line."""
+    return p == q
 
 
 def _dot(x, y) -> QuadExt:
@@ -328,13 +335,13 @@ def _cross(a, b):
 
 
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
-    if proj_eq(p, q):
+    if p == q:
         raise ValueError("two distinct points are needed")
     return ProjLine(_cross(p.coords, q.coords))
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    if proj_eq(l1, l2):
+    if l1 == l2:
         raise ValueError("lines coincide")
     return ProjPoint(_cross(l1.coeffs, l2.coeffs))
 
@@ -377,13 +384,9 @@ def push_conic(m: Sequence[Sequence], c: ProjConic) -> ProjConic:
 
 
 def conics_proportional(c1: ProjConic, c2: ProjConic) -> bool:
-    a = [x for row in c1.matrix for x in row]
-    b = [x for row in c2.matrix for x in row]
-    for i in range(9):
-        for j in range(i + 1, 9):
-            if a[i] * b[j] - a[j] * b[i]:
-                return False
-    return True
+    """Equality of the matrices up to a nonzero scalar; the zero matrix,
+    which is no conic, is proportional only to itself."""
+    return _scaled(sum(c1.matrix, ())) == _scaled(sum(c2.matrix, ()))
 
 
 # -- intersection multiplicities ----------------------------------------
@@ -545,25 +548,21 @@ def conic_family_solve() -> tuple[Fraction, Fraction]:
 # -- bundled coordinate data ---------------------------------------------
 
 
-def _pt(*coords) -> ProjPoint:
-    return ProjPoint(*coords)
-
-
 _EM1 = EPS - 1  # eps - 1
 
 Y333_POINTS: dict[str, ProjPoint] = {
-    "Q1": _pt(1, 0, 0),
-    "Q2": _pt(0, 0, 1),
-    "Q3": _pt(1, 1 + EPS, EPS),
-    "P1": _pt(0, 1, 1),
-    "P2": _pt(1, 1, 0),
-    "P3": _pt(1, EPS, _EM1),
-    "A1": _pt(1, 1, 1),
-    "A2": _pt(EPS, _EM1, 0),
-    "A3": _pt(0, 1, EPS),
-    "B1": _pt(1, EPS, EPS),
-    "B2": _pt(0, 1, 0),
-    "B3": _pt(1, 1, EPS),
+    "Q1": ProjPoint(1, 0, 0),
+    "Q2": ProjPoint(0, 0, 1),
+    "Q3": ProjPoint(1, 1 + EPS, EPS),
+    "P1": ProjPoint(0, 1, 1),
+    "P2": ProjPoint(1, 1, 0),
+    "P3": ProjPoint(1, EPS, _EM1),
+    "A1": ProjPoint(1, 1, 1),
+    "A2": ProjPoint(EPS, _EM1, 0),
+    "A3": ProjPoint(0, 1, EPS),
+    "B1": ProjPoint(1, EPS, EPS),
+    "B2": ProjPoint(0, 1, 0),
+    "B3": ProjPoint(1, 1, EPS),
 }
 
 Y333_LINES: dict[str, ProjLine] = {
@@ -601,9 +600,9 @@ def _y244_data():
         "T23": t23,
         "T33": t33,
         "E": e,
-        "P1": _pt(0, 0, 1),
-        "P2": _pt(1, -1, 0),
-        "P3": _pt(1, 1, 0),
+        "P1": ProjPoint(0, 0, 1),
+        "P2": ProjPoint(1, -1, 0),
+        "P3": ProjPoint(1, 1, 0),
     }
 
 
@@ -677,48 +676,36 @@ def automorphism_action_check() -> ActionReport:
     def img(m, name):
         return apply_matrix(m, pts[name])
 
-    p3_conj = _pt(1, 1 - EPS, -EPS)  # the conjugate partner of P3
-    checks.append(("swap fixes Q1", proj_eq(img(SWAP_P1_P2, "Q1"), pts["Q1"])))
-    checks.append(("swap fixes Q2", proj_eq(img(SWAP_P1_P2, "Q2"), pts["Q2"])))
-    checks.append(("swap sends P1 to P2", proj_eq(img(SWAP_P1_P2, "P1"), pts["P2"])))
-    checks.append(("swap sends P2 to P1", proj_eq(img(SWAP_P1_P2, "P2"), pts["P1"])))
-    checks.append(
-        ("swap sends P3 to its conjugate", proj_eq(img(SWAP_P1_P2, "P3"), p3_conj))
-    )
+    p3_conj = ProjPoint(1, 1 - EPS, -EPS)  # the conjugate partner of P3
+    checks.append(("swap fixes Q1", img(SWAP_P1_P2, "Q1") == pts["Q1"]))
+    checks.append(("swap fixes Q2", img(SWAP_P1_P2, "Q2") == pts["Q2"]))
+    checks.append(("swap sends P1 to P2", img(SWAP_P1_P2, "P1") == pts["P2"]))
+    checks.append(("swap sends P2 to P1", img(SWAP_P1_P2, "P2") == pts["P1"]))
+    checks.append(("swap sends P3 to its conjugate", img(SWAP_P1_P2, "P3") == p3_conj))
 
-    checks.append(("order-3 map fixes Q1", proj_eq(img(ORDER_THREE, "Q1"), pts["Q1"])))
-    checks.append(("order-3 map fixes Q2", proj_eq(img(ORDER_THREE, "Q2"), pts["Q2"])))
+    checks.append(("order-3 map fixes Q1", img(ORDER_THREE, "Q1") == pts["Q1"]))
+    checks.append(("order-3 map fixes Q2", img(ORDER_THREE, "Q2") == pts["Q2"]))
     cycle_ok = (
-        proj_eq(img(ORDER_THREE, "P1"), pts["P3"])
-        and proj_eq(img(ORDER_THREE, "P3"), pts["P2"])
-        and proj_eq(img(ORDER_THREE, "P2"), pts["P1"])
+        img(ORDER_THREE, "P1") == pts["P3"]
+        and img(ORDER_THREE, "P3") == pts["P2"]
+        and img(ORDER_THREE, "P2") == pts["P1"]
     )
     checks.append(("order-3 map cycles P1, P3, P2", cycle_ok))
 
-    def permutes(m, objs, kind):
-        images = []
-        for name, obj in objs.items():
-            image = apply_matrix(m, obj) if kind == "pt" else None
-            if kind == "line":
-                pts_on = [pname for pname in Y333_INCIDENCES[name][:2]]
-                q1, q2 = (apply_matrix(m, pts[p]) for p in pts_on)
-                image = line_through(q1, q2)
-            matches = [
-                other
-                for other, target in objs.items()
-                if proj_eq(image, target)
-            ]
-            if len(matches) != 1:
-                return False
-            images.append(matches[0])
-        return sorted(images) == sorted(objs)
+    def line_img(name):
+        # the line through the images of two of its points
+        return line_through(*(img(ORDER_THREE, p) for p in Y333_INCIDENCES[name][:2]))
+
+    def permutes(image, objs) -> bool:
+        # one lookup per image; the images hit every name only if they biject
+        name_of = {obj: name for name, obj in objs.items()}
+        return {name_of.get(image(name)) for name in objs} == set(objs)
 
     checks.append(
-        ("order-3 map permutes the twelve points", permutes(ORDER_THREE, pts, "pt"))
+        ("order-3 map permutes the twelve points",
+         permutes(lambda name: img(ORDER_THREE, name), pts))
     )
-    checks.append(
-        ("order-3 map permutes the nine lines", permutes(ORDER_THREE, Y333_LINES, "line"))
-    )
+    checks.append(("order-3 map permutes the nine lines", permutes(line_img, Y333_LINES)))
 
     d = Y244_DATA
     flip = CONIC_FLIP
@@ -731,15 +718,13 @@ def automorphism_action_check() -> ActionReport:
         ("flip preserves the osculating conic",
          conics_proportional(push_conic(flip, d["E"]), d["E"]))
     )
-    checks.append(("flip fixes P1", proj_eq(apply_matrix(flip, d["P1"]), d["P1"])))
+    checks.append(("flip fixes P1", apply_matrix(flip, d["P1"]) == d["P1"]))
     checks.append(
         ("flip swaps P2 and P3",
-         proj_eq(apply_matrix(flip, d["P2"]), d["P3"])
-         and proj_eq(apply_matrix(flip, d["P3"]), d["P2"]))
+         apply_matrix(flip, d["P2"]) == d["P3"] and apply_matrix(flip, d["P3"]) == d["P2"])
     )
-
-    ident_ok = all(
-        proj_eq(apply_matrix(IDENTITY, p), p) for p in pts.values()
+    checks.append(
+        ("identity fixes the configuration",
+         all(apply_matrix(IDENTITY, p) == p for p in pts.values()))
     )
-    checks.append(("identity fixes the configuration", ident_ok))
     return ActionReport(tuple(checks))

@@ -237,15 +237,11 @@ def _theorem_collinearities(ctx: _Context, args):
 
 
 def _collinearity_forces_u(ctx: _Context, args):
-    # the determinant is linear in the free coordinate; solve it exactly
+    # [e, e, u] lies on the line (l0, l1, l2) through [1, e, e] and [0, 1, 0]
+    # exactly when l0 e + l1 e + l2 u = 0
     e = pj.EPS
-
-    def det_at(u):
-        pts = (pj.ProjPoint(1, e, e), pj.ProjPoint(e, e, u), pj.ProjPoint(0, 1, 0))
-        return pj._det3([p.coords for p in pts])
-
-    d0, d1 = det_at(pj.QuadExt(0)), det_at(pj.QuadExt(1))
-    root = d0 / (d0 - d1)
+    l0, l1, l2 = pj.line_through(pj.ProjPoint(1, e, e), pj.ProjPoint(0, 1, 0)).coeffs
+    root = -(l0 + l1) * e / l2
     return [root.a, root.b]  # coordinates over (1, eps)
 
 
@@ -262,7 +258,7 @@ def _dual_hesse(ctx: _Context, args):
 def _l3_distinct_meeting(ctx: _Context, args):
     l3 = pj.line_through(pj.Y333_POINTS["B1"], pj.Y333_POINTS["A3"])
     t21, t22 = pj.Y333_LINES["T21"], pj.Y333_LINES["T22"]
-    return not pj.proj_eq(pj.meet(t22, t21), pj.meet(t22, l3))
+    return pj.meet(t22, t21) != pj.meet(t22, l3)
 
 
 _CHECKS = {

@@ -4,8 +4,10 @@ backtracking fiber search and the eliminations that the exact linear
 algebra core replaced, the Fraction-pair arithmetic of Q(eps) that the
 integer-backed QuadExt replaced, the power-series intersection
 multiplicity that the pencil criterion replaced, the Euclid-and-swap
-Smith normal form that the Bezout steps replaced, and the Gauss-Jordan
-solves and kernels over Fraction that the integer echelon form replaced."""
+Smith normal form that the Bezout steps replaced, the Gauss-Jordan
+solves and kernels over Fraction that the integer echelon form replaced,
+and the projective equality by vanishing minors that scaled coordinates
+replaced."""
 
 from __future__ import annotations
 
@@ -619,3 +621,31 @@ def rref_solve_rational_overdetermined(a, b) -> list[Fraction] | None:
     if any(row[cols] != 0 for row in m[cols:]):
         return None
     return [row[cols] for row in m[:cols]]
+
+
+# -- projective equality by vanishing minors ----------------------------------
+# `sncalc.projective.proj_eq` and `conics_proportional` before points and
+# lines were stored scaled to a leading 1, kept verbatim as the oracle (only
+# the names changed).  Both read `.coords`, `.coeffs` or `.matrix` alone, so
+# they also take the raw, unscaled entries.
+
+
+def minor_proj_eq(p: ProjPoint | ProjLine, q: ProjPoint | ProjLine) -> bool:
+    """Equality up to scalar, via vanishing 2x2 minors."""
+    a = p.coords if isinstance(p, ProjPoint) else p.coeffs
+    b = q.coords if isinstance(q, ProjPoint) else q.coeffs
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if a[i] * b[j] - a[j] * b[i]:
+                return False
+    return True
+
+
+def minor_conics_proportional(c1: ProjConic, c2: ProjConic) -> bool:
+    a = [x for row in c1.matrix for x in row]
+    b = [x for row in c2.matrix for x in row]
+    for i in range(9):
+        for j in range(i + 1, 9):
+            if a[i] * b[j] - a[j] * b[i]:
+                return False
+    return True

@@ -2,12 +2,18 @@ import operator
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 import sncalc.projective
-from helpers import FractionQuadExt, intersection_multiplicity as series_multiplicity
+from helpers import (
+    FractionQuadExt,
+    intersection_multiplicity as series_multiplicity,
+    minor_conics_proportional,
+    minor_proj_eq,
+)
 from sncalc.errors import InvariantError
 from sncalc.projective import (
     EPS,
@@ -23,6 +29,7 @@ from sncalc.projective import (
     automorphism_action_check,
     collinear,
     conic_family_solve,
+    conics_proportional,
     dual_hesse_check,
     incident,
     intersection_multiplicity,
@@ -217,6 +224,27 @@ def test_proj_eq_without_normalization():
     q = ProjPoint(QuadExt(1), QuadExt(2), QuadExt(3))
     assert proj_eq(p, q)
     assert not proj_eq(p, ProjPoint(1, 2, 4))
+
+
+def test_points_and_lines_are_values_scaled_to_a_leading_one():
+    p = ProjPoint(2, 4, 6)
+    assert p == ProjPoint(1, 2, 3) and hash(p) == hash(ProjPoint(1, 2, 3))
+    assert p.coords == (1, 2, 3) and repr(p) == "[1, 2, 3]"
+    assert ProjPoint(EPS, EPS - 1, 0).coords == (1, EPS, 0)
+    assert ProjLine([0, 2, 4 * EPS]).coeffs == (0, 1, 2 * EPS)
+    assert len(set(Y333_POINTS.values())) == 12
+    assert len(set(Y333_LINES.values())) == 9
+    assert ProjPoint(1, 0, 0) != ProjLine(1, 0, 0)
+    assert {ProjPoint(1, 0, 0): "point"}.get(ProjLine(1, 0, 0)) is None
+    with pytest.raises(ValueError, match="^all coordinates zero$"):
+        ProjPoint(0, QuadExt(0), 0)
+    with pytest.raises(ValueError, match="^all coefficients zero$"):
+        ProjLine([0, 0, 0])
+    for bad in ((1, 2), (1, 2, 3, 4), ((0, 0),)):
+        with pytest.raises(ValueError, match="^need exactly three homogeneous coordinates$"):
+            ProjPoint(*bad)
+        with pytest.raises(ValueError, match="^need exactly three homogeneous coordinates$"):
+            ProjLine(*bad)
 
 
 def test_line_through_and_meet_are_dual():
@@ -446,6 +474,106 @@ def test_automorphism_actions():
     rep = automorphism_action_check()
     assert rep.passed, rep.failed()
     assert len(rep.checks) >= 10
+
+
+def _nonzero_scalar(rng: random.Random) -> QuadExt:
+    while True:
+        x = QuadExt(
+            Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+            Fraction(rng.randint(-40, 40), rng.randint(1, 12)) if rng.random() < 0.7 else 0,
+        )
+        if x:
+            return x
+
+
+def _entries(rng: random.Random, n: int) -> list[QuadExt]:
+    """n scalars, not all zero, the first zero, one, two or more of them
+    zero."""
+    while True:
+        v = [_scalar(rng) for _ in range(n)]
+        lead = rng.choice((0, 0, 1, 2, n - 1))
+        v[:lead] = [QuadExt(0)] * lead
+        if any(v):
+            return v
+
+
+def _partner(rng: random.Random, v: list[QuadExt], fresh) -> tuple[str, list[QuadExt]]:
+    """A copy of v scaled by a nonzero scalar, v with one entry changed (and
+    its mirror, when v is a flattened symmetric matrix), or fresh(rng)."""
+    r = rng.random()
+    if r < 0.4:
+        scale = _nonzero_scalar(rng)
+        return "scaled", [x * scale for x in v]
+    if r < 0.8:
+        while True:
+            w = list(v)
+            i = rng.randrange(len(w))
+            w[i] = (w[i] + _nonzero_scalar(rng)) if rng.random() < 0.7 else QuadExt(0)
+            if len(w) == 9:
+                w[3 * (i % 3) + i // 3] = w[i]
+            if any(w):
+                return "changed", w
+    return "unrelated", fresh(rng)
+
+
+def _symmetric(rng: random.Random) -> list[QuadExt]:
+    a, b, c, d, e, f = _entries(rng, 6)
+    return [a, b, c, b, d, e, c, e, f]
+
+
+def test_scaled_equality_matches_the_minor_oracle():
+    # `==` on the stored scaled entries against the vanishing minors of the
+    # raw entries it replaced; equal values must hash equally
+    rng = random.Random(0x5CA1E)
+    seen: dict = {}
+    for n in range(6000):
+        kind = (ProjPoint, ProjLine)[n % 2]
+        u = _entries(rng, 3)
+        how, v = _partner(rng, u, lambda rng: _entries(rng, 3))
+        p, q = kind(u), kind(v)
+        stored = p.coords if kind is ProjPoint else p.coeffs
+        assert next(x for x in stored if x) == 1
+        assert minor_proj_eq(SimpleNamespace(coeffs=u), SimpleNamespace(coeffs=stored))
+        want = minor_proj_eq(SimpleNamespace(coeffs=u), SimpleNamespace(coeffs=v))
+        assert (p == q) is want and proj_eq(p, q) is want, (u, v)
+        assert (p != q) is not want
+        if want:
+            assert hash(p) == hash(q)
+        seen[how, want] = seen.get((how, want), 0) + 1
+        seen["leading zero"] = seen.get("leading zero", 0) + (not u[0])
+    for n in range(3000):
+        a = _symmetric(rng)
+        how, b = _partner(rng, a, _symmetric)
+        c1, c2 = ProjConic([a[0:3], a[3:6], a[6:9]]), ProjConic([b[0:3], b[3:6], b[6:9]])
+        want = minor_conics_proportional(c1, c2)
+        assert conics_proportional(c1, c2) is want, (a, b)
+        seen["conic", how, want] = seen.get(("conic", how, want), 0) + 1
+    assert seen["scaled", True] >= 1000 and seen["leading zero"] >= 2000, seen
+    assert seen["changed", False] >= 1000 and seen["unrelated", False] >= 500, seen
+    assert seen["changed", True] >= 100, seen  # a change that only rescales
+    assert seen["conic", "scaled", True] >= 1000 and seen["conic", "changed", False] >= 1000, seen
+    # the zero matrix is no conic: proportional to itself only, where every
+    # minor of the old test vanished
+    zero, other = ProjConic([[0] * 3] * 3), Y244_DATA["E"]
+    assert conics_proportional(zero, zero) and not conics_proportional(zero, other)
+    assert minor_conics_proportional(zero, other)
+
+
+def test_permutes_fails_for_a_map_that_moves_the_configuration(monkeypatch):
+    # the dict lookup must miss an image that is not in the configuration;
+    # the swap sends P3 to its conjugate, which is not one of the points
+    permute_checks = (
+        "order-3 map permutes the twelve points",
+        "order-3 map permutes the nine lines",
+    )
+    monkeypatch.setattr(sncalc.projective, "ORDER_THREE", sncalc.projective.SWAP_P1_P2)
+    failed = automorphism_action_check().failed()
+    assert all(name in failed for name in permute_checks), failed
+    # and must hit every object under a map that does permute it
+    monkeypatch.setattr(sncalc.projective, "ORDER_THREE", sncalc.projective.IDENTITY)
+    failed = automorphism_action_check().failed()
+    assert not any(name in failed for name in permute_checks), failed
+    assert "order-3 map cycles P1, P3, P2" in failed
 
 
 def test_apply_matrix_identity():

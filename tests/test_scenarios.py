@@ -9,6 +9,7 @@ import sncalc.scenarios
 from sncalc.casetable import load_cases, run_case_table
 from sncalc.cli import main
 from sncalc.errors import InvariantError
+from sncalc.projective import QuadExt
 from sncalc.reports import TAGS, Report
 from sncalc.scenarios import _CHECKS, SCENARIO_NAMES, load_fixture, run_scenario
 
@@ -126,6 +127,35 @@ def test_verify_all_output_is_pinned(capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[key], key
+
+
+# QuadExt arithmetic in one `verify all`; it was 11,731 while projective
+# equality took 2x2 minors instead of comparing scaled coordinates
+VERIFY_ALL_QUADEXT_OPS = 8719
+QUADEXT_OPS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "inverse",
+)
+
+
+def test_verify_all_quadext_operation_count(monkeypatch, capsys):
+    # the Q(eps) work of one `verify all`, counted rather than timed so the
+    # bound does not depend on the machine
+    count = 0
+
+    def counting(fn):
+        def wrapper(*args):
+            nonlocal count
+            count += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in QUADEXT_OPS:
+        monkeypatch.setattr(QuadExt, name, counting(QuadExt.__dict__[name]))
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert 0 < count <= VERIFY_ALL_QUADEXT_OPS
 
 
 def test_report_tag_validation():
