@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .calculus import bark
 from .errors import (
     ExcessIntersectionError,
     GraphParseError,
+    InvariantError,
     LatticeError,
     NonTreeError,
     UnderconstrainedError,
@@ -26,7 +28,7 @@ from .errors import (
 from .graphs import DualGraph
 from .linalg import (
     TorsionGroup,
-    _ldl,
+    _bareiss,
     _solve,
     solve_integer,
     solve_rational,
@@ -429,18 +431,23 @@ def _solve_rational_overdetermined(a, b) -> list[Fraction] | None:
     return sol
 
 
+_CANDIDATE_CAP = 10**6  # solve_curve_class raises on trying its cap-th candidate
+
+
 def solve_curve_class(
     l: SurfaceLattice,
     constraints: Iterable[tuple[object, int]],
     self_sq: int,
 ) -> list[Vector]:
     """All integer classes with the given self-intersection, rational-curve
-    adjunction, and prescribed pairings.
+    adjunction, and prescribed pairings, sorted and re-checked.
 
-    The linear constraints cut out an affine sublattice; the quadratic
-    condition is then enumerated exactly.  When the Gram form on the
-    sublattice's direction space is not negative definite the solution set
-    can be infinite and an error lists the free directions.
+    The linear constraints cut out an affine sublattice; an integer
+    Fincke-Pohst walk enumerates the quadratic condition on it exactly, and
+    the 10^6-th coefficient value it tries, at any level, raises
+    LatticeError.  When the Gram form on the sublattice's direction space is
+    not negative definite the solution set can be infinite and an error
+    lists the free directions.
     """
     rows: list[list[int]] = []
     rhs: list[int] = []
@@ -450,7 +457,7 @@ def solve_curve_class(
         rows.append([vec[0]] + [-x for x in vec[1:]])
         rhs.append(int(value))
 
-    add(l.canonical_class, -self_sq - 2)
+    add(l.canonical_class, -self_sq - 2)  # adjunction, given v . v = self_sq
     for key, value in constraints:
         add(l.resolve(key), value)
     sol = solve_integer(rows, rhs)
@@ -458,64 +465,74 @@ def solve_curve_class(
         return []
     x0, basis = sol
     if not basis:
-        return [tuple(x0)] if _dot(x0, x0) == self_sq else []
-    # M = -gram must be positive definite; one pass tests it and gives LDL
-    m = [[-_dot(bi, bj) for bj in basis] for bi in basis]
-    ldl = _ldl(m)
-    if ldl is None:
-        raise UnderconstrainedError(
-            "constraints leave a direction space that is not negative definite; "
-            "the solution family may be infinite",
-            free_directions=basis,
-        )
-    lin = [_dot(x0, bi) for bi in basis]
-    const = _dot(x0, x0)
-    # solve t' M t' = radius around center M^{-1} b
-    out: list[Vector] = []
-    budget = [10**6]
-    center = solve_rational(m, lin)
-    radius = Fraction(const - self_sq) + sum(
-        Fraction(lin[i]) * center[i] for i in range(len(basis))
-    )
-    if radius < 0:
-        return []
-    t = [Fraction(0)] * len(basis)
-
-    def recurse(i: int, remaining: Fraction):
-        if budget[0] <= 0:
-            raise LatticeError("curve-class enumeration exceeded the candidate cap")
-        if i < 0:
-            if remaining == 0:
-                vec = list(x0)
-                for j, bj in enumerate(basis):
-                    for r in range(len(vec)):
-                        vec[r] += int(t[j]) * bj[r]
-                out.append(tuple(vec))
-            return
-        d, coeffs = ldl[i]
-        shift = center[i] - sum(
-            c * (tj - cj) for c, tj, cj in zip(coeffs, t[i + 1 :], center[i + 1 :])
-        )
-        lo, hi = _integer_range(shift, remaining / d)
-        for ti in range(lo, hi + 1):
-            budget[0] -= 1
-            t[i] = Fraction(ti)
-            used = d * (ti - shift) ** 2
-            if used <= remaining:
-                recurse(i - 1, remaining - used)
-
-    recurse(len(basis) - 1, radius)
-    out.sort()
+        out = [tuple(x0)] if _dot(x0, x0) == self_sq else []
+    else:
+        # M = -gram must be positive definite; one pass tests it and gives B
+        m = [[-_dot(bi, bj) for bj in basis] for bi in basis]
+        b = [list(row) for row in m]
+        if _bareiss(b, definite=True) <= 0:
+            raise UnderconstrainedError(
+                "constraints leave a direction space that is not negative definite; "
+                "the solution family may be infinite",
+                free_directions=basis,
+            )
+        lin = [_dot(x0, bi) for bi in basis]
+        center = solve_rational(m, lin)  # then (t - center)' M (t - center) = radius
+        radius = _dot(x0, x0) - self_sq + sum(map(mul, lin, center))
+        points = _ellipsoid_points(b, center, radius) if radius >= 0 else []
+        cols = list(zip(*basis))
+        # tuple() of a list: a tuple grown from a generator is resized and fills free lists
+        out = sorted(tuple([x + sum(map(mul, t, c)) for x, c in zip(x0, cols)]) for t in points)
+    for v in out:
+        if _dot(v, v) != self_sq or [sum(map(mul, row, v)) for row in rows] != rhs:
+            raise InvariantError("curve class check failed")
     return out
 
 
-def _integer_range(center: Fraction, sq_bound: Fraction) -> tuple[int, int]:
-    """Integers t with (t - center)^2 <= sq_bound (empty range when negative)."""
-    if sq_bound < 0:
-        return 0, -1
-    p, q = sq_bound.numerator, sq_bound.denominator
-    a, b = center.numerator, center.denominator
-    # (t b - a)^2 q <= p b^2 holds for an integer t exactly when
-    # |t b - a| <= isqrt(floor(p b^2 / q)), since the left side is an integer
-    umax = isqrt(p * b * b // q)
-    return -((umax - a) // b), (a + umax) // b  # ceil, floor of (a -+ umax) / b
+def _ellipsoid_points(
+    b: list[list[int]], center: list[Fraction], radius: Fraction
+) -> list[list[int]]:
+    """Integer t with (t - c)' M (t - c) = radius, for B the Bareiss rows of
+    a positive definite M, by Fincke-Pohst (Math. Comp. 44, 1985; Cohen,
+    GTM 138, sec. 2.7.3) over Z: x' M x = sum_i z_i^2 / (B_ii B_(i-1)(i-1)),
+    z_i = sum_(j>=i) B_ij x_j.  With c = N / D and y = D t - N, scaling by
+    D^2 L, L the lcm of the B_ii B_(i-1)(i-1), makes it sum_i w_i z_i^2 = R
+    in integers.  Each t_i tried costs one unit of the candidate cap.
+    """
+    k = len(b)
+    denom = lcm(*(c.denominator for c in center))
+    numer = [c.numerator * (denom // c.denominator) for c in center]
+    pivots = [b[i][i] for i in range(k)]
+    products = [p * q for p, q in zip(pivots, [1] + pivots)]
+    scale = lcm(*products)
+    weight = [scale // p for p in products]
+    step = [p * denom for p in pivots]  # z_i = step_i t_i - shift_i
+    scaled = radius * denom * denom * scale
+    if scaled.denominator != 1:
+        raise InvariantError("scaled curve-class radius is not an integer")
+    t, y, shift, last = [0] * k, [0] * k, [0] * k, [0] * k
+    remaining = [0] * k + [scaled.numerator]  # level i may use remaining[i + 1]
+    budget, points = _CANDIDATE_CAP, []
+    i, entering = k - 1, True
+    while i < k:
+        if entering:  # the t_i with w_i z_i^2 <= remaining[i + 1], lowest first
+            shift[i] = pivots[i] * numer[i] - sum(map(mul, b[i][i + 1 :], y[i + 1 :]))
+            u = isqrt(remaining[i + 1] // weight[i])
+            t[i] = -((u - shift[i]) // step[i]) - 1
+            last[i] = (shift[i] + u) // step[i]
+        t[i] += 1
+        if t[i] > last[i]:
+            i, entering = i + 1, False
+            continue
+        budget -= 1
+        if not budget:
+            raise LatticeError("curve-class enumeration exceeded the candidate cap")
+        y[i] = denom * t[i] - numer[i]
+        z = step[i] * t[i] - shift[i]
+        remaining[i] = remaining[i + 1] - weight[i] * z * z
+        entering = i > 0
+        if entering:
+            i -= 1
+        elif not remaining[0]:
+            points.append(t[:])
+    return points

@@ -3,9 +3,10 @@
 Everything here is exact: integer work uses Python's arbitrary-precision
 ints, rational work uses fractions.Fraction.  No floating point.  Two
 integer elimination kernels serve every routine: one fraction-free Bareiss
-pass (determinants, Sylvester's test, LDL data, unimodularity checks) and
-one integer echelon form with back-substitution over a common denominator
-(solves and kernels), which builds Fractions only for the values returned.
+pass (determinants, Sylvester's test, unimodularity checks, the rows of the
+curve-class walk) and one integer echelon form with back-substitution over
+a common denominator (solves and kernels), which builds Fractions only for
+the values returned.
 """
 
 from __future__ import annotations
@@ -111,26 +112,6 @@ def _bareiss(a: list[list[int]], definite: bool = False) -> int:
                 ai[j] = (ai[j] * pivot - f * row[j]) // prev
         prev = pivot
     return sign * prev
-
-
-def _ldl(m) -> list[tuple[Fraction, list[Fraction]]] | None:
-    """LDL data of a symmetric integer matrix, or None unless it is
-    positive definite.
-
-    Returns per row i the pivot d_i > 0 and the coefficients c_ij for
-    j > i, such that x' m x = sum_i d_i (x_i + sum_j c_ij x_j)^2; they are
-    read off one Bareiss pass as d_i = B[i][i] / B[i-1][i-1] and
-    c_ij = B[i][j] / B[i][i].
-    """
-    b = [list(row) for row in m]
-    if _bareiss(b, definite=True) <= 0:
-        return None
-    out = []
-    prev = 1
-    for i, row in enumerate(b):
-        out.append((Fraction(row[i], prev), [Fraction(x, row[i]) for x in row[i + 1 :]]))
-        prev = row[i]
-    return out
 
 
 def _echelon(a: list[list[int]], ncols: int) -> list[int]:

@@ -54,7 +54,7 @@ def load_fixture(scenario: str) -> dict:
 
 @dataclass
 class _Context:
-    """One scenario run; each derived graph and ruling is computed at most once."""
+    """One scenario run; each derived graph, class and ruling is computed at most once."""
 
     fixture: dict
     lattice: SurfaceLattice
@@ -81,9 +81,12 @@ class _Context:
         return euler_numbers(self.lattice, self.boundary, self.exceptional)
 
     @cached_property
+    def k_plus_sharp(self) -> tuple[Fraction, ...]:
+        return k_plus_sharp_class(self.lattice, self.boundary)
+
+    @cached_property
     def kobayashi(self) -> tuple[bool, Fraction]:
-        ks = k_plus_sharp_class(self.lattice, self.boundary)
-        sq = self.lattice.pair(ks, ks)
+        sq = self.lattice.pair(self.k_plus_sharp, self.k_plus_sharp)
         return kobayashi_check(self.euler[3], self.fixture["kobayashi_orders"], sq)
 
     def class_of_support(self, support: dict) -> tuple[int, ...]:
@@ -275,9 +278,7 @@ _CHECKS = {
     "d_boundary_negative": lambda ctx, args: discriminant(ctx.g_boundary) < 0,
     "d_full": lambda ctx, args: discriminant(ctx.g_full),
     "d_full_nonzero": lambda ctx, args: discriminant(ctx.g_full) != 0,
-    "k_plus_sharp_zero": lambda ctx, args: all(
-        x == 0 for x in k_plus_sharp_class(ctx.lattice, ctx.boundary)
-    ),
+    "k_plus_sharp_zero": lambda ctx, args: all(x == 0 for x in ctx.k_plus_sharp),
     "chi": lambda ctx, args: list(ctx.euler),
     "chi_open": lambda ctx, args: ctx.euler[3],
     "exceptional_count_identity": _exceptional_count_identity,

@@ -6,8 +6,9 @@ integer-backed QuadExt replaced, the power-series intersection
 multiplicity that the pencil criterion replaced, the Euclid-and-swap
 Smith normal form that the Bezout steps replaced, the Gauss-Jordan
 solves and kernels over Fraction that the integer echelon form replaced,
-and the projective equality by vanishing minors that scaled coordinates
-replaced."""
+the projective equality by vanishing minors that scaled coordinates
+replaced, and the recursive curve-class enumeration over a Fraction LDL
+that the integer Fincke-Pohst walk replaced."""
 
 from __future__ import annotations
 
@@ -15,11 +16,25 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from typing import Iterable
 
-from sncalc.errors import InvariantError, LatticeError, SingularMatrixError
+from sncalc.errors import (
+    InvariantError,
+    LatticeError,
+    SingularMatrixError,
+    UnderconstrainedError,
+)
 from sncalc.graphs import DualGraph, canonical_form
-from sncalc.linalg import _bareiss, _check_rectangular, identity_matrix, mat_mul
+from sncalc.lattice import SurfaceLattice, Vector, _dot
+from sncalc.linalg import (
+    _bareiss,
+    _check_rectangular,
+    identity_matrix,
+    mat_mul,
+    solve_integer,
+    solve_rational,
+)
 from sncalc.projective import ProjConic, ProjLine, ProjPoint, QuadExt, incident, proj_eq
 from sncalc.surgery import contract_minus_one
 
@@ -649,3 +664,120 @@ def minor_conics_proportional(c1: ProjConic, c2: ProjConic) -> bool:
             if a[i] * b[j] - a[j] * b[i]:
                 return False
     return True
+
+
+# The curve-class enumeration of `sncalc.lattice.solve_curve_class` before
+# the integer Fincke-Pohst walk, with its Fraction LDL (formerly
+# `sncalc.linalg._ldl`) and range helper, kept verbatim as the oracle.
+
+
+def fraction_ldl(m) -> list[tuple[Fraction, list[Fraction]]] | None:
+    """LDL data of a symmetric integer matrix, or None unless it is
+    positive definite.
+
+    Returns per row i the pivot d_i > 0 and the coefficients c_ij for
+    j > i, such that x' m x = sum_i d_i (x_i + sum_j c_ij x_j)^2; they are
+    read off one Bareiss pass as d_i = B[i][i] / B[i-1][i-1] and
+    c_ij = B[i][j] / B[i][i].
+    """
+    b = [list(row) for row in m]
+    if _bareiss(b, definite=True) <= 0:
+        return None
+    out = []
+    prev = 1
+    for i, row in enumerate(b):
+        out.append((Fraction(row[i], prev), [Fraction(x, row[i]) for x in row[i + 1 :]]))
+        prev = row[i]
+    return out
+
+
+def recursive_solve_curve_class(
+    l: SurfaceLattice,
+    constraints: Iterable[tuple[object, int]],
+    self_sq: int,
+) -> list[Vector]:
+    """All integer classes with the given self-intersection, rational-curve
+    adjunction, and prescribed pairings.
+
+    The linear constraints cut out an affine sublattice; the quadratic
+    condition is then enumerated exactly.  When the Gram form on the
+    sublattice's direction space is not negative definite the solution set
+    can be infinite and an error lists the free directions.
+    """
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+
+    def add(vec, value):
+        # v . c = value, written in coordinates via the Gram form
+        rows.append([vec[0]] + [-x for x in vec[1:]])
+        rhs.append(int(value))
+
+    add(l.canonical_class, -self_sq - 2)
+    for key, value in constraints:
+        add(l.resolve(key), value)
+    sol = solve_integer(rows, rhs)
+    if sol is None:
+        return []
+    x0, basis = sol
+    if not basis:
+        return [tuple(x0)] if _dot(x0, x0) == self_sq else []
+    # M = -gram must be positive definite; one pass tests it and gives LDL
+    m = [[-_dot(bi, bj) for bj in basis] for bi in basis]
+    ldl = fraction_ldl(m)
+    if ldl is None:
+        raise UnderconstrainedError(
+            "constraints leave a direction space that is not negative definite; "
+            "the solution family may be infinite",
+            free_directions=basis,
+        )
+    lin = [_dot(x0, bi) for bi in basis]
+    const = _dot(x0, x0)
+    # solve t' M t' = radius around center M^{-1} b
+    out: list[Vector] = []
+    budget = [10**6]
+    center = solve_rational(m, lin)
+    radius = Fraction(const - self_sq) + sum(
+        Fraction(lin[i]) * center[i] for i in range(len(basis))
+    )
+    if radius < 0:
+        return []
+    t = [Fraction(0)] * len(basis)
+
+    def recurse(i: int, remaining: Fraction):
+        if budget[0] <= 0:
+            raise LatticeError("curve-class enumeration exceeded the candidate cap")
+        if i < 0:
+            if remaining == 0:
+                vec = list(x0)
+                for j, bj in enumerate(basis):
+                    for r in range(len(vec)):
+                        vec[r] += int(t[j]) * bj[r]
+                out.append(tuple(vec))
+            return
+        d, coeffs = ldl[i]
+        shift = center[i] - sum(
+            c * (tj - cj) for c, tj, cj in zip(coeffs, t[i + 1 :], center[i + 1 :])
+        )
+        lo, hi = fraction_integer_range(shift, remaining / d)
+        for ti in range(lo, hi + 1):
+            budget[0] -= 1
+            t[i] = Fraction(ti)
+            used = d * (ti - shift) ** 2
+            if used <= remaining:
+                recurse(i - 1, remaining - used)
+
+    recurse(len(basis) - 1, radius)
+    out.sort()
+    return out
+
+
+def fraction_integer_range(center: Fraction, sq_bound: Fraction) -> tuple[int, int]:
+    """Integers t with (t - center)^2 <= sq_bound (empty range when negative)."""
+    if sq_bound < 0:
+        return 0, -1
+    p, q = sq_bound.numerator, sq_bound.denominator
+    a, b = center.numerator, center.denominator
+    # (t b - a)^2 q <= p b^2 holds for an integer t exactly when
+    # |t b - a| <= isqrt(floor(p b^2 / q)), since the left side is an integer
+    umax = isqrt(p * b * b // q)
+    return -((umax - a) // b), (a + umax) // b  # ceil, floor of (a -+ umax) / b

@@ -1,9 +1,22 @@
+import contextlib
+import importlib.util
+import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import ceil, floor
+from pathlib import Path
 
 import pytest
 
+import helpers
+import sncalc
+import sncalc.lattice
+import sncalc.scenarios
+from helpers import fraction_integer_range, recursive_solve_curve_class
+from sncalc.cli import main
 from sncalc.errors import (
     ExcessIntersectionError,
     GraphParseError,
@@ -11,7 +24,6 @@ from sncalc.errors import (
     UnderconstrainedError,
 )
 from sncalc.lattice import (
-    _integer_range,
     euler_numbers,
     extract_boundary_graph,
     h1_order,
@@ -203,6 +215,141 @@ def test_integer_range_matches_its_definition():
             r = (rng.randint(-15, 15) + floor(c) - c) ** 2
         else:
             r = Fraction(rng.randint(-10, 200), rng.randint(1, 12))
-        lo, hi = _integer_range(c, r)
+        lo, hi = fraction_integer_range(c, r)
         expected = [t for t in range(floor(c) - 20, ceil(c) + 21) if (t - c) ** 2 <= r]
         assert list(range(lo, hi + 1)) == expected, (c, r)
+
+
+def _outcome(solve, *args):
+    """A solver's result, or its error as (type, message, free directions)."""
+    try:
+        return solve(*args)
+    except Exception as exc:  # compared between the solvers, not handled
+        return type(exc), str(exc), getattr(exc, "free_directions", None)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def curve_class_calls():
+    """(lattice, constraints, self_sq, oracle outcome, candidates the oracle
+    tried) for the accepted programs of the benchmark's lattice workload,
+    seeds 7-9, under three constraint sets; every call of `verify all`; and
+    the no-solution and underconstrained cases above."""
+    calls = []
+    tried = 0
+    real_range = helpers.fraction_integer_range
+
+    def counting_range(center, sq_bound):
+        nonlocal tried
+        lo, hi = real_range(center, sq_bound)
+        tried += max(0, hi - lo + 1)
+        return lo, hi
+
+    def record(lat, constraints, self_sq):
+        nonlocal tried
+        constraints = list(constraints)
+        tried = 0
+        outcome = _outcome(recursive_solve_curve_class, lat, constraints, self_sq)
+        calls.append((lat, constraints, self_sq, outcome, tried))
+
+    def recording(lat, constraints, self_sq):
+        record(lat, constraints, self_sq)
+        return real_solve(lat, constraints, self_sq)
+
+    workload = _bench_workloads().WORKLOADS["lattice"]
+    real_solve = sncalc.scenarios.solve_curve_class
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helpers, "fraction_integer_range", counting_range)
+        for seed in (7, 8, 9):
+            for index in range(200):
+                item = workload.make(seed, index)
+                if not item.accept:
+                    continue
+                lat = lat_of(item.text)
+                fiber = (1, -1) + (0,) * (lat.rank - 2)
+                for p_value, self_sq in ((0, -1), (1, -1), (0, -2)):
+                    record(lat, [(fiber, 0), ("P", p_value)], self_sq)
+        mp.setattr(sncalc.scenarios, "solve_curve_class", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "all"]) == 0
+        record(lat_of("curve L degree=1\nblowup E at L\n"), [((1, 0), 0), ((0, 1), 0)], -1)
+        record(
+            lat_of("curve L degree=1\nblowup E1 at L\nblowup E2 at L\n"),
+            [("L", 0), ((0, 1, 0), 1)],
+            0,
+        )
+        steps = ["curve L degree=1"] + [f"blowup E{i} at L" for i in range(1, 10)]
+        record(lat_of("\n".join(steps) + "\n"), [], -1)
+    return calls
+
+
+def test_curve_class_walk_matches_the_recursive_oracle(curve_class_calls):
+    # old-versus-new: identical classes in the same order, identical errors
+    mismatches = [
+        (lat.names(), constraints, self_sq)
+        for lat, constraints, self_sq, outcome, _ in curve_class_calls
+        if _outcome(solve_curve_class, lat, constraints, self_sq) != outcome
+    ]
+    assert mismatches == []
+    outcomes = [call[3] for call in curve_class_calls]
+    assert sum(1 for o in outcomes if isinstance(o, list) and o) > 1000
+    assert [o[0] for o in outcomes if isinstance(o, tuple)] == [UnderconstrainedError]
+
+
+def test_candidate_cap_counts_every_tried_coefficient(curve_class_calls, monkeypatch):
+    # the walk tries the same coefficients as the recursion did, one cap unit
+    # each, and like it raises on the cap-th: a call that tries n candidates
+    # raises with the cap at n and returns with it at n + 1
+    checked = total = 0
+    for lat, constraints, self_sq, outcome, tried in curve_class_calls:
+        if not isinstance(outcome, list) or not tried:
+            continue
+        monkeypatch.setattr(sncalc.lattice, "_CANDIDATE_CAP", tried)
+        with pytest.raises(LatticeError) as exc:
+            solve_curve_class(lat, constraints, self_sq)
+        assert str(exc.value) == "curve-class enumeration exceeded the candidate cap"
+        monkeypatch.setattr(sncalc.lattice, "_CANDIDATE_CAP", tried + 1)
+        assert solve_curve_class(lat, constraints, self_sq) == outcome
+        checked += 1
+        total += tried
+    assert checked > 1000 and total > 50000
+
+
+def test_curve_class_check_raises_under_optimization():
+    # a corrupted walk must trip the returned-class check even with -O
+    code = (
+        "import sncalc.lattice as la\n"
+        "from sncalc.errors import InvariantError\n"
+        "real = la._ellipsoid_points\n"
+        "def corrupted(*args):\n"
+        "    points = real(*args)\n"
+        "    points[0][0] += 7\n"
+        "    return points\n"
+        "text = 'curve A degree=1\\ncurve B degree=1\\ncurve C degree=1\\n'\n"
+        "text += 'blowup P at A,B,C\\nblowup Q at A\\nblowup R at B\\n'\n"
+        "lat = la.run_program(la.parse_arrangement(text))\n"
+        "constraints = [((1, -1, 0, 0), 0), ('P', 0)]\n"
+        "print(la.solve_curve_class(lat, constraints, -1))\n"
+        "la._ellipsoid_points = corrupted\n"
+        "try:\n"
+        "    la.solve_curve_class(lat, constraints, -1)\n"
+        "except InvariantError as exc:\n"
+        "    print('InvariantError:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sncalc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "[(0, 0, 0, 1), (0, 0, 1, 0)]",
+        "InvariantError: curve class check failed",
+    ]

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     euclid_smith_normal_form,
+    fraction_ldl,
     minor_loop_is_negative_definite,
     rational_cholesky,
     reference_det,
@@ -27,7 +28,6 @@ from sncalc.graphs import parse_graph
 from sncalc.lattice import _solve_rational_overdetermined
 from sncalc.linalg import (
     TorsionGroup,
-    _ldl,
     det_exact,
     identity_matrix,
     is_negative_definite,
@@ -619,7 +619,7 @@ def test_elimination_core_matches_the_replaced_routines():
         n_definite += definite
         if not rational:
             neg = [[-x for x in row] for row in m]
-            ldl = _ldl(neg)
+            ldl = fraction_ldl(neg)
             if (ldl is not None) != definite:
                 mismatches.append(("ldl verdict", m))
             elif definite:
@@ -693,3 +693,23 @@ def test_module_has_no_asserts(module):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements in {module} at lines {lines}"
+
+
+# report values nest, and these two walk them; no other function in the
+# package calls itself, so this list may only shrink
+SELF_RECURSIVE = {"reports.display", "reports.normalize"}
+
+
+def test_package_has_no_other_self_recursion():
+    found = set()
+    for path in sorted(Path(sncalc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == fn.name
+                for node in ast.walk(fn)
+            ):
+                found.add(f"{path.stem}.{fn.name}")
+    assert found == SELF_RECURSIVE

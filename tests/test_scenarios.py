@@ -99,6 +99,21 @@ def test_each_ruling_is_decomposed_once(monkeypatch):
         assert len(calls) == rulings, name
 
 
+def test_k_plus_sharp_is_computed_once_per_scenario(monkeypatch, capsys):
+    # the k_plus_sharp_zero and Kobayashi checks share one K + D# per scenario
+    real = sncalc.scenarios.k_plus_sharp_class
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sncalc.scenarios, "k_plus_sharp_class", counting)
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(SCENARIO_NAMES) == 2
+
+
 def test_unknown_check_is_reported():
     fixture = copy.deepcopy(load_fixture("y244"))
     fixture["checks"]["no_such:1"] = {"expect": 1, "tag": "direct"}
