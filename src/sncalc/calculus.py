@@ -1,7 +1,10 @@
 """Discriminants, chain invariants, barks and boundary classification.
 
 The discriminant of a reduced divisor is det(-Q) of its intersection
-matrix, with the empty divisor given discriminant 1.  Barks are the unique
+matrix, with the empty divisor given discriminant 1.  On a chain with
+weights w_1..w_n it is the continuant d_n of d_0 = 1, d_k = -w_k d_(k-1) -
+d_(k-2), so the chain invariants and chain barks come from one forward and
+one backward pass of that recurrence, with no matrix.  Barks are the unique
 rational divisors supported on admissible twigs (or on whole admissible
 chain/fork components) that make K + D - Bk D orthogonal to the supporting
 components; adjunction K.C = -2 - C^2 for rational components is hard-coded
@@ -45,16 +48,12 @@ def discriminant(g: DualGraph, support: Iterable[str] | None = None) -> Fraction
     return det_exact(_neg(g.intersection_matrix(sup)))
 
 
-def _chain_d(weights: Sequence[int]) -> Fraction:
-    """Discriminant of a bare chain, by weights alone."""
-    return det_exact(
-        _neg(
-            [
-                [w if i == j else (1 if abs(i - j) == 1 else 0) for j, w in enumerate(weights)]
-                for i in range(len(weights))
-            ]
-        )
-    )
+def _continuants(weights: Sequence[int]) -> list[int]:
+    """Discriminants of the prefixes of a chain: entry k is d(weights[:k])."""
+    d = [0, 1]  # d_(-1) = 0 and d_0 = 1 seed d_k = -w_k d_(k-1) - d_(k-2)
+    for w in weights:
+        d.append(-w * d[-1] - d[-2])
+    return d[1:]
 
 
 def det_branch_formula(g: DualGraph, c: str) -> Fraction:
@@ -124,20 +123,22 @@ def chain_invariants(ch: Chain) -> ChainInvariants:
         raise NonAdmissibleError(
             f"chain {list(ch.bracket)} has a component above -2; e and delta undefined"
         )
-    d = _chain_d(ch.chain_weights)
-    d_prime = _chain_d(ch.chain_weights[1:])
-    # e-tilde through the explicitly reversed chain, not a shortcut formula
-    rev = ch.reversed()
-    d_rev = _chain_d(rev.chain_weights)
-    d_rev_prime = _chain_d(rev.chain_weights[1:])
+    # the forward pass gives d and d(w[:-1]), the backward pass d of the
+    # reversed chain and d' = d(w[1:]); both passes must agree on d
+    n = len(ch)
+    forward = _continuants(ch.chain_weights)
+    backward = _continuants(ch.chain_weights[::-1])
+    d, d_rev = forward[n], backward[n]
     if d != d_rev:
         raise InvariantError(f"chain {list(ch.bracket)}: d changes under reversal")
+    d_prime = backward[n - 1] if n else 1
+    d_rev_prime = forward[n - 1] if n else 1
     return ChainInvariants(
-        d=int(d),
-        d_prime=int(d_prime),
-        e=Fraction(int(d_prime), int(d)),
-        e_tilde=Fraction(int(d_rev_prime), int(d_rev)),
-        delta=Fraction(1, int(d)),
+        d=d,
+        d_prime=d_prime,
+        e=Fraction(d_prime, d),
+        e_tilde=Fraction(d_rev_prime, d_rev),
+        delta=Fraction(1, d),
     )
 
 
@@ -171,7 +172,7 @@ def _is_admissible_chain_or_fork(g: DualGraph, comp: tuple[str, ...]) -> bool:
     twigs = maximal_twigs(sub)
     if len(twigs) != 3:
         return False
-    recip = sum(Fraction(1, int(_chain_d(t.chain_weights))) for t in twigs)
+    recip = sum(chain_invariants(t).delta for t in twigs)
     if recip <= 1:
         return False
     return is_negative_definite(sub.intersection_matrix())
@@ -228,16 +229,23 @@ def bark(g: DualGraph) -> QDivisor:
 
 
 def bark_chain(ch: Chain) -> QDivisor:
-    """The divisor supported on the chain with tip product -1, 0 elsewhere."""
+    """The divisor supported on the chain with tip product -1, 0 elsewhere.
+
+    Its coefficients are x_i = d(w[i+1:]) / d(w), read off one backward
+    pass; Q x = (-1, 0, ..., 0) is re-checked row by row.
+    """
     if not ch.is_admissible():
         raise NonAdmissibleError(f"chain {list(ch.bracket)} is not admissible")
     n = len(ch)
-    q = [
-        [ch.chain_weights[i] if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    rhs = [-1] + [0] * (n - 1)
-    return QDivisor(ch.to_graph(), dict(zip(ch.ids, solve_rational(q, rhs))))
+    if not n:  # no tip to carry the -1
+        raise ValueError("right-hand side has wrong length")
+    suffix = _continuants(ch.chain_weights[::-1])  # suffix[k] = d(w[n-k:])
+    x = [Fraction(suffix[n - 1 - i], suffix[n]) for i in range(n)]
+    for i, w in enumerate(ch.chain_weights):
+        row = w * x[i] + (x[i - 1] if i else 0) + (x[i + 1] if i + 1 < n else 0)
+        if row != (-1 if i == 0 else 0):
+            raise InvariantError(f"bark equation at {ch.ids[i]!r} fails")
+    return QDivisor(ch.to_graph(), dict(zip(ch.ids, x)))
 
 
 def sharp(g: DualGraph) -> QDivisor:

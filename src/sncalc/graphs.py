@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import GraphParseError, NonTreeError
 
@@ -27,6 +27,9 @@ __all__ = [
     "emit_dot",
     "canonical_form",
 ]
+
+
+_Node = TypeVar("_Node", bound=Hashable)
 
 
 def _norm_edge(a: str, b: str) -> tuple[str, str]:
@@ -146,25 +149,14 @@ class DualGraph:
     def chain_order(self) -> tuple[str, ...]:
         """Vertex ids of a chain walked end to end.
 
-        Of the two walks the one starting at the smaller tip (in vertex
+        Of the two walks the one starting at the first tip (in vertex
         order) is returned.
         """
         if not self.is_chain():
             raise ValueError("not a chain")
-        if len(self) == 1:
-            return (self.ids[0],)
-        order = {v: i for i, v in enumerate(self.ids)}
-        tips = [v for v in self.ids if self.degree(v) == 1]
-        start = min(tips, key=order.__getitem__)
-        walk = [start]
-        prev = None
-        cur = start
-        while True:
-            nxt = [u for u in self.neighbors(cur) if u != prev]
-            if not nxt:
-                return tuple(walk)
-            prev, cur = cur, nxt[0]
-            walk.append(cur)
+        tips = [v for v in self.ids if self.degree(v) <= 1]
+        # min raises ValueError on the empty graph, which has no tip
+        return tuple(_walk_from_tip(self, min(tips, key=self.ids.index)))
 
     # -- derived graphs ------------------------------------------------
 
@@ -346,7 +338,7 @@ def parse_graph(text: str) -> DualGraph:
     return DualGraph(tuple(vertices), frozenset(edges))
 
 
-def _find(parent: dict[str, str], v: str) -> str:
+def _find(parent: dict[_Node, _Node], v: _Node) -> _Node:
     """The root of v in a union-find forest, halving the path on the way."""
     parent.setdefault(v, v)
     while parent[v] != v:
@@ -383,23 +375,19 @@ def maximal_twigs(g: DualGraph) -> list[Chain]:
     for comp in g.components():
         if all(g.degree(v) <= 2 for v in comp):
             raise ValueError(f"component {comp} is a chain; twigs undefined")
-    twigs = []
-    for tip in g.ids:
-        if g.degree(tip) > 1:
-            continue
-        walk = [tip]
-        prev = None
-        cur = tip
-        while g.degree(cur) <= 2:
-            nxt = [u for u in g.neighbors(cur) if u != prev]
-            if not nxt:
-                break  # cannot happen: component has a branching vertex
-            prev, cur = cur, nxt[0]
-            if g.degree(cur) > 2:
-                break
-            walk.append(cur)
-        twigs.append(Chain.from_graph(g, walk))
-    return twigs
+    return [Chain.from_graph(g, _walk_from_tip(g, v)) for v in g.ids if g.degree(v) <= 1]
+
+
+def _walk_from_tip(g: DualGraph, tip: str) -> list[str]:
+    """The vertices from a tip up to the other tip of its chain or to just
+    before the first branching vertex, whichever comes first."""
+    walk, prev = [tip], None
+    while True:
+        nxt = [u for u in g.neighbors(walk[-1]) if u != prev]
+        if not nxt or g.degree(nxt[0]) > 2:
+            return walk
+        prev = walk[-1]
+        walk.append(nxt[0])
 
 
 def build_fork(branch_weight: int, twig_brackets: Sequence[Sequence[int]]) -> DualGraph:

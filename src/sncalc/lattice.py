@@ -25,7 +25,7 @@ from .errors import (
     NonTreeError,
     UnderconstrainedError,
 )
-from .graphs import DualGraph
+from .graphs import DualGraph, _find
 from .linalg import (
     TorsionGroup,
     _bareiss,
@@ -164,9 +164,7 @@ class SurfaceLattice:
 
     def pair(self, a, b) -> int | Fraction:
         """Gram pairing of two classes (names, 'K', or vectors)."""
-        va, vb = self.resolve(a), self.resolve(b)
-        out = va[0] * vb[0] - sum(x * y for x, y in zip(va[1:], vb[1:]))
-        return out
+        return _dot(self.resolve(a), self.resolve(b))
 
     def register(self, name: str, vec: Sequence[int]) -> None:
         """Name a derived class; rational-curve adjunction is enforced."""
@@ -361,31 +359,19 @@ def ruling_decompose(
         else:
             raise LatticeError(f"curve {name!r} pairs negatively with the fiber class")
 
-    # group vertical curves by pairing connectivity
-    groups: list[list[str]] = []
-    assigned: dict[str, int] = {}
-    for name in vertical:
-        touching = {
-            assigned[other]
-            for other in vertical
-            if other in assigned and l.pair(name, other) > 0
-        }
-        if not touching:
-            assigned[name] = len(groups)
-            groups.append([name])
-        else:
-            keep = min(touching)
-            groups[keep].append(name)
-            assigned[name] = keep
-            for gi in sorted(touching - {keep}, reverse=True):
-                for moved in groups[gi]:
-                    assigned[moved] = keep
-                groups[keep].extend(groups[gi])
-                groups[gi] = []
-    groups = [sorted(grp, key=list(curve_names).index) for grp in groups if grp]
+    # group vertical curves by pairing connectivity: a union-find over their
+    # positions, so groups come in the order of their first curve
+    parent: dict[int, int] = {}
+    for i, name in enumerate(vertical):
+        for j in range(i):
+            if l.pair(name, vertical[j]) > 0:
+                parent[_find(parent, i)] = _find(parent, j)
+    groups: dict[int, list[str]] = {}
+    for i, name in enumerate(vertical):
+        groups.setdefault(_find(parent, i), []).append(name)
 
     pieces: list[FiberPiece] = []
-    for grp in groups:
+    for grp in groups.values():
         cols = [l.class_of(name) for name in grp]
         a = [[c[r] for c in cols] for r in range(l.rank)]
         sol = _solve_rational_overdetermined(a, list(f))

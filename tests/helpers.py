@@ -7,8 +7,11 @@ multiplicity that the pencil criterion replaced, the Euclid-and-swap
 Smith normal form that the Bezout steps replaced, the Gauss-Jordan
 solves and kernels over Fraction that the integer echelon form replaced,
 the projective equality by vanishing minors that scaled coordinates
-replaced, and the recursive curve-class enumeration over a Fraction LDL
-that the integer Fincke-Pohst walk replaced."""
+replaced, the recursive curve-class enumeration over a Fraction LDL
+that the integer Fincke-Pohst walk replaced, the chain determinants and
+solves that the continuant recurrence replaced, the two chain walks that
+one tip-to-branch walk replaced, and the name-keyed merge of vertical
+curves that a union-find over positions replaced."""
 
 from __future__ import annotations
 
@@ -17,19 +20,23 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from sncalc.calculus import ChainInvariants, _neg
 from sncalc.errors import (
     InvariantError,
     LatticeError,
+    NonAdmissibleError,
+    NonTreeError,
     SingularMatrixError,
     UnderconstrainedError,
 )
-from sncalc.graphs import DualGraph, canonical_form
+from sncalc.graphs import Chain, DualGraph, QDivisor, canonical_form
 from sncalc.lattice import SurfaceLattice, Vector, _dot
 from sncalc.linalg import (
     _bareiss,
     _check_rectangular,
+    det_exact,
     identity_matrix,
     mat_mul,
     solve_integer,
@@ -69,6 +76,15 @@ def random_admissible_fork(rng: random.Random) -> DualGraph:
         [rng.randint(2, 5) for _ in range(rng.randint(1, 4))] for _ in range(n_twigs)
     ]
     return build_fork(rng.randint(-3, 0), brackets)
+
+
+def outcome(f, *args):
+    """A function's value, or its error as (type, message), for comparing
+    a routine with the oracle it replaced."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
 
 
 def canonical_degree(weights, kernel_vector) -> int:
@@ -781,3 +797,144 @@ def fraction_integer_range(center: Fraction, sq_bound: Fraction) -> tuple[int, i
     # |t b - a| <= isqrt(floor(p b^2 / q)), since the left side is an integer
     umax = isqrt(p * b * b // q)
     return -((umax - a) // b), (a + umax) // b  # ceil, floor of (a -+ umax) / b
+
+
+# -- chains by dense matrices, and the two chain walks -------------------------
+# `sncalc.calculus._chain_d`, `chain_invariants` and `bark_chain` before the
+# continuant recurrence, `DualGraph.chain_order` and `graphs.maximal_twigs`
+# before their shared tip-to-branch walk, and the grouping loop of
+# `lattice.ruling_decompose` before its union-find, kept verbatim as oracles.
+
+
+def matrix_chain_d(weights: Sequence[int]) -> Fraction:
+    """Discriminant of a bare chain, by weights alone."""
+    return det_exact(
+        _neg(
+            [
+                [w if i == j else (1 if abs(i - j) == 1 else 0) for j, w in enumerate(weights)]
+                for i in range(len(weights))
+            ]
+        )
+    )
+
+
+def matrix_chain_invariants(ch: Chain) -> ChainInvariants:
+    if not ch.is_admissible():
+        raise NonAdmissibleError(
+            f"chain {list(ch.bracket)} has a component above -2; e and delta undefined"
+        )
+    d = matrix_chain_d(ch.chain_weights)
+    d_prime = matrix_chain_d(ch.chain_weights[1:])
+    # e-tilde through the explicitly reversed chain, not a shortcut formula
+    rev = ch.reversed()
+    d_rev = matrix_chain_d(rev.chain_weights)
+    d_rev_prime = matrix_chain_d(rev.chain_weights[1:])
+    if d != d_rev:
+        raise InvariantError(f"chain {list(ch.bracket)}: d changes under reversal")
+    return ChainInvariants(
+        d=int(d),
+        d_prime=int(d_prime),
+        e=Fraction(int(d_prime), int(d)),
+        e_tilde=Fraction(int(d_rev_prime), int(d_rev)),
+        delta=Fraction(1, int(d)),
+    )
+
+
+def matrix_bark_chain(ch: Chain) -> QDivisor:
+    """The divisor supported on the chain with tip product -1, 0 elsewhere."""
+    if not ch.is_admissible():
+        raise NonAdmissibleError(f"chain {list(ch.bracket)} is not admissible")
+    n = len(ch)
+    q = [
+        [ch.chain_weights[i] if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    rhs = [-1] + [0] * (n - 1)
+    return QDivisor(ch.to_graph(), dict(zip(ch.ids, solve_rational(q, rhs))))
+
+
+def min_tip_chain_order(self) -> tuple[str, ...]:
+    """Vertex ids of a chain walked end to end.
+
+    Of the two walks the one starting at the smaller tip (in vertex
+    order) is returned.
+    """
+    if not self.is_chain():
+        raise ValueError("not a chain")
+    if len(self) == 1:
+        return (self.ids[0],)
+    order = {v: i for i, v in enumerate(self.ids)}
+    tips = [v for v in self.ids if self.degree(v) == 1]
+    start = min(tips, key=order.__getitem__)
+    walk = [start]
+    prev = None
+    cur = start
+    while True:
+        nxt = [u for u in self.neighbors(cur) if u != prev]
+        if not nxt:
+            return tuple(walk)
+        prev, cur = cur, nxt[0]
+        walk.append(cur)
+
+
+def loop_maximal_twigs(g: DualGraph) -> list[Chain]:
+    """Maximal chains hanging off branching vertices, tip first.
+
+    Defined for forests that are not chains; each returned chain starts at a
+    tip and stops just before the first branching vertex.  Every component
+    of the input must contain a branching vertex.
+    """
+    if not g.is_forest():
+        raise NonTreeError("maximal twigs are defined for forests only")
+    if all(g.degree(v) <= 2 for v in g.ids):
+        raise ValueError("graph is a chain; it has no twigs of its own")
+    for comp in g.components():
+        if all(g.degree(v) <= 2 for v in comp):
+            raise ValueError(f"component {comp} is a chain; twigs undefined")
+    twigs = []
+    for tip in g.ids:
+        if g.degree(tip) > 1:
+            continue
+        walk = [tip]
+        prev = None
+        cur = tip
+        while g.degree(cur) <= 2:
+            nxt = [u for u in g.neighbors(cur) if u != prev]
+            if not nxt:
+                break  # cannot happen: component has a branching vertex
+            prev, cur = cur, nxt[0]
+            if g.degree(cur) > 2:
+                break
+            walk.append(cur)
+        twigs.append(Chain.from_graph(g, walk))
+    return twigs
+
+
+def merge_vertical_groups(
+    l: SurfaceLattice, curve_names: Sequence[str], vertical: list[str]
+) -> list[list[str]]:
+    """The fiber groups of `ruling_decompose`: its vertical curves merged by
+    positive pairing, keyed by name."""
+    # group vertical curves by pairing connectivity
+    groups: list[list[str]] = []
+    assigned: dict[str, int] = {}
+    for name in vertical:
+        touching = {
+            assigned[other]
+            for other in vertical
+            if other in assigned and l.pair(name, other) > 0
+        }
+        if not touching:
+            assigned[name] = len(groups)
+            groups.append([name])
+        else:
+            keep = min(touching)
+            groups[keep].append(name)
+            assigned[name] = keep
+            for gi in sorted(touching - {keep}, reverse=True):
+                for moved in groups[gi]:
+                    assigned[moved] = keep
+                groups[keep].extend(groups[gi])
+                groups[gi] = []
+    groups = [sorted(grp, key=list(curve_names).index) for grp in groups if grp]
+    return groups

@@ -1,11 +1,25 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_admissible_fork, random_tree
+import sncalc
+from helpers import (
+    matrix_bark_chain,
+    matrix_chain_d,
+    matrix_chain_invariants,
+    outcome,
+    random_admissible_fork,
+    random_tree,
+    time_limit,
+)
 from sncalc.calculus import (
     BoundaryTag,
+    ChainInvariants,
+    _continuants,
     bark,
     bark_chain,
     chain_invariants,
@@ -121,6 +135,75 @@ def test_chain_invariant_identities():
     for k in range(1, 7):
         ci = chain_invariants(Chain.from_bracket([2] * k))
         assert ci.e == Fraction(k, k + 1)
+
+
+def test_continuants_match_the_matrix_oracle():
+    # old-versus-new on seeded chains, half of them admissible, and the empty
+    # chain: every prefix discriminant, the invariants and the bark, with
+    # identical values and identical errors
+    rng = random.Random(0xC0471)
+    chains = [Chain.from_bracket([])]
+    for index in range(3000):
+        top = -2 if index % 2 else 3
+        weights = [rng.randint(-6, top) for _ in range(rng.randint(0, 10))]
+        chains.append(Chain.from_bracket([-w for w in weights]))
+    mismatches = []
+    for ch in chains:
+        w = ch.chain_weights
+        if _continuants(w) != [matrix_chain_d(w[:k]) for k in range(len(w) + 1)]:
+            mismatches.append(("continuants", ch.bracket))
+        if outcome(chain_invariants, ch) != outcome(matrix_chain_invariants, ch):
+            mismatches.append(("chain_invariants", ch.bracket))
+        if outcome(bark_chain, ch) != outcome(matrix_bark_chain, ch):
+            mismatches.append(("bark_chain", ch.bracket))
+    assert mismatches == []
+    admissible = [ch for ch in chains if ch.is_admissible() and len(ch)]
+    assert len(admissible) > 1400 and len(chains) - len(admissible) > 1400
+    assert chain_invariants(chains[0]) == ChainInvariants(1, 1, 1, 1, 1)
+    assert outcome(bark_chain, chains[0]) == (ValueError, "right-hand side has wrong length")
+
+
+def test_chain_checks_raise_under_optimization():
+    # a corrupted recurrence must trip the reversal check and the bark check
+    # even with -O; shifting the first weight breaks the chain's symmetry
+    code = (
+        "import sncalc.calculus as ca\n"
+        "from sncalc.errors import InvariantError\n"
+        "from sncalc.graphs import Chain\n"
+        "real = ca._continuants\n"
+        "def corrupted(weights):\n"
+        "    return real([weights[0] - 1, *weights[1:]])\n"
+        "ch = Chain.from_bracket([2, 3])\n"
+        "print(ca.chain_invariants(ch).d, sorted(ca.bark_chain(ch).coeffs.values()))\n"
+        "ca._continuants = corrupted\n"
+        "for f in (ca.chain_invariants, ca.bark_chain):\n"
+        "    try:\n"
+        "        f(ch)\n"
+        "    except InvariantError as exc:\n"
+        "        print('InvariantError:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sncalc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "5 [Fraction(1, 5), Fraction(3, 5)]",
+        "InvariantError: chain [2, 3]: d changes under reversal",
+        "InvariantError: bark equation at 'r2' fails",
+    ]
+
+
+def test_long_chain_invariants_take_linear_time():
+    # a dense determinant of a 1,200-vertex chain is cubic and takes far
+    # longer than the limit; the recurrence is one pass each way
+    ch = Chain.from_bracket([2] * 1200)
+    with time_limit(1):
+        ci = chain_invariants(ch)
+        bk = bark_chain(ch)
+    e = Fraction(1200, 1201)
+    assert ci == ChainInvariants(1201, 1200, e, e, Fraction(1, 1201))
+    assert [bk[v] for v in ch.ids] == [Fraction(1200 - i, 1201) for i in range(1200)]
 
 
 def test_bark_whole_component_examples():

@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_forest
+from helpers import (
+    loop_maximal_twigs,
+    min_tip_chain_order,
+    outcome,
+    random_admissible_fork,
+    random_forest,
+    random_tree,
+)
 from sncalc.errors import GraphParseError, NonTreeError
 from sncalc.graphs import (
     Chain,
@@ -146,6 +153,53 @@ def test_maximal_twigs_partition_property():
             if any(g.degree(v) <= 1 for v in comp):
                 expected.update(comp)
         assert set(twig_vertices) == expected
+
+
+def _shuffled(rng: random.Random, g: DualGraph) -> DualGraph:
+    """The same graph with its vertices declared in a random order."""
+    vertices = list(g.vertices)
+    rng.shuffle(vertices)
+    return DualGraph(tuple(vertices), g.edges)
+
+
+def _walk_inputs(rng: random.Random):
+    """Seeded trees, forests, chains and forks, each with its vertices in a
+    random order, some trees closed to a cycle, and the empty graph."""
+    yield DualGraph((), frozenset())
+    for index in range(4000):
+        kind = index % 5
+        if kind == 0:
+            g = random_tree(rng, 14)
+        elif kind == 1:
+            g = random_forest(rng, 14)
+        elif kind == 2:
+            weights = [rng.randint(-5, 2) for _ in range(rng.randint(1, 10))]
+            g = DualGraph.from_chain_weights(weights)
+        elif kind == 3:
+            g = random_admissible_fork(rng)
+        else:
+            g = random_tree(rng, 14)
+            a, b = rng.sample(g.ids, 2) if len(g) > 2 else (g.ids[0], g.ids[0])
+            if a != b and not g.has_edge(a, b):
+                g = DualGraph.build(g.vertices, [*g.edges, (a, b)])
+        yield _shuffled(rng, g)
+
+
+def test_chain_walks_match_the_loop_oracles():
+    # old-versus-new: chain_order and maximal_twigs give identical walks and
+    # identical errors, so chain_order still starts at the first tip
+    mismatches, errors = [], set()
+    late_starts = twig_lists = 0
+    for g in _walk_inputs(random.Random(0x7A1C)):
+        order, twigs = outcome(DualGraph.chain_order, g), outcome(maximal_twigs, g)
+        if order != outcome(min_tip_chain_order, g) or twigs != outcome(loop_maximal_twigs, g):
+            mismatches.append(g)
+        errors.update(v[0] for v in (order, twigs) if isinstance(v[0], type))
+        late_starts += isinstance(order[0], str) and order[0] != g.ids[0]
+        twig_lists += isinstance(twigs, list)
+    assert mismatches == []
+    assert late_starts > 300 and twig_lists > 1000
+    assert errors == {ValueError, NonTreeError}
 
 
 def test_emit_dot_counts():

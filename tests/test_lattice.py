@@ -15,7 +15,7 @@ import helpers
 import sncalc
 import sncalc.lattice
 import sncalc.scenarios
-from helpers import fraction_integer_range, recursive_solve_curve_class
+from helpers import fraction_integer_range, merge_vertical_groups, recursive_solve_curve_class
 from sncalc.cli import main
 from sncalc.errors import (
     ExcessIntersectionError,
@@ -204,6 +204,17 @@ def test_ruling_decompose_disconnected_pieces_stay_separate():
     assert all(not p.complete for p in dec.fibers)
 
 
+def test_a_repeated_vertical_name_forms_its_own_group():
+    # the union-find is keyed by position, so the two copies of an isolated
+    # curve stay two pieces, as in the name-keyed merge
+    lat = lat_of(_TOWER)
+    f = (1, -1, 0, 0)
+    dec = ruling_decompose(lat, f, ["E2", "E2"], [])
+    groups = [list(p.names) for p in dec.fibers]
+    assert groups == [["E2"], ["E2"]] == merge_vertical_groups(lat, ["E2", "E2"], ["E2", "E2"])
+    assert all(not p.complete for p in dec.fibers)
+
+
 def test_integer_range_matches_its_definition():
     # the integers t with (t - c)^2 <= r, by brute force around c; one bound
     # in three is the square of a distance to an integer, so both ends of
@@ -353,3 +364,32 @@ def test_curve_class_check_raises_under_optimization():
         "[(0, 0, 0, 1), (0, 0, 1, 0)]",
         "InvariantError: curve class check failed",
     ]
+
+
+def test_union_find_groups_match_the_merge_oracle():
+    # old-versus-new on the accepted programs of the benchmark's lattice
+    # workload, seeds 7-9: the pencil's vertical curves group identically
+    # with the names in the given order, shuffled, and as shuffled subsets
+    workload = _bench_workloads().WORKLOADS["lattice"]
+    rng = random.Random(0x6A0)
+    mismatches, largest = [], []
+    for seed in (7, 8, 9):
+        for index in range(200):
+            item = workload.make(seed, index)
+            if not item.accept:
+                continue
+            lat = lat_of(item.text)
+            fiber = (1, -1) + (0,) * (lat.rank - 2)
+            names = list(item.data["names"])
+            for variant in range(4):
+                if variant:
+                    rng.shuffle(names)
+                chosen = names if variant < 2 else rng.sample(names, rng.randint(1, len(names)))
+                vertical = [n for n in chosen if lat.pair(n, fiber) == 0]
+                dec = ruling_decompose(lat, fiber, chosen, [])
+                groups = [list(p.names) for p in dec.fibers]
+                if groups != merge_vertical_groups(lat, chosen, vertical):
+                    mismatches.append((seed, index, chosen))
+                largest.append(max(map(len, groups), default=0))
+    assert mismatches == []
+    assert len(largest) > 1500 and sum(1 for k in largest if k > 1) > 1000

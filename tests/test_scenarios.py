@@ -1,6 +1,8 @@
 import copy
 import hashlib
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
@@ -295,3 +297,26 @@ def test_cli_verify_all_is_fast(capsys):
     assert main(["verify", "all"]) == 0
     capsys.readouterr()
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_every_fixture_is_named():
+    # a fixture that no module, no other fixture, the README or a test names
+    # is a tracked file the package does not use; the scenario files are
+    # named as `{scenario}.json` by `load_fixture`
+    package = Path(sncalc.scenarios.__file__).resolve().parent
+    guard = Path(__file__).resolve()
+    paths = [
+        *(p for p in package.rglob("*") if p.suffix in {".py", ".json", ".arr", ".graph"}),
+        guard.parents[1] / "README.md",
+        *guard.parent.glob("*.py"),
+    ]
+    texts = {path: path.read_text() for path in paths}
+    texts[guard] = texts[guard].replace(inspect.getsource(test_every_fixture_is_named), "")
+    scenario_files = {f"{name}.json" for name in SCENARIO_NAMES}
+    unnamed = [
+        fixture.name
+        for fixture in sorted((package / "fixtures").iterdir())
+        if fixture.name not in scenario_files
+        and not any(fixture.name in text for path, text in texts.items() if path != fixture)
+    ]
+    assert unnamed == []
