@@ -183,8 +183,17 @@ def _bark_component(g: DualGraph, comp: tuple[str, ...], whole: bool) -> dict[st
 
     With whole=True it solves (K + D - Bk).D_i = 0 over the whole component,
     otherwise over its maximal twigs, which must be admissible.  Both reduce
-    to Q x = rhs with rhs_i = deg(i) - 2 by adjunction.
+    to Q x = rhs with rhs_i = deg(i) - 2 by adjunction.  A whole chain needs
+    no matrix.
     """
+    if whole and all(g.degree(v) <= 2 for v in comp):
+        # Q x = (-1, 0, ..., 0, -1), or (-2) on one vertex: the sum of the
+        # chain barks from both ends
+        w = g.weights
+        order = g.subgraph(comp).chain_order()
+        ch = Chain(order, tuple(w[v] for v in order))
+        one, other = bark_chain(ch), bark_chain(ch.reversed())
+        return {v: one[v] + other[v] for v in comp}
     if whole:
         support = list(comp)
     else:

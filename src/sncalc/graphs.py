@@ -1,9 +1,11 @@
 """Weighted dual graphs: representation, parsing and serialization.
 
 A vertex stands for an irreducible component with its self-intersection as
-the weight; an edge stands for a transverse intersection point.  Every
-consumer in this package works with simple forests, so a double edge, a
-self-loop or a cycle is rejected at construction time.
+the weight; an edge stands for a transverse intersection point.  An edge
+set holds no double edge, and a self-loop is rejected at construction time.
+A cycle is not: ``parse_graph`` rejects one, but ``DualGraph.build`` accepts
+it, and the routines that need a forest or a tree check ``is_forest`` or
+``is_tree`` themselves.
 """
 
 from __future__ import annotations
@@ -181,14 +183,23 @@ class DualGraph:
     def intersection_matrix(self, support: Sequence[str] | None = None) -> list[list[int]]:
         """The matrix Q with weights on the diagonal and 1 for each edge."""
         sup = list(self.ids if support is None else support)
-        unknown = set(sup) - set(self._adj)
+        at: dict[str, list[int]] = {}  # a repeated id fills every position it has
+        for k, v in enumerate(sup):
+            at.setdefault(v, []).append(k)
+        unknown = at.keys() - self._adj.keys()
         if unknown:
             raise KeyError(f"unknown vertex ids: {sorted(unknown)}")
         w = self.weights
-        return [
-            [w[a] if a == b else (1 if self.has_edge(a, b) else 0) for b in sup]
-            for a in sup
-        ]
+        q = []
+        for a in sup:
+            row = [0] * len(sup)
+            for b in self._adj[a]:
+                for k in at.get(b, ()):
+                    row[k] = 1
+            for k in at[a]:
+                row[k] = w[a]
+            q.append(row)
+        return q
 
 
 @dataclass(frozen=True)
@@ -375,7 +386,10 @@ def maximal_twigs(g: DualGraph) -> list[Chain]:
     for comp in g.components():
         if all(g.degree(v) <= 2 for v in comp):
             raise ValueError(f"component {comp} is a chain; twigs undefined")
-    return [Chain.from_graph(g, _walk_from_tip(g, v)) for v in g.ids if g.degree(v) <= 1]
+    w = g.weights
+    walks = [_walk_from_tip(g, v) for v in g.ids if g.degree(v) <= 1]
+    # a walk in a forest: consecutive ids meet and no other two do
+    return [Chain(tuple(walk), tuple(w[u] for u in walk)) for walk in walks]
 
 
 def _walk_from_tip(g: DualGraph, tip: str) -> list[str]:

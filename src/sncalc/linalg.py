@@ -1,18 +1,24 @@
 """Exact integer and rational linear algebra.
 
 Everything here is exact: integer work uses Python's arbitrary-precision
-ints, rational work uses fractions.Fraction.  No floating point.  Two
-integer elimination kernels serve every routine: one fraction-free Bareiss
-pass (determinants, Sylvester's test, unimodularity checks, the rows of the
-curve-class walk) and one integer echelon form with back-substitution over
-a common denominator (solves and kernels), which builds Fractions only for
-the values returned.
+ints, rational work uses fractions.Fraction.  No floating point.  Three
+integer elimination kernels serve every routine.  A symmetric integer
+matrix whose off-diagonal nonzeros form a forest (every form of a boundary
+divisor) is eliminated leaf to root with no fill-in, which gives its
+determinant, Sylvester's test and the triviality of its kernel in time
+linear in its size once the matrix is read.  Every other matrix (cycles,
+asymmetric or row-scaled rational ones, the lattice's Gram matrices) goes
+through one fraction-free Bareiss pass (determinants, Sylvester's test,
+unimodularity checks, the rows of the curve-class walk).  One integer
+echelon form with back-substitution over a common denominator serves the
+solves and the kernels, and builds Fractions only for the values returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
@@ -62,13 +68,16 @@ def det_exact(m) -> Fraction:
     if rows != cols:
         raise ValueError("determinant of a non-square matrix")
     a, scale = _integer_rows(m)
+    forest = _forest_minors(a) if scale == 1 else None
+    if forest is not None:
+        return Fraction(forest[0])
     return Fraction(_bareiss(a), scale)
 
 
 def _integer_rows(m) -> tuple[list[list[int]], int]:
     """A copy of m with each row scaled to integers by the lcm of its
     denominators, and the product of those scales (1 for an integer m)."""
-    if all(isinstance(x, int) for row in m for x in row):
+    if set(map(type, chain.from_iterable(m))) <= {int}:
         return [list(row) for row in m], 1
     out, scale = [], 1
     for row in m:
@@ -77,6 +86,80 @@ def _integer_rows(m) -> tuple[list[list[int]], int]:
         out.append([x.numerator * (s // x.denominator) for x in row])
         scale *= s
     return out, scale
+
+
+def _forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
+    """The determinant of a symmetric integer matrix whose off-diagonal
+    nonzeros form a forest, with the determinant D(v) of the principal
+    submatrix on each vertex v and its descendants, listed leaf first;
+    None when the matrix is not symmetric or its graph has a cycle.
+
+    One pass over the strict lower triangle checks each nonzero against its
+    mirror and grows a union-find, and a count of the zeros shows that no
+    nonzero above the diagonal lacks a mirror.  Each component is rooted at
+    its first vertex, and with E(v) the product of D(c) over the children c
+    of v,
+
+        D(v) = a_vv E(v) - sum_c a_vc^2 E(c) prod_{c' != c} D(c'),
+
+    which has no division, so a zero D needs no special rule.  A child
+    folds into its parent's running product and sum, so a star stays
+    linear.  Every prefix of the returned order is a union of whole
+    subtrees, whose leading minor is the product of their D's.
+    """
+    n = len(a)
+    root = list(range(n))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    edges = 0
+    for i, row in enumerate(a):
+        for j in compress(range(i), row):
+            if a[j][i] != row[j]:
+                return None
+            r, s = i, j
+            while root[r] != r:
+                root[r] = r = root[root[r]]
+            while root[s] != s:
+                root[s] = s = root[root[s]]
+            if r == s:
+                return None
+            root[r] = s
+            adj[i].append(j)
+            adj[j].append(i)
+            edges += 1
+    diagonal = sum(1 for i in range(n) if a[i][i])
+    if n * n - sum(row.count(0) for row in a) - diagonal != 2 * edges:
+        return None
+    up: list[int | None] = [None] * n
+    order: list[int] = []  # breadth first: parents come before children
+    k = 0
+    for r in range(n):
+        if up[r] is not None:
+            continue
+        up[r] = -1
+        order.append(r)
+        while k < len(order):
+            v = order[k]
+            k += 1
+            for u in adj[v]:
+                if up[u] is None:
+                    up[u] = v
+                    order.append(u)
+    # fold each D(v), leaf first, into its parent's running E and sum
+    product, total = [1] * n, [0] * n
+    minors: list[int] = []
+    det = 1
+    for v in reversed(order):
+        e = product[v]
+        d = a[v][v] * e - total[v]
+        minors.append(d)
+        p = up[v]
+        if p < 0:
+            det *= d
+        else:
+            x = a[p][v]
+            total[p] = total[p] * d + x * x * e * product[p]
+            product[p] *= d
+    return det, minors
 
 
 def _bareiss(a: list[list[int]], definite: bool = False) -> int:
@@ -307,17 +390,23 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
 
 def is_negative_definite(m) -> bool:
     """Sylvester's criterion: leading principal minors alternate in sign
-    starting negative, read off one Bareiss pass of -m that stops at the
-    first failing minor.  The matrix must be symmetric."""
+    starting negative.  The matrix must be symmetric.  On a forest form -m
+    is positive definite exactly when every subtree determinant is
+    positive; otherwise the minors are read off one Bareiss pass of -m that
+    stops at the first failing one."""
     rows, cols = _check_rectangular(m)
     if rows != cols:
         raise ValueError("definiteness of a non-square matrix")
+    a, scale = _integer_rows(m)
+    a = [[-x for x in row] for row in a]
+    forest = _forest_minors(a) if scale == 1 else None
+    if forest is not None:
+        return all(d > 0 for d in forest[1])
     for i in range(rows):
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
-    a, _ = _integer_rows(m)
-    return _bareiss([[-x for x in row] for row in a], definite=True) > 0
+    return _bareiss(a, definite=True) > 0
 
 
 @dataclass(frozen=True)
@@ -357,9 +446,14 @@ def torsion_of_cokernel(m) -> TorsionGroup:
 def kernel_basis(m) -> list[list[Fraction]]:
     """A basis of the rational null space of m (solutions of m x = 0): one
     vector per non-pivot column c, with 1 at c and 0 at the other
-    non-pivot columns.  Each vector is re-checked against m."""
-    _, cols = _check_rectangular(m)
-    a, _ = _integer_rows(m)
+    non-pivot columns.  Each vector is re-checked against m.  A forest form
+    with a nonzero determinant has none, and needs no echelon form."""
+    rows, cols = _check_rectangular(m)
+    a, scale = _integer_rows(m)
+    if rows == cols and scale == 1:
+        forest = _forest_minors(a)
+        if forest is not None and forest[0]:
+            return []
     pivots = _echelon(a, cols)
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):

@@ -128,9 +128,9 @@ class FiberGraph:
             raise ValueError("multiplicities are positive")
         if gcd(*mu) != 1:
             raise ValueError("multiplicity vector must be primitive")
-        q = self.graph.intersection_matrix()
-        for i in range(len(ids)):
-            if sum(q[i][j] * mu[j] for j in range(len(ids))) != 0:
+        g, m = self.graph, self.multiplicities
+        for v, w in g.vertices:
+            if w * m[v] + sum(m[u] for u in g.neighbors(v)) != 0:
                 raise ValueError("weighted sum does not pair to zero with each component")
 
     def mu(self, v: str) -> int:

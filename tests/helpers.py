@@ -10,8 +10,11 @@ the projective equality by vanishing minors that scaled coordinates
 replaced, the recursive curve-class enumeration over a Fraction LDL
 that the integer Fincke-Pohst walk replaced, the chain determinants and
 solves that the continuant recurrence replaced, the two chain walks that
-one tip-to-branch walk replaced, and the name-keyed merge of vertical
-curves that a union-find over positions replaced."""
+one tip-to-branch walk replaced, the name-keyed merge of vertical
+curves that a union-find over positions replaced, and the Bareiss and
+echelon routes for forest forms, the has_edge intersection matrix and the
+dense whole-chain bark that leaf elimination and the two chain barks
+replaced."""
 
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from sncalc.calculus import ChainInvariants, _neg
@@ -31,11 +35,13 @@ from sncalc.errors import (
     SingularMatrixError,
     UnderconstrainedError,
 )
-from sncalc.graphs import Chain, DualGraph, QDivisor, canonical_form
+from sncalc.graphs import Chain, DualGraph, QDivisor, canonical_form, maximal_twigs
 from sncalc.lattice import SurfaceLattice, Vector, _dot
 from sncalc.linalg import (
+    _back_substitute,
     _bareiss,
     _check_rectangular,
+    _echelon,
     det_exact,
     identity_matrix,
     mat_mul,
@@ -938,3 +944,125 @@ def merge_vertical_groups(
                 groups[gi] = []
     groups = [sorted(grp, key=list(curve_names).index) for grp in groups if grp]
     return groups
+
+
+# -- forms by dense elimination -----------------------------------------------
+# `sncalc.linalg.det_exact`, `is_negative_definite`, `kernel_basis` and
+# `_integer_rows` before leaf elimination of forest forms,
+# `DualGraph.intersection_matrix` before it read the adjacency, and
+# `calculus._bark_component` before a whole chain took the two chain barks,
+# kept verbatim as oracles.
+
+
+def _integer_rows(m) -> tuple[list[list[int]], int]:
+    """A copy of m with each row scaled to integers by the lcm of its
+    denominators, and the product of those scales (1 for an integer m)."""
+    if all(isinstance(x, int) for row in m for x in row):
+        return [list(row) for row in m], 1
+    out, scale = [], 1
+    for row in m:
+        row = [Fraction(x) for x in row]
+        s = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return out, scale
+
+
+def bareiss_det_exact(m) -> Fraction:
+    """Exact determinant of a square integer or rational matrix."""
+    rows, cols = _check_rectangular(m)
+    if rows != cols:
+        raise ValueError("determinant of a non-square matrix")
+    a, scale = _integer_rows(m)
+    return Fraction(_bareiss(a), scale)
+
+
+def bareiss_is_negative_definite(m) -> bool:
+    """Sylvester's criterion: leading principal minors alternate in sign
+    starting negative, read off one Bareiss pass of -m that stops at the
+    first failing minor.  The matrix must be symmetric."""
+    rows, cols = _check_rectangular(m)
+    if rows != cols:
+        raise ValueError("definiteness of a non-square matrix")
+    for i in range(rows):
+        for j in range(i):
+            if m[i][j] != m[j][i]:
+                raise ValueError("matrix is not symmetric")
+    a, _ = _integer_rows(m)
+    return _bareiss([[-x for x in row] for row in a], definite=True) > 0
+
+
+def echelon_kernel_basis(m) -> list[list[Fraction]]:
+    """A basis of the rational null space of m (solutions of m x = 0): one
+    vector per non-pivot column c, with 1 at c and 0 at the other
+    non-pivot columns.  Each vector is re-checked against m."""
+    _, cols = _check_rectangular(m)
+    a, _ = _integer_rows(m)
+    pivots = _echelon(a, cols)
+    basis = []
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        y, d = _back_substitute(a, pivots, fc, 1)
+        if any(sum(map(mul, row, y)) for row in m):
+            raise InvariantError("kernel check failed")
+        basis.append([Fraction(x, d) for x in y])
+    return basis
+
+
+def has_edge_intersection_matrix(self, support: Sequence[str] | None = None) -> list[list[int]]:
+    """The matrix Q with weights on the diagonal and 1 for each edge."""
+    sup = list(self.ids if support is None else support)
+    unknown = set(sup) - set(self._adj)
+    if unknown:
+        raise KeyError(f"unknown vertex ids: {sorted(unknown)}")
+    w = self.weights
+    return [
+        [w[a] if a == b else (1 if self.has_edge(a, b) else 0) for b in sup]
+        for a in sup
+    ]
+
+
+def dense_bark_component(g: DualGraph, comp: tuple[str, ...], whole: bool) -> dict[str, Fraction]:
+    """Bark coefficients for one connected component.
+
+    With whole=True it solves (K + D - Bk).D_i = 0 over the whole component,
+    otherwise over its maximal twigs, which must be admissible.  Both reduce
+    to Q x = rhs with rhs_i = deg(i) - 2 by adjunction.
+    """
+    if whole:
+        support = list(comp)
+    else:
+        twigs = maximal_twigs(g.subgraph(comp))
+        for t in twigs:
+            if not t.is_admissible():
+                raise NonAdmissibleError(
+                    f"maximal twig {list(t.bracket)} is not admissible"
+                )
+        support = [v for t in twigs for v in t.ids]
+    if not support:
+        return {}
+    q = g.intersection_matrix(support)
+    rhs = [g.degree(v) - 2 for v in support]
+    x = solve_rational(q, rhs)
+    coeffs = dict(zip(support, x))
+    # the defining equations must hold exactly
+    for i, v in enumerate(support):
+        if sum(q[i][j] * coeffs[support[j]] for j in range(len(support))) != rhs[i]:
+            raise InvariantError(f"bark equation at {v!r} fails")
+    return coeffs
+
+
+def forms_tree_form(rng: random.Random, n: int, definite: bool) -> list[list[int]]:
+    """The intersection matrix of a tree as the benchmark's forms workload
+    draws it: vertex i > 0 meets a uniform earlier vertex; a definite tree
+    has weight <= -degree everywhere and < -degree on leaves, any other
+    tree weights uniform in [-4, 0]."""
+    parent = [-1] + [rng.randrange(i) for i in range(1, n)]
+    degree = [sum(parent[j] == i for j in range(n)) + (i > 0) for i in range(n)]
+    if definite:
+        weights = [-d - (d <= 1) - rng.randint(0, 2) for d in degree]
+    else:
+        weights = [rng.randint(-4, 0) for _ in range(n)]
+    return [
+        [weights[i] if i == j else int(parent[i] == j or parent[j] == i) for j in range(n)]
+        for i in range(n)
+    ]

@@ -8,6 +8,7 @@ import pytest
 
 import sncalc
 from helpers import (
+    dense_bark_component,
     matrix_bark_chain,
     matrix_chain_d,
     matrix_chain_invariants,
@@ -18,6 +19,7 @@ from helpers import (
 )
 from sncalc.calculus import (
     BoundaryTag,
+    BoundaryType,
     ChainInvariants,
     _continuants,
     bark,
@@ -31,7 +33,7 @@ from sncalc.calculus import (
     sharp,
 )
 from sncalc.errors import NonAdmissibleError, NonTreeError, NotMinimalError
-from sncalc.graphs import Chain, DualGraph, build_fork
+from sncalc.graphs import Chain, DualGraph, QDivisor, build_fork
 from sncalc.linalg import is_negative_definite
 
 chain = DualGraph.from_chain_weights
@@ -215,6 +217,47 @@ def test_bark_whole_component_examples():
     for i, v in enumerate(g.ids):
         lhs = sum(q[i][j] * b2[g.ids[j]] for j in range(2))
         assert lhs == g.degree(v) - 2
+
+
+def test_chain_component_barks_match_the_dense_solve():
+    # old-versus-new: a whole admissible chain's bark is the sum of the two
+    # chain barks; several components, shuffled vertex order, lone vertices
+    rng = random.Random(0xBC4)
+    mismatches = []
+    singles = 0
+    for _ in range(300):
+        verts, edges = [], []
+        for c in range(rng.randint(1, 4)):
+            ids = [f"c{c}_{i}" for i in range(rng.randint(1, 15))]
+            verts += [(v, -rng.randint(2, 5)) for v in ids]
+            edges += list(zip(ids, ids[1:]))
+        rng.shuffle(verts)
+        g = DualGraph.build(verts, edges)
+        expected = {}
+        for comp in g.components():
+            expected.update(dense_bark_component(g, comp, True))
+            singles += len(comp) == 1
+        if list(bark(g).coeffs.items()) != list(expected.items()):
+            mismatches.append(g)
+    assert mismatches == []
+    assert singles > 30
+
+
+@pytest.mark.parametrize(
+    "routine, n", [(discriminant, 1200), (classify_boundary, 1200), (bark, 600)]
+)
+def test_long_chain_forms_take_linear_time(routine, n):
+    # a (-2)-chain's form is read by leaf elimination, not a cubic pass, and
+    # its bark Q x = (-1, 0, ..., 0, -1) is x = 1 from the two chain barks
+    g = chain([-2] * n)
+    with time_limit(1):
+        result = routine(g)
+    expected = {
+        "discriminant": n + 1,
+        "classify_boundary": BoundaryType(BoundaryTag.NEGATIVE_DEFINITE),
+        "bark": QDivisor(g, dict.fromkeys(g.ids, 1)),
+    }
+    assert result == expected[routine.__name__]
 
 
 def test_bark_twig_examples():

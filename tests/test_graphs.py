@@ -83,6 +83,22 @@ def test_parse_rejects_cycles():
         parse_graph(text)
 
 
+def test_cycles_are_rejected_by_the_parser_only():
+    # parse_graph rejects a cycle; DualGraph.build keeps one, and the
+    # routines that need a forest check for it themselves
+    tri = DualGraph.build([("a", -2), ("b", -2), ("c", -2)], [("a", "b"), ("b", "c"), ("c", "a")])
+    assert len(tri.edges) == 3 and not tri.is_forest()
+    with pytest.raises(GraphParseError, match="cycle") as exc:
+        parse_graph(serialize_graph(tri))
+    assert exc.value.lineno == 6
+    with pytest.raises(NonTreeError):
+        maximal_twigs(tri)
+    # a double edge collapses in the edge set, a self-loop is refused
+    assert DualGraph.build([("a", -2), ("b", -2)], [("a", "b"), ("b", "a")]).edges == {("a", "b")}
+    with pytest.raises(ValueError, match="self-loop"):
+        DualGraph.build([("a", -2)], [("a", "a")])
+
+
 @st.composite
 def forests(draw, max_vertices=30):
     n = draw(st.integers(min_value=0, max_value=max_vertices))

@@ -11,9 +11,17 @@ from unittest.mock import patch
 import pytest
 
 from helpers import (
+    bareiss_det_exact,
+    bareiss_is_negative_definite,
+    echelon_kernel_basis,
     euclid_smith_normal_form,
+    forms_tree_form,
     fraction_ldl,
+    has_edge_intersection_matrix,
     minor_loop_is_negative_definite,
+    outcome,
+    random_forest,
+    random_tree,
     rational_cholesky,
     reference_det,
     rref_kernel_basis,
@@ -23,8 +31,10 @@ from helpers import (
 )
 import sncalc
 from sncalc import linalg
+from sncalc.calculus import BoundaryTag, classify_boundary, discriminant
+from sncalc.casetable import load_cases
 from sncalc.errors import SncalcError, SingularMatrixError
-from sncalc.graphs import parse_graph
+from sncalc.graphs import DualGraph, build_fork, parse_graph
 from sncalc.lattice import _solve_rational_overdetermined
 from sncalc.linalg import (
     TorsionGroup,
@@ -373,17 +383,7 @@ def test_smith_form_matches_the_euclid_oracle_on_trees():
     mismatches = []
     compared = 0
     for index in range(150):
-        n = (8, 14, 20)[index % 3]
-        parent = [-1] + [rng.randrange(i) for i in range(1, n)]
-        degree = [sum(parent[j] == i for j in range(n)) + (i > 0) for i in range(n)]
-        if index % 2 == 0:
-            weights = [-d - (d <= 1) - rng.randint(0, 2) for d in degree]
-        else:
-            weights = [rng.randint(-4, 0) for _ in range(n)]
-        q = [
-            [weights[i] if i == j else int(parent[i] == j or parent[j] == i) for j in range(n)]
-            for i in range(n)
-        ]
+        q = forms_tree_form(rng, (8, 14, 20)[index % 3], definite=index % 2 == 0)
         compared += _compare_with_euclid(q, rng, mismatches)
     assert mismatches == []
     assert compared > 130
@@ -629,6 +629,168 @@ def test_elimination_core_matches_the_replaced_routines():
                     mismatches.append(("ldl", m))
     assert mismatches == []
     assert n_definite > 1000 and n_ldl > 800
+
+
+DENSE_ROUTES = (
+    (det_exact, bareiss_det_exact),
+    (is_negative_definite, bareiss_is_negative_definite),
+    (kernel_basis, echelon_kernel_basis),
+)
+
+
+def _compare_with_dense(m, mismatches) -> None:
+    """Each form routine against its dense route, errors included."""
+    for new, old in DENSE_ROUTES:
+        if outcome(new, m) != outcome(old, m):
+            mismatches.append((new.__name__, m))
+
+
+def _forest_form(rng, n):
+    """A symmetric form on a random forest in a shuffled vertex order:
+    weights in [-5, 1], off-diagonal entries 1, -1, 2 or -3, and one
+    vertex in five starting a new component."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = rng.randint(-5, 1)
+        if i and rng.random() < 0.8:
+            j = rng.randrange(i)
+            m[i][j] = m[j][i] = rng.choice((1, -1, 2, -3))
+    p = rng.sample(range(n), n)
+    return [[m[i][j] for j in p] for i in p]
+
+
+def test_forest_forms_match_the_dense_routes():
+    # old-versus-new on seeded forests, n <= 10; leaf elimination has no
+    # division, so a zero subtree determinant needs no rule of its own
+    rng = random.Random(0xF0E)
+    mismatches = []
+    counts = dict.fromkeys(
+        ["zero minor, d != 0", "semidefinite", "definite", "singular", "components"], 0
+    )
+    for index in range(4000):
+        m = _forest_form(rng, index % 11)
+        _compare_with_dense(m, mismatches)
+        d, minors = linalg._forest_minors([[-x for x in row] for row in m])
+        counts["zero minor, d != 0"] += 0 in minors and d != 0
+        counts["semidefinite"] += min(minors, default=1) == 0
+        counts["definite"] += min(minors, default=1) > 0
+        counts["singular"] += d == 0
+        edges = sum(1 for i, row in enumerate(m) for x in row[:i] if x)
+        counts["components"] += len(m) - edges > 1
+    assert mismatches == []
+    assert counts["zero minor, d != 0"] > 300 and counts["semidefinite"] > 100, counts
+    assert counts["definite"] > 300 and counts["singular"] > 300, counts
+    assert counts["components"] > 300, counts
+    assert linalg._forest_minors([]) == (1, [])
+
+
+def test_off_forest_forms_keep_the_dense_routes():
+    # cycles, asymmetric and rational forms are not forest forms; each
+    # routine falls back and agrees with its dense route, errors included
+    rng = random.Random(0xC1C)
+    mismatches = []
+    kinds = {"cycle": 0, "asymmetric": 0, "rational": 0}
+    for index in range(3000):
+        n = rng.randint(2, 9)
+        m = _forest_form(rng, n)
+        kind = ("cycle", "asymmetric", "rational")[index % 3]
+        if kind == "cycle":
+            # a spanning path plus chords: every chord closes a cycle
+            for i in range(1, n):
+                m[i][i - 1] = m[i - 1][i] = m[i][i - 1] or 1
+            for _ in range(rng.randint(1, 2)):
+                i, j = rng.sample(range(n), 2)
+                if abs(i - j) > 1:
+                    m[i][j] = m[j][i] = rng.choice((1, -1, 2))
+            off_forest = any(m[i][j] for i in range(n) for j in range(i - 1))
+        elif kind == "asymmetric":
+            i, j = rng.sample(range(n), 2)
+            m[i][j] = rng.choice([x for x in (0, 1, -1, 2) if x != m[j][i]])
+            off_forest = True
+        else:
+            # symmetric, with a random half of the entries over k
+            k = rng.randint(2, 5)
+            m = [[Fraction(x) for x in row] for row in m]
+            for i in range(n):
+                for j in range(i + 1):
+                    if rng.random() < 0.5:
+                        m[i][j] = m[j][i] = m[i][j] / k
+            off_forest = any(x.denominator > 1 for row in m for x in row)
+        if not off_forest:
+            continue
+        kinds[kind] += 1
+        if kind != "rational" and linalg._forest_minors(m) is not None:
+            mismatches.append(("taken for a forest form", m))
+        _compare_with_dense(m, mismatches)
+    assert mismatches == []
+    assert min(kinds.values()) > 600, kinds
+
+
+def test_intersection_matrix_matches_the_has_edge_build():
+    # every support: the whole graph, shuffled subsets, repeated ids
+    # (equal rows, the weight at each position of the id) and unknown ids
+    rng = random.Random(0x1A7)
+    mismatches = []
+    repeated = 0
+    for index in range(1500):
+        g = (random_forest if index % 2 else random_tree)(rng, 12)
+        if index % 5 == 0 and len(g) > 2:
+            a, b = rng.sample(g.ids, 2)
+            g = DualGraph.build(g.vertices, [*g.edges, (a, b)])  # may close a cycle
+        ids = list(g.ids)
+        support = None
+        if index % 4:
+            support = [rng.choice(ids) for _ in range(rng.randint(0, 12))] if ids else []
+            if index % 4 == 3:
+                support.append("nowhere")
+        repeated += support is not None and len(set(support)) < len(support)
+        new = outcome(g.intersection_matrix, support)
+        if new != outcome(has_edge_intersection_matrix, g, support):
+            mismatches.append((g, support))
+    assert mismatches == []
+    assert repeated > 500
+
+
+def test_forms_trees_match_the_dense_routes():
+    # the benchmark's forms trees, and the discriminant's -Q of each
+    rng = random.Random(0xF07)
+    mismatches = []
+    definite = 0
+    for index in range(600):
+        q = forms_tree_form(rng, (8, 14, 20)[index % 3], definite=index % 2 == 0)
+        _compare_with_dense(q, mismatches)
+        _compare_with_dense([[-x for x in row] for row in q], mismatches)
+        definite += is_negative_definite(q)
+    assert mismatches == []
+    assert definite >= 300
+
+
+def test_case_forks_match_the_dense_routes():
+    cases = load_cases()["cases"]
+    assert len(cases) == 13
+    mismatches = []
+    for case in cases:
+        q = build_fork(case["branch_weight"], case["twigs"]).intersection_matrix()
+        _compare_with_dense(q, mismatches)
+        _compare_with_dense([[-x for x in row] for row in q], mismatches)
+    assert mismatches == []
+
+
+def test_forest_forms_never_reach_bareiss(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a forest form reached the Bareiss pass")
+
+    monkeypatch.setattr(linalg, "_bareiss", refuse)
+    rng = random.Random(0xB0A)
+    graphs = [random_tree(rng, 20) for _ in range(300)]
+    graphs += [build_fork(c["branch_weight"], c["twigs"]) for c in load_cases()["cases"]]
+    graphs.append(DualGraph.from_chain_weights([-2] * 200))
+    tags = set()
+    for g in graphs:
+        discriminant(g)
+        is_negative_definite(g.intersection_matrix())
+        tags.add(classify_boundary(g).tag)
+    assert BoundaryTag.NEGATIVE_DEFINITE in tags and BoundaryTag.OTHER in tags
 
 
 def test_smith_postconditions_raise_under_optimization():

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -133,6 +134,31 @@ def test_fiber_graph_validation():
         FiberGraph(g, {"v1": 1, "v2": 1, "v3": 1})
     with pytest.raises(ValueError, match="cover"):
         FiberGraph(g, {"v1": 1, "v2": 2})
+
+
+def test_fiber_graph_pairing_check_matches_the_matrix():
+    # Q.mu = 0 read off the adjacency agrees with the intersection matrix,
+    # on blown-up fibers and on their multiplicities with one entry raised
+    rng = random.Random(0xF1B)
+    verdicts = []
+    for _ in range(300):
+        g = chain([0])
+        for _ in range(rng.randint(0, 8)):
+            g = blowup_graph(g, rng.choice([*g.ids, *sorted(g.edges)]))
+        mu = fiber_multiplicities(g).multiplicities
+        if rng.random() < 0.5:
+            v = rng.choice(g.ids)
+            mu = {**mu, v: mu[v] + 1}
+        if gcd(*mu.values()) != 1:
+            continue
+        pairs = not any(sum(x * mu[u] for x, u in zip(row, g.ids)) for row in g.intersection_matrix())
+        verdicts.append(pairs)
+        if pairs:
+            FiberGraph(g, mu)
+        else:
+            with pytest.raises(ValueError, match="pair to zero"):
+                FiberGraph(g, mu)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 def numeric_fiber_characterization(g: DualGraph) -> bool:
