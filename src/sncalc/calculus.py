@@ -8,7 +8,10 @@ one backward pass of that recurrence, with no matrix.  Barks are the unique
 rational divisors supported on admissible twigs (or on whole admissible
 chain/fork components) that make K + D - Bk D orthogonal to the supporting
 components; adjunction K.C = -2 - C^2 for rational components is hard-coded
-throughout.
+throughout.  Every bark is a sum of chain barks: a twig's own, the two of an
+admissible chain, and on each twig T_i of an admissible fork with branching
+vertex b, bark_chain(T_i) + x_b bark_chain(T_i reversed) with
+x_b = (1 - sum delta_i) / (w_b + sum e_tilde_i).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, NonAdmissibleError, NonTreeError, NotMinimalError
-from .graphs import Chain, DualGraph, QDivisor, maximal_twigs
-from .linalg import det_exact, is_negative_definite, solve_rational
+from .graphs import Chain, DualGraph, QDivisor, _walk_from_tip, maximal_twigs
+from .linalg import det_exact, is_negative_definite
 
 __all__ = [
     "ChainInvariants",
@@ -75,7 +78,8 @@ def det_branch_formula(g: DualGraph, c: str) -> Fraction:
     for d in d_comp:
         total *= d
     for i, comp in enumerate(comps):
-        meeting = [v for v in comp if g.has_edge(v, c)]
+        members = set(comp)
+        meeting = [v for v in g.neighbors(c) if v in members]
         if len(meeting) != 1:  # tree: each branch hangs off one edge
             raise InvariantError(f"a branch at {c!r} meets it {len(meeting)} times")
         term = discriminant(rest, [v for v in comp if v != meeting[0]])
@@ -155,85 +159,68 @@ def _check_minimal(g: DualGraph) -> None:
             )
 
 
-def _is_admissible_chain_or_fork(g: DualGraph, comp: tuple[str, ...]) -> bool:
-    sub = g.subgraph(comp)
-    if any(w > -2 for _, w in sub.vertices):
-        return False
-    degsorted = sorted(sub.degree(v) for v in comp)
-    if all(d <= 2 for d in degsorted):
-        return True  # admissible chain; automatically negative definite
-    # admissible fork = the resolution graph of a non-cyclic quotient
-    # singularity: a unique degree-three branching component, negative
-    # definite, with twig discriminants (2,2,n), (2,3,3), (2,3,4) or
-    # (2,3,5), i.e. reciprocals summing above 1.  Weights below -1 alone
-    # force neither definiteness nor the triple condition.
-    if degsorted[-1] != 3 or (len(degsorted) >= 2 and degsorted[-2] > 2):
-        return False
-    twigs = maximal_twigs(sub)
-    if len(twigs) != 3:
-        return False
-    recip = sum(chain_invariants(t).delta for t in twigs)
-    if recip <= 1:
-        return False
-    return is_negative_definite(sub.intersection_matrix())
-
-
-def _bark_component(g: DualGraph, comp: tuple[str, ...], whole: bool) -> dict[str, Fraction]:
-    """Bark coefficients for one connected component.
-
-    With whole=True it solves (K + D - Bk).D_i = 0 over the whole component,
-    otherwise over its maximal twigs, which must be admissible.  Both reduce
-    to Q x = rhs with rhs_i = deg(i) - 2 by adjunction.  A whole chain needs
-    no matrix.
-    """
-    if whole and all(g.degree(v) <= 2 for v in comp):
-        # Q x = (-1, 0, ..., 0, -1), or (-2) on one vertex: the sum of the
-        # chain barks from both ends
-        w = g.weights
-        order = g.subgraph(comp).chain_order()
-        ch = Chain(order, tuple(w[v] for v in order))
-        one, other = bark_chain(ch), bark_chain(ch.reversed())
-        return {v: one[v] + other[v] for v in comp}
-    if whole:
-        support = list(comp)
-    else:
-        twigs = maximal_twigs(g.subgraph(comp))
-        for t in twigs:
-            if not t.is_admissible():
-                raise NonAdmissibleError(
-                    f"maximal twig {list(t.bracket)} is not admissible"
-                )
-        support = [v for t in twigs for v in t.ids]
-    if not support:
-        return {}
-    q = g.intersection_matrix(support)
-    rhs = [g.degree(v) - 2 for v in support]
-    x = solve_rational(q, rhs)
-    coeffs = dict(zip(support, x))
-    # the defining equations must hold exactly
-    for i, v in enumerate(support):
-        if sum(q[i][j] * coeffs[support[j]] for j in range(len(support))) != rhs[i]:
-            raise InvariantError(f"bark equation at {v!r} fails")
-    return coeffs
+def _two_ended_bark(ch: Chain, far: Fraction) -> dict[str, Fraction]:
+    """x on an admissible chain with Q x = (-1, 0, ..., 0, -far): the chain
+    bark from its tip plus far times the one from its other end."""
+    near = bark_chain(ch)
+    other = bark_chain(ch.reversed())
+    return {v: near[v] + far * other[v] for v in ch.ids}
 
 
 def bark(g: DualGraph) -> QDivisor:
-    """The bark of a reduced snc-minimal forest.
+    """The bark of a reduced snc-minimal forest, a sum of chain barks.
 
-    Each connected component is treated the way its shape demands:
-    admissible chains and admissible forks get whole-component barks, other
-    components get barks supported on their maximal admissible twigs, and
-    non-admissible chains (which have no twigs) contribute nothing.
+    A component's twigs are the walks from its tips.  An admissible chain
+    gets its two chain barks, one from each end.  On an admissible fork,
+    b's own row gives x_b = (1 - sum delta_i) / (w_b + sum e_tilde_i), and
+    twig T_i gets bark_chain(T_i) + x_b bark_chain(T_i reversed); the
+    denominator is -d(fork) / prod d_i, negative as the fork is negative
+    definite.  Any other component gets the chain bark of each twig, which
+    must be admissible, and a non-admissible chain gets nothing.  Q x =
+    deg - 2 is re-checked on the whole support.
     """
     if not g.is_forest():
         raise NonTreeError("bark of a cyclic graph is undefined")
     _check_minimal(g)
+    w = g.weights
     coeffs: dict[str, Fraction] = {}
     for comp in g.components():
-        whole = _is_admissible_chain_or_fork(g, comp)
-        if not whole and all(g.degree(v) <= 2 for v in comp):
-            continue  # non-admissible chain: empty bark
-        coeffs.update(_bark_component(g, comp, whole))
+        twigs = [
+            Chain(tuple(walk), tuple(w[v] for v in walk))
+            for walk in (_walk_from_tip(g, v) for v in comp if g.degree(v) <= 1)
+        ]
+        branching = [v for v in comp if g.degree(v) > 2]
+        admissible = all(w[v] <= -2 for v in comp)
+        if not branching:
+            if admissible:  # twigs[0] runs from one end of the chain to the other
+                x = _two_ended_bark(twigs[0], Fraction(1))
+                coeffs.update((v, x[v]) for v in comp)
+            continue
+        # admissible fork = the resolution graph of a non-cyclic quotient
+        # singularity: one degree-three branching vertex, with twig
+        # discriminants (2,2,n), (2,3,3), (2,3,4) or (2,3,5), i.e.
+        # reciprocals summing above 1
+        if admissible and len(branching) == 1 and g.degree(branching[0]) == 3:
+            inv = [chain_invariants(t) for t in twigs]
+            deltas = sum(ci.delta for ci in inv)
+            if deltas > 1:
+                b = branching[0]
+                den = w[b] + sum(ci.e_tilde for ci in inv)
+                if den >= 0:  # d(fork) <= 0: not negative definite
+                    raise InvariantError(f"admissible fork at {b!r} has d <= 0")
+                x = {b: (1 - deltas) / den}
+                for t in twigs:
+                    x.update(_two_ended_bark(t, x[b]))
+                coeffs.update((v, x[v]) for v in comp)
+                continue
+        for t in twigs:
+            if not t.is_admissible():
+                raise NonAdmissibleError(f"maximal twig {list(t.bracket)} is not admissible")
+            coeffs.update(bark_chain(t).coeffs)
+    # the defining equations must hold exactly
+    for v, x_v in coeffs.items():
+        if w[v] * x_v + sum(coeffs.get(u, 0) for u in g.neighbors(v)) != g.degree(v) - 2:
+            raise InvariantError(f"bark equation at {v!r} fails")
     return QDivisor(g, coeffs)
 
 

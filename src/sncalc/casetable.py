@@ -37,7 +37,7 @@ def _fiber_degrees(g: DualGraph, mu: dict[str, int]) -> dict[str, int]:
     for v in g.ids:
         if v in mu:
             continue
-        out[v] = sum(m for u, m in mu.items() if g.has_edge(v, u))
+        out[v] = sum(mu.get(u, 0) for u in g.neighbors(v))
     return out
 
 

@@ -14,6 +14,7 @@ one tip-to-branch walk replaced, the name-keyed merge of vertical
 curves that a union-find over positions replaced, and the Bareiss and
 echelon routes for forest forms, the has_edge intersection matrix and the
 dense whole-chain bark that leaf elimination and the two chain barks
+replaced, and the dense twig and fork bark solves that sums of chain barks
 replaced."""
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from sncalc.calculus import ChainInvariants, _neg
+from sncalc.calculus import ChainInvariants, _check_minimal, _neg, chain_invariants
 from sncalc.errors import (
     InvariantError,
     LatticeError,
@@ -44,6 +45,7 @@ from sncalc.linalg import (
     _echelon,
     det_exact,
     identity_matrix,
+    is_negative_definite,
     mat_mul,
     solve_integer,
     solve_rational,
@@ -1049,6 +1051,46 @@ def dense_bark_component(g: DualGraph, comp: tuple[str, ...], whole: bool) -> di
         if sum(q[i][j] * coeffs[support[j]] for j in range(len(support))) != rhs[i]:
             raise InvariantError(f"bark equation at {v!r} fails")
     return coeffs
+
+
+def dense_is_admissible_chain_or_fork(g: DualGraph, comp: tuple[str, ...]) -> bool:
+    """The former route of `bark`: whether a component gets a whole-component
+    solve, with the fork's definiteness read off its dense matrix."""
+    sub = g.subgraph(comp)
+    if any(w > -2 for _, w in sub.vertices):
+        return False
+    degsorted = sorted(sub.degree(v) for v in comp)
+    if all(d <= 2 for d in degsorted):
+        return True  # admissible chain; automatically negative definite
+    # admissible fork = the resolution graph of a non-cyclic quotient
+    # singularity: a unique degree-three branching component, negative
+    # definite, with twig discriminants (2,2,n), (2,3,3), (2,3,4) or
+    # (2,3,5), i.e. reciprocals summing above 1.  Weights below -1 alone
+    # force neither definiteness nor the triple condition.
+    if degsorted[-1] != 3 or (len(degsorted) >= 2 and degsorted[-2] > 2):
+        return False
+    twigs = maximal_twigs(sub)
+    if len(twigs) != 3:
+        return False
+    recip = sum(chain_invariants(t).delta for t in twigs)
+    if recip <= 1:
+        return False
+    return is_negative_definite(sub.intersection_matrix())
+
+
+def dense_bark(g: DualGraph) -> QDivisor:
+    """The former `bark`: a whole-component solve on admissible chains and
+    forks, a dense twig solve on any other component but a chain."""
+    if not g.is_forest():
+        raise NonTreeError("bark of a cyclic graph is undefined")
+    _check_minimal(g)
+    coeffs: dict[str, Fraction] = {}
+    for comp in g.components():
+        whole = dense_is_admissible_chain_or_fork(g, comp)
+        if not whole and all(g.degree(v) <= 2 for v in comp):
+            continue  # non-admissible chain: empty bark
+        coeffs.update(dense_bark_component(g, comp, whole))
+    return QDivisor(g, coeffs)
 
 
 def forms_tree_form(rng: random.Random, n: int, definite: bool) -> list[list[int]]:

@@ -2,13 +2,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import sncalc
 from helpers import (
+    dense_bark,
     dense_bark_component,
+    dense_is_admissible_chain_or_fork,
     matrix_bark_chain,
     matrix_chain_d,
     matrix_chain_invariants,
@@ -17,6 +21,7 @@ from helpers import (
     random_tree,
     time_limit,
 )
+from sncalc import calculus, linalg
 from sncalc.calculus import (
     BoundaryTag,
     BoundaryType,
@@ -32,7 +37,7 @@ from sncalc.calculus import (
     kobayashi_check,
     sharp,
 )
-from sncalc.errors import NonAdmissibleError, NonTreeError, NotMinimalError
+from sncalc.errors import InvariantError, NonAdmissibleError, NonTreeError, NotMinimalError
 from sncalc.graphs import Chain, DualGraph, QDivisor, build_fork
 from sncalc.linalg import is_negative_definite
 
@@ -241,6 +246,249 @@ def test_chain_component_barks_match_the_dense_solve():
             mismatches.append(g)
     assert mismatches == []
     assert singles > 30
+
+
+# twigs of discriminant 2..5, as brackets; (2, 2, n), (2, 3, 3), (2, 3, 4)
+# and (2, 3, 5) make the forks with sum delta > 1: D_n, E_6, E_7 and E_8 when
+# every weight is -2
+TWIGS_OF_D = {3: [[3], [2, 2]], 4: [[4], [2, 2, 2]], 5: [[5], [2, 2, 2, 2], [2, 3], [3, 2]]}
+
+
+def random_twig(rng, longest=9):
+    """A twig bracket of 1..longest entries, mostly 2."""
+    n = rng.randint(1, longest)
+    return [2 if rng.random() < 0.8 else rng.randint(3, 5) for _ in range(n)]
+
+
+def fork_brackets(rng):
+    """Three twig brackets, mostly an admissible fork and else a near miss."""
+    shape = rng.choice(["D", "D", "E6", "E7", "E8", "near"])
+    if shape == "D":
+        brackets = [[2], [2], random_twig(rng)]
+    elif shape == "near":  # sum delta <= 1 unless the twigs happen to be short
+        brackets = [random_twig(rng) for _ in range(3)]
+    else:
+        third = TWIGS_OF_D[{"E6": 3, "E7": 4, "E8": 5}[shape]]
+        brackets = [[2], rng.choice(TWIGS_OF_D[3]), rng.choice(third)]
+    rng.shuffle(brackets)
+    return brackets
+
+
+def fork_component(name, branch_weight, brackets):
+    """Vertices and edges of a vertex <name>b with one twig per bracket."""
+    verts, edges = [(f"{name}b", branch_weight)], []
+    for i, bracket in enumerate(brackets):
+        ids = [f"{name}t{i}_{j}" for j in range(len(bracket))]  # tip first
+        verts += [(v, -b) for v, b in zip(ids, bracket)]
+        edges += [*zip(ids, ids[1:]), (ids[-1], f"{name}b")]
+    return verts, edges
+
+
+def tree_component(rng, name):
+    """A random tree whose twigs are admissible but now and then broken by a
+    weight of 0..2; branching vertices take any weight from -4 to 1."""
+    n = rng.randint(1, 14)
+    parent = [rng.randrange(i) for i in range(1, n)]
+    degree = [(i > 0) + parent.count(i) for i in range(n)]
+    verts = []
+    for i in range(n):
+        if degree[i] > 2:
+            w = rng.randint(-4, 1)
+        else:
+            w = rng.randint(0, 2) if rng.random() < 0.02 else rng.randint(-5, -2)
+        verts.append((f"{name}{i}", w))
+    return verts, [(f"{name}{i + 1}", f"{name}{p}") for i, p in enumerate(parent)]
+
+
+def h_component(rng, name):
+    """Two degree-3 vertices joined by a chain, each with two short twigs."""
+    verts, edges = [], []
+    for side in "lr":
+        brackets = [random_twig(rng, 3), random_twig(rng, 3)]
+        part = fork_component(name + side, rng.randint(-4, -1), brackets)
+        verts += part[0]
+        edges += part[1]
+    link = [f"{name}m{j}" for j in range(rng.randint(0, 3))]
+    path = [f"{name}lb", *link, f"{name}rb"]
+    verts += [(v, -rng.randint(2, 4)) for v in link]
+    return verts, edges + list(zip(path, path[1:]))
+
+
+def chain_component(rng, name):
+    weights = [-rng.randint(2, 5) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.4:  # non-admissible chain
+        weights[rng.randrange(len(weights))] = rng.randint(0, 3)
+    ids = [f"{name}{i}" for i in range(len(weights))]
+    return list(zip(ids, weights)), list(zip(ids, ids[1:]))
+
+
+def seeded_bark_forests(seed, count, kinds):
+    """Forests of 1..4 components of the given kinds, vertices shuffled."""
+    rng = random.Random(seed)
+    forests = []
+    for _ in range(count):
+        verts, edges = [], []
+        for c in range(rng.randint(1, 4)):
+            kind = rng.choice(kinds)
+            if kind == "fork":
+                part = fork_component(f"f{c}", -rng.randint(2, 5), fork_brackets(rng))
+            else:
+                make = {"tree": tree_component, "h": h_component, "chain": chain_component}
+                part = make[kind](rng, f"{kind}{c}_")
+            verts += part[0]
+            edges += part[1]
+        rng.shuffle(verts)
+        forests.append(DualGraph.build(verts, edges))
+    return forests
+
+
+def bark_items(g):
+    return list(bark(g).coeffs.items())
+
+
+def dense_bark_items(g):
+    return list(dense_bark(g).coeffs.items())
+
+
+def component_kind(g, comp):
+    branching = sum(g.degree(v) > 2 for v in comp)
+    if dense_is_admissible_chain_or_fork(g, comp):
+        return "admissible fork" if branching else "admissible chain"
+    if not branching:
+        return "non-admissible chain"
+    if branching > 1:
+        return "H shape" if comp[0].startswith("h") else "several branching"
+    if all(g.weight(v) <= -2 for v in comp):
+        return "sum delta <= 1"
+    return "weight above -2"
+
+
+def test_barks_match_the_dense_solves():
+    # old-versus-new on seeded forests of admissible forks, near-miss forks,
+    # twig-route trees, H shapes and chains in shuffled vertex order: the
+    # same coefficients in the same order, or the same error
+    forests = seeded_bark_forests(0xBA5C, 2400, ["fork", "fork", "fork", "tree", "h", "chain"])
+    mismatches, tally = [], Counter()
+    for g in forests:
+        expected = outcome(dense_bark_items, g)
+        if outcome(bark_items, g) != expected:
+            mismatches.append(g)
+        if isinstance(expected, tuple):
+            tally[expected[0].__name__] += 1
+            continue
+        comps = g.components()
+        tally.update(component_kind(g, comp) for comp in comps)
+        tally["several components"] += len(comps) > 1
+    assert mismatches == []
+    assert tally["admissible fork"] >= 2000, tally
+    for kind in ("admissible chain", "non-admissible chain", "sum delta <= 1",
+                 "weight above -2", "H shape", "several branching", "NonAdmissibleError"):
+        assert tally[kind] >= 50, (kind, tally)
+    assert tally["several components"] >= 1000, tally
+
+
+def test_admissible_forks_are_negative_definite():
+    # the oracle behind dropping the definiteness test: all weights <= -2 and
+    # sum delta > 1 force w_b + sum e_tilde < 0, and d(fork) is
+    # d_1 d_2 d_3 (-w_b - sum e_tilde)
+    rng = random.Random(0xF0C)
+    admissible = 0
+    for _ in range(3000):
+        w_b, brackets = -rng.randint(2, 5), fork_brackets(rng)
+        inv = [chain_invariants(Chain.from_bracket(b)) for b in brackets]
+        if sum(ci.delta for ci in inv) <= 1:
+            continue
+        admissible += 1
+        g = build_fork(w_b, brackets)
+        den = w_b + sum(ci.e_tilde for ci in inv)
+        assert den < 0
+        assert discriminant(g) == -den * inv[0].d * inv[1].d * inv[2].d
+        assert is_negative_definite(g.intersection_matrix())
+    assert admissible > 2000
+
+
+def test_bark_builds_no_matrix_and_no_subgraph(monkeypatch):
+    forests = seeded_bark_forests(0x6A2D, 300, ["fork", "tree", "h", "chain"])
+    expected = [outcome(dense_bark_items, g) for g in forests]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bark must not build a matrix, solve or take a subgraph")
+
+    monkeypatch.setattr(linalg, "solve_rational", refuse)
+    monkeypatch.setattr(calculus, "is_negative_definite", refuse)
+    monkeypatch.setattr(DualGraph, "intersection_matrix", refuse)
+    monkeypatch.setattr(DualGraph, "subgraph", refuse)
+    assert [outcome(bark_items, g) for g in forests] == expected
+
+
+def test_fork_with_a_denominator_above_zero_is_refused(monkeypatch):
+    # w_b + sum e_tilde < 0 is the fork's negative definiteness; a corrupted
+    # e_tilde that breaks it must not pass for an admissible fork
+    real = calculus.chain_invariants
+    monkeypatch.setattr(
+        calculus, "chain_invariants", lambda ch: replace(real(ch), e_tilde=Fraction(1))
+    )
+    with pytest.raises(InvariantError, match="admissible fork at 'B' has d <= 0"):
+        bark(build_fork(-2, [[2], [2], [3]]))
+
+
+def test_bark_check_raises_under_optimization():
+    # a perturbed chain bark passes its own check but not the bark equations
+    # of the whole component, on each of the three routes and even with -O
+    code = (
+        "from fractions import Fraction\n"
+        "import sncalc.calculus as ca\n"
+        "from sncalc.errors import InvariantError\n"
+        "from sncalc.graphs import DualGraph, QDivisor, build_fork\n"
+        "real = ca.bark_chain\n"
+        "def perturbed(ch):\n"
+        "    bk = real(ch)\n"
+        "    tip = ch.ids[0]\n"
+        "    return QDivisor(bk.graph, {**bk.coeffs, tip: bk[tip] + Fraction(1, 7)})\n"
+        "ca.bark_chain = perturbed\n"
+        "for g in (DualGraph.from_chain_weights([-2, -3]), build_fork(-2, [[2], [2], [3]]),\n"
+        "          build_fork(-1, [[2], [3], [2, 2]])):\n"
+        "    try:\n"
+        "        ca.bark(g)\n"
+        "    except InvariantError as exc:\n"
+        "        print('InvariantError:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sncalc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "InvariantError: bark equation at 'v1' fails",
+        "InvariantError: bark equation at 'B' fails",
+        "InvariantError: bark equation at 'T1_1' fails",
+    ]
+
+
+def two_vertex_chains(n):
+    return DualGraph.build(
+        [(f"c{c}{end}", -2) for c in range(n) for end in "ab"],
+        [(f"c{c}a", f"c{c}b") for c in range(n)],
+    )
+
+
+@pytest.mark.parametrize("shape", ["fork, long twig", "D_1203", "2,400 chains"])
+def test_barks_take_linear_time(shape):
+    # a dense twig or fork solve is cubic in the long twig, and a subgraph
+    # per component quadratic in the number of components
+    g = {
+        "fork, long twig": build_fork(-1, [[2] * 1200, [2], [2]]),
+        "D_1203": build_fork(-2, [[2] * 1200, [2], [2]]),
+        "2,400 chains": two_vertex_chains(2400),
+    }[shape]
+    with time_limit(1):
+        bk = bark(g)
+    if shape == "fork, long twig":  # one chain bark per twig, none on B
+        expected = {f"T1_{i + 1}": Fraction(1200 - i, 1201) for i in range(1200)}
+        expected.update(T2_1=Fraction(1, 2), T3_1=Fraction(1, 2))
+    else:  # on a (-2)-form Q x = deg - 2 is x = 1
+        expected = dict.fromkeys(g.ids, 1)
+    assert bk == QDivisor(g, expected)
 
 
 @pytest.mark.parametrize(
