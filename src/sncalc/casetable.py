@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .calculus import BoundaryTag, chain_invariants, classify_boundary, discriminant
+from .calculus import chain_invariants, classify_boundary, discriminant
 from .graphs import DualGraph, build_fork, maximal_twigs
 from .reports import Report
 from .surgery import (
@@ -69,8 +69,7 @@ def run_case_table(fixture: dict | None = None) -> Report:
             dspec.get("ref", ""),
         )
         bt = classify_boundary(g)
-        tag_name = {BoundaryTag.TYPE_X: "X", BoundaryTag.TYPE_Y: "Y"}.get(bt.tag, bt.tag.value)
-        report.add(f"{cid}.class", case["boundary_class"], tag_name, "stated",
+        report.add(f"{cid}.class", case["boundary_class"], bt.tag.value, "stated",
                    f"case ({cid}) boundary shape")
         if "triple" in case:
             twigs = maximal_twigs(g)

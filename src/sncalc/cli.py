@@ -33,7 +33,7 @@ def _read_input(path: str) -> str:
     bundled = resources.files("sncalc") / "fixtures" / path
     try:
         return bundled.read_text()
-    except (FileNotFoundError, OSError):
+    except OSError:
         raise FileNotFoundError(f"no such file: {path} (also not a bundled fixture)")
 
 
@@ -205,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except InvariantError as exc:
         return _internal_error(exc)
-    except (SncalcError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (SncalcError, OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:

@@ -95,10 +95,11 @@ def _forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
     None when the matrix is not symmetric or its graph has a cycle.
 
     One pass over the strict lower triangle checks each nonzero against its
-    mirror and grows a union-find, and a count of the zeros shows that no
-    nonzero above the diagonal lacks a mirror.  Each component is rooted at
-    its first vertex, and with E(v) the product of D(c) over the children c
-    of v,
+    mirror and builds the adjacency lists, and a count of the zeros shows
+    that no nonzero above the diagonal lacks a mirror.  A breadth-first
+    search roots each component at its first vertex; the graph is a forest
+    exactly when it has n minus (number of roots) edges, so no union-find
+    is needed.  With E(v) the product of D(c) over the children c of v,
 
         D(v) = a_vv E(v) - sum_c a_vc^2 E(c) prod_{c' != c} D(c'),
 
@@ -108,21 +109,12 @@ def _forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
     subtrees, whose leading minor is the product of their D's.
     """
     n = len(a)
-    root = list(range(n))
     adj: list[list[int]] = [[] for _ in range(n)]
     edges = 0
     for i, row in enumerate(a):
         for j in compress(range(i), row):
             if a[j][i] != row[j]:
                 return None
-            r, s = i, j
-            while root[r] != r:
-                root[r] = r = root[root[r]]
-            while root[s] != s:
-                root[s] = s = root[root[s]]
-            if r == s:
-                return None
-            root[r] = s
             adj[i].append(j)
             adj[j].append(i)
             edges += 1
@@ -131,11 +123,12 @@ def _forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
         return None
     up: list[int | None] = [None] * n
     order: list[int] = []  # breadth first: parents come before children
-    k = 0
+    k = roots = 0
     for r in range(n):
         if up[r] is not None:
             continue
         up[r] = -1
+        roots += 1
         order.append(r)
         while k < len(order):
             v = order[k]
@@ -144,6 +137,8 @@ def _forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
                 if up[u] is None:
                     up[u] = v
                     order.append(u)
+    if edges != n - roots:
+        return None
     # fold each D(v), leaf first, into its parent's running E and sum
     product, total = [1] * n, [0] * n
     minors: list[int] = []

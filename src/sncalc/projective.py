@@ -356,31 +356,17 @@ def _mat_inv3(m):
     det = _det3(rows)
     if not det:
         raise ValueError("singular matrix")
-    cof = [
-        [
-            (rows[(i + 1) % 3][(j + 1) % 3] * rows[(i + 2) % 3][(j + 2) % 3]
-             - rows[(i + 1) % 3][(j + 2) % 3] * rows[(i + 2) % 3][(j + 1) % 3])
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    return [[cof[i][j] / det for j in range(3)] for i in range(3)]
+    # column j of adj(m) is row j+1 cross row j+2
+    adj = [_cross(rows[(j + 1) % 3], rows[(j + 2) % 3]) for j in range(3)]
+    return [[adj[j][i] / det for j in range(3)] for i in range(3)]
 
 
 def push_conic(m: Sequence[Sequence], c: ProjConic) -> ProjConic:
     """The image conic under the projectivity p -> m p."""
-    minv = _mat_inv3(m)
-    a = c.matrix
-    # (m^{-1})^T A m^{-1}
-    tmp = [
-        [sum((a[i][k] * minv[k][j] for k in range(3)), QuadExt(0)) for j in range(3)]
-        for i in range(3)
-    ]
-    out = [
-        [sum((minv[k][i] * tmp[k][j] for k in range(3)), QuadExt(0)) for j in range(3)]
-        for i in range(3)
-    ]
-    return ProjConic(out)
+    # entry (i, j) of (m^{-1})^T A m^{-1} is c_i . A c_j over the columns of m^{-1}
+    cols = list(zip(*_mat_inv3(m)))
+    images = [_mat_vec(c.matrix, col) for col in cols]
+    return ProjConic([[_dot(ci, image) for image in images] for ci in cols])
 
 
 def conics_proportional(c1: ProjConic, c2: ProjConic) -> bool:
@@ -628,19 +614,11 @@ class DualHesseReport:
 
 def dual_hesse_check() -> DualHesseReport:
     """Count incidences in the bundled 12-point, 9-line configuration."""
-    point_degrees = {
-        name: sum(1 for line in Y333_LINES.values() if incident(p, line))
-        for name, p in Y333_POINTS.items()
-    }
-    line_degrees = {
-        name: sum(1 for p in Y333_POINTS.values() if incident(p, line))
-        for name, line in Y333_LINES.items()
-    }
-    table_ok = all(
-        incident(Y333_POINTS[pname], Y333_LINES[lname])
-        for lname, pts in Y333_INCIDENCES.items()
-        for pname in pts
-    )
+    points, lines = Y333_POINTS, Y333_LINES
+    on = {(p, ln): incident(points[p], lines[ln]) for p in points for ln in lines}
+    point_degrees = {p: sum(on[p, ln] for ln in lines) for p in points}
+    line_degrees = {ln: sum(on[p, ln] for p in points) for ln in lines}
+    table_ok = all(on[p, ln] for ln, pts in Y333_INCIDENCES.items() for p in pts)
     return DualHesseReport(
         point_degrees=point_degrees,
         line_degrees=line_degrees,

@@ -30,11 +30,11 @@ __all__ = [
 ]
 
 
-def _fresh_id(g: DualGraph, stem: str = "e") -> str:
+def _fresh_id(g: DualGraph) -> str:
     k = 1
-    while f"{stem}{k}" in g:
+    while f"e{k}" in g:
         k += 1
-    return f"{stem}{k}"
+    return f"e{k}"
 
 
 def blowup_graph(
@@ -53,19 +53,16 @@ def blowup_graph(
     if isinstance(center, str):
         if center not in g:
             raise KeyError(center)
-        verts = tuple(
-            (v, w - 1 if v == center else w) for v, w in g.vertices
-        ) + ((new_id, -1),)
-        edges = set(g.edges) | {tuple(sorted((center, new_id)))}
-        return DualGraph(verts, frozenset(edges))
-    a, b = center
-    if not g.has_edge(a, b):
-        raise KeyError(f"no edge between {a!r} and {b!r}")
-    verts = tuple(
-        (v, w - 1 if v in (a, b) else w) for v, w in g.vertices
-    ) + ((new_id, -1),)
-    edges = set(g.edges) - {tuple(sorted((a, b)))}
-    edges |= {tuple(sorted((a, new_id))), tuple(sorted((b, new_id)))}
+        ends, cut = (center,), ()
+    else:
+        ends = a, b = center
+        if not g.has_edge(a, b):
+            raise KeyError(f"no edge between {a!r} and {b!r}")
+        cut = ({tuple(sorted(ends))},)
+    verts = tuple((v, w - 1 if v in ends else w) for v, w in g.vertices) + ((new_id, -1),)
+    # an edge center is cut; with no argument, difference is a plain copy
+    edges = set(g.edges).difference(*cut)
+    edges |= {tuple(sorted((v, new_id))) for v in ends}
     return DualGraph(verts, frozenset(edges))
 
 

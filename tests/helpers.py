@@ -14,8 +14,10 @@ one tip-to-branch walk replaced, the name-keyed merge of vertical
 curves that a union-find over positions replaced, and the Bareiss and
 echelon routes for forest forms, the has_edge intersection matrix and the
 dense whole-chain bark that leaf elimination and the two chain barks
-replaced, and the dense twig and fork bark solves that sums of chain barks
-replaced."""
+replaced, the dense twig and fork bark solves that sums of chain barks
+replaced, and the second copies (a union-find beside a search, written-out
+cofactors and triple products, repeated incidence scans, one blow-up
+rebuild per kind of center) that one routine each replaced."""
 
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -50,8 +53,9 @@ from sncalc.linalg import (
     solve_integer,
     solve_rational,
 )
-from sncalc.projective import ProjConic, ProjLine, ProjPoint, QuadExt, incident, proj_eq
-from sncalc.surgery import contract_minus_one
+from sncalc import projective
+from sncalc.projective import ProjConic, ProjLine, ProjPoint, QuadExt, _det3, incident, proj_eq
+from sncalc.surgery import _fresh_id, contract_minus_one
 
 
 def random_tree(
@@ -1108,3 +1112,174 @@ def forms_tree_form(rng: random.Random, n: int, definite: bool) -> list[list[int
         [weights[i] if i == j else int(parent[i] == j or parent[j] == i) for j in range(n)]
         for i in range(n)
     ]
+
+
+# -- second copies that one routine replaced ----------------------------------
+# `sncalc.linalg._forest_minors` with the union-find beside its search,
+# `sncalc.projective._mat_inv3` with its nine written-out cofactors,
+# `push_conic` with its two written-out triple products, `dual_hesse_check`
+# with its three incidence scans and `sncalc.surgery.blowup_graph` with one
+# rebuild per kind of center, kept verbatim as oracles (only the names
+# changed, and the bundled configuration is read through the module so that
+# a test can patch it).
+
+
+def union_find_forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
+    """The determinant of a symmetric integer matrix whose off-diagonal
+    nonzeros form a forest, with the determinant D(v) of the principal
+    submatrix on each vertex v and its descendants, listed leaf first;
+    None when the matrix is not symmetric or its graph has a cycle.
+
+    One pass over the strict lower triangle checks each nonzero against its
+    mirror and grows a union-find, and a count of the zeros shows that no
+    nonzero above the diagonal lacks a mirror.  Each component is rooted at
+    its first vertex, and with E(v) the product of D(c) over the children c
+    of v,
+
+        D(v) = a_vv E(v) - sum_c a_vc^2 E(c) prod_{c' != c} D(c'),
+
+    which has no division, so a zero D needs no special rule.  A child
+    folds into its parent's running product and sum, so a star stays
+    linear.  Every prefix of the returned order is a union of whole
+    subtrees, whose leading minor is the product of their D's.
+    """
+    n = len(a)
+    root = list(range(n))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    edges = 0
+    for i, row in enumerate(a):
+        for j in compress(range(i), row):
+            if a[j][i] != row[j]:
+                return None
+            r, s = i, j
+            while root[r] != r:
+                root[r] = r = root[root[r]]
+            while root[s] != s:
+                root[s] = s = root[root[s]]
+            if r == s:
+                return None
+            root[r] = s
+            adj[i].append(j)
+            adj[j].append(i)
+            edges += 1
+    diagonal = sum(1 for i in range(n) if a[i][i])
+    if n * n - sum(row.count(0) for row in a) - diagonal != 2 * edges:
+        return None
+    up: list[int | None] = [None] * n
+    order: list[int] = []  # breadth first: parents come before children
+    k = 0
+    for r in range(n):
+        if up[r] is not None:
+            continue
+        up[r] = -1
+        order.append(r)
+        while k < len(order):
+            v = order[k]
+            k += 1
+            for u in adj[v]:
+                if up[u] is None:
+                    up[u] = v
+                    order.append(u)
+    # fold each D(v), leaf first, into its parent's running E and sum
+    product, total = [1] * n, [0] * n
+    minors: list[int] = []
+    det = 1
+    for v in reversed(order):
+        e = product[v]
+        d = a[v][v] * e - total[v]
+        minors.append(d)
+        p = up[v]
+        if p < 0:
+            det *= d
+        else:
+            x = a[p][v]
+            total[p] = total[p] * d + x * x * e * product[p]
+            product[p] *= d
+    return det, minors
+
+
+def cofactor_mat_inv3(m):
+    rows = [[QuadExt.of(x) for x in row] for row in m]
+    det = _det3(rows)
+    if not det:
+        raise ValueError("singular matrix")
+    cof = [
+        [
+            (rows[(i + 1) % 3][(j + 1) % 3] * rows[(i + 2) % 3][(j + 2) % 3]
+             - rows[(i + 1) % 3][(j + 2) % 3] * rows[(i + 2) % 3][(j + 1) % 3])
+            for i in range(3)
+        ]
+        for j in range(3)
+    ]
+    return [[cof[i][j] / det for j in range(3)] for i in range(3)]
+
+
+def triple_product_push_conic(m: Sequence[Sequence], c: ProjConic) -> ProjConic:
+    """The image conic under the projectivity p -> m p."""
+    minv = cofactor_mat_inv3(m)
+    a = c.matrix
+    # (m^{-1})^T A m^{-1}
+    tmp = [
+        [sum((a[i][k] * minv[k][j] for k in range(3)), QuadExt(0)) for j in range(3)]
+        for i in range(3)
+    ]
+    out = [
+        [sum((minv[k][i] * tmp[k][j] for k in range(3)), QuadExt(0)) for j in range(3)]
+        for i in range(3)
+    ]
+    return ProjConic(out)
+
+
+def three_scan_dual_hesse_check() -> projective.DualHesseReport:
+    """Count incidences in the bundled 12-point, 9-line configuration."""
+    point_degrees = {
+        name: sum(1 for line in projective.Y333_LINES.values() if incident(p, line))
+        for name, p in projective.Y333_POINTS.items()
+    }
+    line_degrees = {
+        name: sum(1 for p in projective.Y333_POINTS.values() if incident(p, line))
+        for name, line in projective.Y333_LINES.items()
+    }
+    table_ok = all(
+        incident(projective.Y333_POINTS[pname], projective.Y333_LINES[lname])
+        for lname, pts in projective.Y333_INCIDENCES.items()
+        for pname in pts
+    )
+    return projective.DualHesseReport(
+        point_degrees=point_degrees,
+        line_degrees=line_degrees,
+        total_incidences=sum(point_degrees.values()),
+        incidence_table_ok=table_ok,
+    )
+
+
+def two_branch_blowup_graph(
+    g: DualGraph, center: str | tuple[str, str], new_id: str | None = None
+) -> DualGraph:
+    """Blow up a point on one component (sprouting) or on an edge
+    (subdivisional).
+
+    The new vertex has weight -1; the center vertex loses 1 from its weight,
+    and for an edge center both endpoints do.
+    """
+    if new_id is None:
+        new_id = _fresh_id(g)
+    if new_id in g:
+        raise ValueError(f"vertex id {new_id!r} already taken")
+    if isinstance(center, str):
+        if center not in g:
+            raise KeyError(center)
+        verts = tuple(
+            (v, w - 1 if v == center else w) for v, w in g.vertices
+        ) + ((new_id, -1),)
+        edges = set(g.edges) | {tuple(sorted((center, new_id)))}
+        return DualGraph(verts, frozenset(edges))
+    a, b = center
+    if not g.has_edge(a, b):
+        raise KeyError(f"no edge between {a!r} and {b!r}")
+    verts = tuple(
+        (v, w - 1 if v in (a, b) else w) for v, w in g.vertices
+    ) + ((new_id, -1),)
+    edges = set(g.edges) - {tuple(sorted((a, b)))}
+    edges |= {tuple(sorted((a, new_id))), tuple(sorted((b, new_id)))}
+    return DualGraph(verts, frozenset(edges))

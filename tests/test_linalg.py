@@ -28,6 +28,7 @@ from helpers import (
     rref_solve_rational,
     rref_solve_rational_overdetermined,
     time_limit,
+    union_find_forest_minors,
 )
 import sncalc
 from sncalc import linalg
@@ -670,7 +671,11 @@ def test_forest_forms_match_the_dense_routes():
     for index in range(4000):
         m = _forest_form(rng, index % 11)
         _compare_with_dense(m, mismatches)
-        d, minors = linalg._forest_minors([[-x for x in row] for row in m])
+        neg = [[-x for x in row] for row in m]
+        for a in (m, neg):
+            if linalg._forest_minors(a) != union_find_forest_minors(a):
+                mismatches.append(("forest minors", a))
+        d, minors = linalg._forest_minors(neg)
         counts["zero minor, d != 0"] += 0 in minors and d != 0
         counts["semidefinite"] += min(minors, default=1) == 0
         counts["definite"] += min(minors, default=1) > 0
@@ -686,7 +691,8 @@ def test_forest_forms_match_the_dense_routes():
 
 def test_off_forest_forms_keep_the_dense_routes():
     # cycles, asymmetric and rational forms are not forest forms; each
-    # routine falls back and agrees with its dense route, errors included
+    # routine falls back and agrees with its dense route, errors included,
+    # and the forest minors agree with the union-find build they replaced
     rng = random.Random(0xC1C)
     mismatches = []
     kinds = {"cycle": 0, "asymmetric": 0, "rational": 0}
@@ -716,6 +722,8 @@ def test_off_forest_forms_keep_the_dense_routes():
                     if rng.random() < 0.5:
                         m[i][j] = m[j][i] = m[i][j] / k
             off_forest = any(x.denominator > 1 for row in m for x in row)
+        if linalg._forest_minors(m) != union_find_forest_minors(m):
+            mismatches.append(("forest minors", m))
         if not off_forest:
             continue
         kinds[kind] += 1

@@ -10,9 +10,13 @@ from hypothesis import given, strategies as st
 import sncalc.projective
 from helpers import (
     FractionQuadExt,
+    cofactor_mat_inv3,
     intersection_multiplicity as series_multiplicity,
     minor_conics_proportional,
     minor_proj_eq,
+    outcome,
+    three_scan_dual_hesse_check,
+    triple_product_push_conic,
 )
 from sncalc.errors import InvariantError
 from sncalc.projective import (
@@ -31,11 +35,13 @@ from sncalc.projective import (
     conic_family_solve,
     conics_proportional,
     dual_hesse_check,
+    _mat_inv3,
     incident,
     intersection_multiplicity,
     line_through,
     meet,
     proj_eq,
+    push_conic,
 )
 from sncalc.scenarios import run_scenario
 
@@ -445,6 +451,79 @@ def test_dual_hesse_configuration():
     assert rep.total_incidences == 36
     assert set(rep.point_degrees.values()) == {3}
     assert set(rep.line_degrees.values()) == {4}
+
+
+def test_dual_hesse_check_matches_the_three_scans(monkeypatch):
+    # the bundled configuration, then seeded perturbations of its points:
+    # some moved onto another construction point, some to random coordinates
+    assert dual_hesse_check() == three_scan_dual_hesse_check()
+    rng = random.Random(0x4E55)
+    entries = [0, 1, -1, 2, EPS, 1 - EPS]
+    mismatches = []
+    degrees = set()
+    for _ in range(300):
+        points = dict(Y333_POINTS)
+        for name in rng.sample(sorted(points), rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                points[name] = Y333_POINTS[rng.choice(sorted(Y333_POINTS))]
+            else:
+                coords = [rng.choice(entries) for _ in range(3)]
+                if any(coords):
+                    points[name] = ProjPoint(*coords)
+        monkeypatch.setattr(sncalc.projective, "Y333_POINTS", points)
+        rep = dual_hesse_check()
+        if rep != three_scan_dual_hesse_check():
+            mismatches.append(points)
+        degrees |= {*rep.point_degrees.values(), *rep.line_degrees.values()}
+    assert mismatches == []
+    assert degrees - {3, 4} >= {0, 1, 2, 5}, degrees
+
+
+def test_dual_hesse_check_evaluates_each_incidence_once(monkeypatch):
+    calls = 0
+
+    def counting(p, c):
+        nonlocal calls
+        calls += 1
+        return incident(p, c)
+
+    monkeypatch.setattr(sncalc.projective, "incident", counting)
+    assert dual_hesse_check().passed
+    assert calls == len(Y333_POINTS) * len(Y333_LINES) == 108
+
+
+def _random_qe_matrix(rng, singular: bool):
+    entries = [0, 1, -1, 2, -2, Fraction(1, 2), EPS, 1 - EPS]
+    m = [[QuadExt.of(rng.choice(entries)) for _ in range(3)] for _ in range(2)]
+    if singular:  # the third row a combination of the first two
+        x, y = rng.choice(entries), rng.choice(entries)
+        m.append([x * a + y * b for a, b in zip(*m)])
+    else:
+        m.append([QuadExt.of(rng.choice(entries)) for _ in range(3)])
+    rng.shuffle(m)
+    return m
+
+
+def test_inverse_and_conic_push_match_the_cofactor_build():
+    # entry by entry against the written-out cofactors and triple products,
+    # the singular-matrix error included
+    rng = random.Random(0x3C0F)
+    mismatches = []
+    singular = 0
+    for index in range(1200):
+        m = _random_qe_matrix(rng, singular=index % 4 == 0)
+        a = _random_qe_matrix(rng, singular=False)
+        conic = ProjConic([[a[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)])
+        inverse = outcome(_mat_inv3, m)
+        singular += isinstance(inverse, tuple)
+        if inverse != outcome(cofactor_mat_inv3, m):
+            mismatches.append(("inverse", m))
+        pushed = outcome(push_conic, m, conic)
+        old = outcome(triple_product_push_conic, m, conic)
+        if getattr(pushed, "matrix", pushed) != getattr(old, "matrix", old):
+            mismatches.append(("push", m, conic))
+    assert mismatches == []
+    assert singular > 300, singular
 
 
 def test_incidence_mutation_sanity():

@@ -147,8 +147,9 @@ def test_verify_all_output_is_pinned(capsys):
 
 
 # QuadExt arithmetic in one `verify all`; it was 11,731 while projective
-# equality took 2x2 minors instead of comparing scaled coordinates
-VERIFY_ALL_QUADEXT_OPS = 8719
+# equality took 2x2 minors instead of comparing scaled coordinates, and
+# 8,719 while the dual Hesse check evaluated each incidence up to three times
+VERIFY_ALL_QUADEXT_OPS = 7855
 QUADEXT_OPS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
     "__truediv__", "__rtruediv__", "inverse",
@@ -268,6 +269,15 @@ def test_cli_input_errors(capsys, tmp_path):
     assert main(["det", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [["det"], ["arr", "run"]], ids=["det", "arr-run"])
+def test_cli_unreadable_input_exits_2(capsys, tmp_path, argv):
+    # a directory is an unreadable file, not a defect in the package
+    assert main([*argv, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,13 @@ from math import gcd
 
 import pytest
 
-from helpers import backtracking_fiber_search, canonical_degree, random_tree
+from helpers import (
+    backtracking_fiber_search,
+    canonical_degree,
+    outcome,
+    random_tree,
+    two_branch_blowup_graph,
+)
 import sncalc
 from sncalc.calculus import discriminant
 from sncalc.errors import NotAFiberError
@@ -47,6 +53,39 @@ def test_blowup_errors():
         blowup_graph(g, ("v1", "ghost"))
     with pytest.raises(ValueError, match="taken"):
         blowup_graph(g, "v1", new_id="v2")
+
+
+def test_blowup_matches_the_two_branch_build():
+    # every vertex and edge of seeded trees as the center, edges in both
+    # orders, and centers that are no vertex or no edge; the new id left to
+    # the fresh-id search (half the trees already use e1, e2, ...), fresh,
+    # or taken.  Same graph, repr included, or the same error and message.
+    rng = random.Random(0xB10)
+    mismatches = []
+    errors = 0
+    for index in range(400):
+        g = random_tree(rng, 9)
+        if index % 2:
+            names = dict(zip(g.ids, (f"e{k}" for k in rng.sample(range(1, len(g) + 2), len(g)))))
+            g = DualGraph.build(
+                [(names[v], w) for v, w in g.vertices], [(names[a], names[b]) for a, b in g.edges]
+            )
+        ids = g.ids
+        non_edges = [(a, b) for a, b in combinations(ids, 2) if not g.has_edge(a, b)]
+        centers = [
+            *ids, *sorted(g.edges), *[(b, a) for a, b in sorted(g.edges)],
+            "ghost", (ids[0], "ghost"), (ids[0],), (ids[0], ids[0]), tuple(ids[:3]),
+            *rng.sample(non_edges, min(3, len(non_edges))),
+        ]
+        for center in centers:
+            for new_id in (None, "fresh", rng.choice(ids)):
+                new = outcome(blowup_graph, g, center, new_id)
+                old = outcome(two_branch_blowup_graph, g, center, new_id)
+                errors += isinstance(new, tuple)
+                if new != old or repr(new) != repr(old):
+                    mismatches.append((g, center, new_id))
+    assert mismatches == []
+    assert errors > 2000, errors
 
 
 def test_contract_examples():
