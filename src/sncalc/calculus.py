@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, NonAdmissibleError, NonTreeError, NotMinimalError
 from .graphs import Chain, DualGraph, QDivisor, _walk_from_tip, maximal_twigs
-from .linalg import det_exact, is_negative_definite
+from .linalg import _leaf_fold, det_exact
 
 __all__ = [
     "ChainInvariants",
@@ -41,14 +42,28 @@ __all__ = [
 ]
 
 
-def _neg(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[-x for x in row] for row in m]
+def _leaf_pass(g: DualGraph, support: Sequence[str]):
+    """`linalg._leaf_fold` on -Q of g on the support, indexed by position in
+    it and rooted at the first id of each component: (order, parents, D, E).
+    None when an id is repeated or unknown, or the support spans a cycle."""
+    w = g.weights
+    at = {v: k for k, v in enumerate(support)}
+    if len(at) != len(support) or not at.keys() <= w.keys():
+        return None
+    adj = [[(at[u], 1) for u in g.neighbors(v) if u in at] for v in support]
+    return _leaf_fold([-w[v] for v in support], adj)
 
 
 def discriminant(g: DualGraph, support: Iterable[str] | None = None) -> Fraction:
-    """det(-Q) restricted to the given components; empty support gives 1."""
+    """det(-Q) restricted to the given components; empty support gives 1.
+    The leaf pass gives it as the product of the roots' D's, and any other
+    support (a repeated or unknown id, a cycle) as (-1)^n det(Q)."""
     sup = list(g.ids if support is None else support)
-    return det_exact(_neg(g.intersection_matrix(sup)))
+    fold = _leaf_pass(g, sup)
+    if fold is None:
+        return (-1) ** len(sup) * det_exact(g.intersection_matrix(sup))
+    order, up, minors, _ = fold
+    return Fraction(prod(minors[v] for v in order if up[v] < 0))
 
 
 def _continuants(weights: Sequence[int]) -> list[int]:
@@ -285,7 +300,7 @@ def classify_boundary(g: DualGraph) -> BoundaryType:
         raise ValueError("classification needs a nonempty connected graph")
     if not g.is_tree():
         raise NonTreeError("boundaries are trees")
-    if is_negative_definite(g.intersection_matrix()):
+    if all(d > 0 for d in _leaf_pass(g, g.ids)[2]):  # every D(v) of -Q
         return BoundaryType(BoundaryTag.NEGATIVE_DEFINITE)
     branching = [v for v in g.ids if g.degree(v) >= 3]
     if len(branching) == 1:

@@ -27,14 +27,14 @@ from .surgery import fiber_multiplicities, is_valid_fiber
 
 
 def _read_input(path: str) -> str:
+    """The file at path, or else the bundled fixture of that bare file name."""
     p = Path(path)
     if p.exists():
         return p.read_text()
     bundled = resources.files("sncalc") / "fixtures" / path
-    try:
-        return bundled.read_text()
-    except OSError:
+    if p.name != path or not bundled.is_file():
         raise FileNotFoundError(f"no such file: {path} (also not a bundled fixture)")
+    return bundled.read_text()
 
 
 def _load_graph(path: str):

@@ -71,6 +71,11 @@ class DualGraph:
             self, "_adj", {v: tuple(sorted(ns, key=order.__getitem__)) for v, ns in adj.items()}
         )
 
+    def __repr__(self) -> str:
+        # the dataclass text, with the edges sorted rather than in hash order
+        edges = ", ".join(map(repr, sorted(self.edges)))
+        return f"DualGraph(vertices={self.vertices!r}, edges=frozenset({edges and f'{{{edges}}}'}))"
+
     @classmethod
     def build(
         cls, vertices: Iterable[tuple[str, int]], edges: Iterable[tuple[str, str]] = ()

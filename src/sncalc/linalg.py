@@ -3,15 +3,16 @@
 Everything here is exact: integer work uses Python's arbitrary-precision
 ints, rational work uses fractions.Fraction.  No floating point.  Three
 integer elimination kernels serve every routine.  A symmetric integer
-matrix whose off-diagonal nonzeros form a forest (every form of a boundary
-divisor) is eliminated leaf to root with no fill-in, which gives its
-determinant, Sylvester's test and the triviality of its kernel in time
-linear in its size once the matrix is read.  Every other matrix (cycles,
-asymmetric or row-scaled rational ones, the lattice's Gram matrices) goes
-through one fraction-free Bareiss pass (determinants, Sylvester's test,
-unimodularity checks, the rows of the curve-class walk).  One integer
-echelon form with back-substitution over a common denominator serves the
-solves and the kernels, and builds Fractions only for the values returned.
+form whose off-diagonal nonzeros form a forest (every form of a boundary
+divisor), read from a matrix or straight from a graph, is eliminated leaf
+to root with no fill-in; its subtree determinants give the determinant,
+Sylvester's test, the kernel and fiber multiplicities in linear time.
+Every other matrix (cycles, asymmetric or row-scaled rational ones, the
+lattice's Gram matrices) goes through one fraction-free Bareiss pass
+(determinants, Sylvester's test, unimodularity checks, the rows of the
+curve-class walk).  One integer echelon form with back-substitution over a
+common denominator serves the solves and the kernels, and builds Fractions
+only for the values returned.
 """
 
 from __future__ import annotations
@@ -95,37 +96,52 @@ def _forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
     None when the matrix is not symmetric or its graph has a cycle.
 
     One pass over the strict lower triangle checks each nonzero against its
-    mirror and builds the adjacency lists, and a count of the zeros shows
-    that no nonzero above the diagonal lacks a mirror.  A breadth-first
-    search roots each component at its first vertex; the graph is a forest
-    exactly when it has n minus (number of roots) edges, so no union-find
-    is needed.  With E(v) the product of D(c) over the children c of v,
-
-        D(v) = a_vv E(v) - sum_c a_vc^2 E(c) prod_{c' != c} D(c'),
-
-    which has no division, so a zero D needs no special rule.  A child
-    folds into its parent's running product and sum, so a star stays
-    linear.  Every prefix of the returned order is a union of whole
-    subtrees, whose leading minor is the product of their D's.
+    mirror and builds the adjacency of `_leaf_fold`, and a count of the
+    zeros shows that no nonzero above the diagonal lacks a mirror.  Every
+    prefix of the returned order is a union of whole subtrees, whose
+    leading minor is the product of their D's.
     """
     n = len(a)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    edges = 0
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, row in enumerate(a):
         for j in compress(range(i), row):
             if a[j][i] != row[j]:
                 return None
-            adj[i].append(j)
-            adj[j].append(i)
-            edges += 1
-    diagonal = sum(1 for i in range(n) if a[i][i])
-    if n * n - sum(row.count(0) for row in a) - diagonal != 2 * edges:
+            adj[i].append((j, row[j] ** 2))
+            adj[j].append((i, row[j] ** 2))
+    diagonal = [row[i] for i, row in enumerate(a)]
+    if n * n - sum(row.count(0) for row in a) - n + diagonal.count(0) != sum(map(len, adj)):
         return None
-    up: list[int | None] = [None] * n
-    order: list[int] = []  # breadth first: parents come before children
+    fold = _leaf_fold(diagonal, adj)
+    if fold is None:
+        return None
+    order, up, minors, _ = fold
+    return prod(minors[v] for v in order if up[v] < 0), [minors[v] for v in reversed(order)]
+
+
+def _leaf_fold(diagonal: list[int], adj: list[list[tuple[int, int]]]):
+    """Leaf-to-root elimination of a symmetric integer form on a forest,
+    given by its diagonal and the pairs (u, a_vu^2) over the neighbours u of
+    each vertex v: the search order (parents first), the parents (-1 at a
+    root), and D(v) and E(v) by vertex; None when the graph has a cycle.
+
+    A breadth-first search roots each component at its first vertex; the
+    graph is a forest exactly when it has n minus (number of roots) edges.
+    With E(v) the product of D(c) over the children c of v, the determinant
+    D(v) of the form on v and its descendants is
+
+        D(v) = a_vv E(v) - sum_c a_vc^2 E(c) prod_{c' != c} D(c'),
+
+    which has no division, so a zero D needs no special rule.  A child folds
+    into its parent's running product and sum, so a star stays linear.  The
+    form's determinant is the product of the roots' D's.
+    """
+    n = len(diagonal)
+    up, square = [-2] * n, [0] * n  # square[v] = a_vp^2 for the parent p of v
+    order: list[int] = []
     k = roots = 0
     for r in range(n):
-        if up[r] is not None:
+        if up[r] != -2:
             continue
         up[r] = -1
         roots += 1
@@ -133,28 +149,23 @@ def _forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
         while k < len(order):
             v = order[k]
             k += 1
-            for u in adj[v]:
-                if up[u] is None:
+            for u, s in adj[v]:
+                if up[u] == -2:
                     up[u] = v
+                    square[u] = s
                     order.append(u)
-    if edges != n - roots:
+    if sum(map(len, adj)) != 2 * (n - roots):
         return None
     # fold each D(v), leaf first, into its parent's running E and sum
-    product, total = [1] * n, [0] * n
-    minors: list[int] = []
-    det = 1
+    product, total, minors = [1] * n, [0] * n, [0] * n
     for v in reversed(order):
         e = product[v]
-        d = a[v][v] * e - total[v]
-        minors.append(d)
+        minors[v] = d = diagonal[v] * e - total[v]
         p = up[v]
-        if p < 0:
-            det *= d
-        else:
-            x = a[p][v]
-            total[p] = total[p] * d + x * x * e * product[p]
+        if p >= 0:
+            total[p] = total[p] * d + square[v] * e * product[p]
             product[p] *= d
-    return det, minors
+    return order, up, minors, product
 
 
 def _bareiss(a: list[list[int]], definite: bool = False) -> int:

@@ -297,15 +297,8 @@ def incident(p: ProjPoint, c: ProjLine | ProjConic) -> bool:
 
 
 def _det3(rows) -> QuadExt:
-    """The six-term expansion of a 3x3 determinant over Q(eps)."""
-    out = QuadExt(0)
-    for (i, j, k), sign in (
-        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-        ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
-    ):
-        term = rows[0][i] * rows[1][j] * rows[2][k]
-        out = out + term if sign > 0 else out - term
-    return out
+    """A 3x3 determinant over Q(eps) as the triple product r0 . (r1 x r2)."""
+    return _dot(rows[0], _cross(rows[1], rows[2]))
 
 
 def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:

@@ -4,18 +4,19 @@ A blow-up inserts a (-1)-vertex, sprouting on a vertex or subdividing an
 edge; contraction is its inverse and is only allowed where the image stays
 an snc tree.  A graph is a valid fiber when some contraction sequence ends
 in a single 0-vertex; since any admissible contraction of a fiber leaves a
-fiber, one greedy pass decides this.  Its multiplicities are the primitive
-positive kernel vector of the intersection matrix.
+fiber, one greedy pass decides this.  Its multiplicities, the kernel of
+the intersection form, are read off one leaf pass by Zariski's lemma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
-from .errors import NotAFiberError
+from .calculus import _leaf_pass
+from .errors import InvariantError, NotAFiberError
 from .graphs import DualGraph
-from .linalg import kernel_basis
 
 __all__ = [
     "FiberGraph",
@@ -135,26 +136,24 @@ class FiberGraph:
 
 
 def fiber_multiplicities(g: DualGraph) -> FiberGraph:
-    """Multiplicities of a valid fiber: the primitive positive kernel vector
-    of its intersection matrix."""
+    """Multiplicities of a valid fiber from the leaf pass of -Q rooted at its
+    first component: mu(root) = 1 and mu(c) = mu(parent) E(c) / D(c) going
+    down, made a primitive integer vector.  By Zariski's lemma (Barth, Hulek,
+    Peters and Van de Ven, III.8.2) a fiber's form is singular and its proper
+    connected subgraphs are negative definite: D(root) = 0, every other D > 0."""
     ok, _ = is_valid_fiber(g)
     if not ok:
         raise NotAFiberError("graph does not contract to a smooth 0-curve")
-    basis = kernel_basis(g.intersection_matrix())
-    if len(basis) != 1:
-        raise NotAFiberError(f"kernel has dimension {len(basis)}, expected 1")
-    vec = basis[0]
-    from math import lcm
-
-    scale = lcm(*(f.denominator for f in vec))
-    ints = [int(f * scale) for f in vec]
-    g_ = gcd(*ints)
-    ints = [x // g_ for x in ints]
-    if ints[0] < 0:
-        ints = [-x for x in ints]
-    if any(x <= 0 for x in ints):
-        raise NotAFiberError("kernel vector is not positive")
-    return FiberGraph(g, dict(zip(g.ids, ints)))
+    order, up, minors, products = _leaf_pass(g, g.ids)
+    if minors[0] or any(d <= 0 for d in minors[1:]):
+        raise InvariantError("a valid fiber's subtree determinants break Zariski's lemma")
+    mu = [Fraction(1)] * len(g)
+    for c in order[1:]:
+        mu[c] = mu[up[c]] * products[c] / minors[c]
+    scale = lcm(*(m.denominator for m in mu))
+    ints = [m.numerator * (scale // m.denominator) for m in mu]
+    h = gcd(*ints)
+    return FiberGraph(g, {v: x // h for v, x in zip(g.ids, ints)})
 
 
 @dataclass(frozen=True)

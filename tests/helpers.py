@@ -15,27 +15,33 @@ curves that a union-find over positions replaced, and the Bareiss and
 echelon routes for forest forms, the has_edge intersection matrix and the
 dense whole-chain bark that leaf elimination and the two chain barks
 replaced, the dense twig and fork bark solves that sums of chain barks
-replaced, and the second copies (a union-find beside a search, written-out
-cofactors and triple products, repeated incidence scans, one blow-up
-rebuild per kind of center) that one routine each replaced."""
+replaced, the second copies (a union-find beside a search, written-out
+terms, cofactors and triple products, repeated incidence scans, one
+blow-up rebuild per kind of center) that one routine each replaced, and
+the discriminant and fiber multiplicities by the intersection matrix that
+one leaf pass over the graph replaced."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm
 from operator import mul
+from pathlib import Path
 from typing import Iterable, Sequence
 
-from sncalc.calculus import ChainInvariants, _check_minimal, _neg, chain_invariants
+from sncalc.calculus import ChainInvariants, _check_minimal, chain_invariants
 from sncalc.errors import (
     InvariantError,
     LatticeError,
     NonAdmissibleError,
     NonTreeError,
+    NotAFiberError,
     SingularMatrixError,
     UnderconstrainedError,
 )
@@ -49,13 +55,14 @@ from sncalc.linalg import (
     det_exact,
     identity_matrix,
     is_negative_definite,
+    kernel_basis,
     mat_mul,
     solve_integer,
     solve_rational,
 )
 from sncalc import projective
-from sncalc.projective import ProjConic, ProjLine, ProjPoint, QuadExt, _det3, incident, proj_eq
-from sncalc.surgery import _fresh_id, contract_minus_one
+from sncalc.projective import ProjConic, ProjLine, ProjPoint, QuadExt, incident, proj_eq
+from sncalc.surgery import FiberGraph, _fresh_id, contract_minus_one, is_valid_fiber
 
 
 def random_tree(
@@ -97,6 +104,16 @@ def outcome(f, *args):
         return f(*args)
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
+
+
+def bench_workloads():
+    """The benchmark's workload module, loaded from bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def canonical_degree(weights, kernel_vector) -> int:
@@ -818,6 +835,10 @@ def fraction_integer_range(center: Fraction, sq_bound: Fraction) -> tuple[int, i
 # `lattice.ruling_decompose` before its union-find, kept verbatim as oracles.
 
 
+def _neg(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [[-x for x in row] for row in m]
+
+
 def matrix_chain_d(weights: Sequence[int]) -> Fraction:
     """Discriminant of a bare chain, by weights alone."""
     return det_exact(
@@ -1116,7 +1137,8 @@ def forms_tree_form(rng: random.Random, n: int, definite: bool) -> list[list[int
 
 # -- second copies that one routine replaced ----------------------------------
 # `sncalc.linalg._forest_minors` with the union-find beside its search,
-# `sncalc.projective._mat_inv3` with its nine written-out cofactors,
+# `sncalc.projective._det3` with its six written-out terms, `_mat_inv3`
+# with its nine written-out cofactors,
 # `push_conic` with its two written-out triple products, `dual_hesse_check`
 # with its three incidence scans and `sncalc.surgery.blowup_graph` with one
 # rebuild per kind of center, kept verbatim as oracles (only the names
@@ -1198,9 +1220,21 @@ def union_find_forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None
     return det, minors
 
 
+def six_term_det3(rows) -> QuadExt:
+    """The six-term expansion of a 3x3 determinant over Q(eps)."""
+    out = QuadExt(0)
+    for (i, j, k), sign in (
+        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+        ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
+    ):
+        term = rows[0][i] * rows[1][j] * rows[2][k]
+        out = out + term if sign > 0 else out - term
+    return out
+
+
 def cofactor_mat_inv3(m):
     rows = [[QuadExt.of(x) for x in row] for row in m]
-    det = _det3(rows)
+    det = six_term_det3(rows)
     if not det:
         raise ValueError("singular matrix")
     cof = [
@@ -1283,3 +1317,35 @@ def two_branch_blowup_graph(
     edges = set(g.edges) - {tuple(sorted((a, b)))}
     edges |= {tuple(sorted((a, new_id))), tuple(sorted((b, new_id)))}
     return DualGraph(verts, frozenset(edges))
+
+
+# -- discriminants and multiplicities by the intersection matrix --------------
+# `sncalc.calculus.discriminant` and `sncalc.surgery.fiber_multiplicities`
+# before they read the leaf pass off the graph, kept verbatim as oracles.
+
+
+def matrix_discriminant(g: DualGraph, support: Iterable[str] | None = None) -> Fraction:
+    """det(-Q) restricted to the given components; empty support gives 1."""
+    sup = list(g.ids if support is None else support)
+    return det_exact(_neg(g.intersection_matrix(sup)))
+
+
+def kernel_fiber_multiplicities(g: DualGraph) -> FiberGraph:
+    """Multiplicities of a valid fiber: the primitive positive kernel vector
+    of its intersection matrix."""
+    ok, _ = is_valid_fiber(g)
+    if not ok:
+        raise NotAFiberError("graph does not contract to a smooth 0-curve")
+    basis = kernel_basis(g.intersection_matrix())
+    if len(basis) != 1:
+        raise NotAFiberError(f"kernel has dimension {len(basis)}, expected 1")
+    vec = basis[0]
+    scale = lcm(*(f.denominator for f in vec))
+    ints = [int(f * scale) for f in vec]
+    g_ = gcd(*ints)
+    ints = [x // g_ for x in ints]
+    if ints[0] < 0:
+        ints = [-x for x in ints]
+    if any(x <= 0 for x in ints):
+        raise NotAFiberError("kernel vector is not positive")
+    return FiberGraph(g, dict(zip(g.ids, ints)))

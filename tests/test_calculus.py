@@ -415,7 +415,8 @@ def test_bark_builds_no_matrix_and_no_subgraph(monkeypatch):
         raise AssertionError("bark must not build a matrix, solve or take a subgraph")
 
     monkeypatch.setattr(linalg, "solve_rational", refuse)
-    monkeypatch.setattr(calculus, "is_negative_definite", refuse)
+    monkeypatch.setattr(linalg, "is_negative_definite", refuse)
+    monkeypatch.setattr(calculus, "_leaf_pass", refuse)
     monkeypatch.setattr(DualGraph, "intersection_matrix", refuse)
     monkeypatch.setattr(DualGraph, "subgraph", refuse)
     assert [outcome(bark_items, g) for g in forests] == expected
@@ -492,11 +493,19 @@ def test_barks_take_linear_time(shape):
 
 
 @pytest.mark.parametrize(
-    "routine, n", [(discriminant, 1200), (classify_boundary, 1200), (bark, 600)]
+    "routine, n",
+    [
+        (discriminant, 1200),
+        (classify_boundary, 1200),
+        (bark, 600),
+        (discriminant, 4800),
+        (classify_boundary, 4800),
+    ],
 )
 def test_long_chain_forms_take_linear_time(routine, n):
-    # a (-2)-chain's form is read by leaf elimination, not a cubic pass, and
-    # its bark Q x = (-1, 0, ..., 0, -1) is x = 1 from the two chain barks
+    # a (-2)-chain's form is read by leaf elimination over the graph, with
+    # no cubic pass and no dense matrix (which alone took seconds at 4,800),
+    # and its bark Q x = (-1, 0, ..., 0, -1) is x = 1 from the two chain barks
     g = chain([-2] * n)
     with time_limit(1):
         result = routine(g)

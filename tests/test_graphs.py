@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +14,7 @@ from helpers import (
     random_forest,
     random_tree,
 )
+import sncalc
 from sncalc.errors import GraphParseError, NonTreeError
 from sncalc.graphs import (
     Chain,
@@ -253,6 +257,32 @@ def test_qdivisor_drops_zeros_and_validates_support():
     assert d.support() == ("v2",)
     with pytest.raises(KeyError):
         QDivisor(g, {"nope": 1})
+
+
+def test_repr_lists_the_edges_sorted_under_any_hash_seed():
+    # the frozenset's own order follows the hash table, which moves with
+    # PYTHONHASHSEED; seeds 0 and 3 put these three edges in two other orders
+    code = (
+        "from sncalc.graphs import DualGraph\n"
+        "print(repr(DualGraph.from_chain_weights([-1, -2, -2, -1])))\n"
+        "print(repr(DualGraph.build([('a', 0)])))\n"
+    )
+    expected = (
+        "DualGraph(vertices=(('v1', -1), ('v2', -2), ('v3', -2), ('v4', -1)), "
+        "edges=frozenset({('v1', 'v2'), ('v2', 'v3'), ('v3', 'v4')}))\n"
+        "DualGraph(vertices=(('a', 0),), edges=frozenset())\n"
+    )
+    for seed in ("0", "3"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.path.dirname(os.path.dirname(sncalc.__file__)),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == expected, seed
 
 
 def test_canonical_form_is_isomorphism_invariant():

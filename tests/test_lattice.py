@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import os
 import random
@@ -7,7 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import ceil, floor
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +13,12 @@ import helpers
 import sncalc
 import sncalc.lattice
 import sncalc.scenarios
-from helpers import fraction_integer_range, merge_vertical_groups, recursive_solve_curve_class
+from helpers import (
+    bench_workloads,
+    fraction_integer_range,
+    merge_vertical_groups,
+    recursive_solve_curve_class,
+)
 from sncalc.cli import main
 from sncalc.errors import (
     ExcessIntersectionError,
@@ -239,15 +242,6 @@ def _outcome(solve, *args):
         return type(exc), str(exc), getattr(exc, "free_directions", None)
 
 
-def _bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def curve_class_calls():
     """(lattice, constraints, self_sq, oracle outcome, candidates the oracle
@@ -275,7 +269,7 @@ def curve_class_calls():
         record(lat, constraints, self_sq)
         return real_solve(lat, constraints, self_sq)
 
-    workload = _bench_workloads().WORKLOADS["lattice"]
+    workload = bench_workloads().WORKLOADS["lattice"]
     real_solve = sncalc.scenarios.solve_curve_class
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(helpers, "fraction_integer_range", counting_range)
@@ -370,7 +364,7 @@ def test_union_find_groups_match_the_merge_oracle():
     # old-versus-new on the accepted programs of the benchmark's lattice
     # workload, seeds 7-9: the pencil's vertical curves group identically
     # with the names in the given order, shuffled, and as shuffled subsets
-    workload = _bench_workloads().WORKLOADS["lattice"]
+    workload = bench_workloads().WORKLOADS["lattice"]
     rng = random.Random(0x6A0)
     mismatches, largest = [], []
     for seed in (7, 8, 9):

@@ -13,11 +13,13 @@ import pytest
 from helpers import (
     bareiss_det_exact,
     bareiss_is_negative_definite,
+    bench_workloads,
     echelon_kernel_basis,
     euclid_smith_normal_form,
     forms_tree_form,
     fraction_ldl,
     has_edge_intersection_matrix,
+    matrix_discriminant,
     minor_loop_is_negative_definite,
     outcome,
     random_forest,
@@ -31,7 +33,7 @@ from helpers import (
     union_find_forest_minors,
 )
 import sncalc
-from sncalc import linalg
+from sncalc import calculus, linalg, surgery
 from sncalc.calculus import BoundaryTag, classify_boundary, discriminant
 from sncalc.casetable import load_cases
 from sncalc.errors import SncalcError, SingularMatrixError
@@ -49,6 +51,7 @@ from sncalc.linalg import (
     solve_rational,
     torsion_of_cokernel,
 )
+from sncalc.surgery import FiberGraph, fiber_multiplicities
 
 
 def cofactor_det(m):
@@ -734,6 +737,23 @@ def test_off_forest_forms_keep_the_dense_routes():
     assert min(kinds.values()) > 600, kinds
 
 
+def _graph_and_support(rng, index):
+    """A seeded forest or tree on up to 12 vertices, one in five with an
+    added edge (which may close a cycle), and a support: the whole graph
+    (None), ids drawn with repeats, or those plus an unknown id."""
+    g = (random_forest if index % 2 else random_tree)(rng, 12)
+    if index % 5 == 0 and len(g) > 2:
+        a, b = rng.sample(g.ids, 2)
+        g = DualGraph.build(g.vertices, [*g.edges, (a, b)])  # may close a cycle
+    ids = list(g.ids)
+    support = None
+    if index % 4:
+        support = [rng.choice(ids) for _ in range(rng.randint(0, 12))] if ids else []
+        if index % 4 == 3:
+            support.append("nowhere")
+    return g, support
+
+
 def test_intersection_matrix_matches_the_has_edge_build():
     # every support: the whole graph, shuffled subsets, repeated ids
     # (equal rows, the weight at each position of the id) and unknown ids
@@ -741,16 +761,7 @@ def test_intersection_matrix_matches_the_has_edge_build():
     mismatches = []
     repeated = 0
     for index in range(1500):
-        g = (random_forest if index % 2 else random_tree)(rng, 12)
-        if index % 5 == 0 and len(g) > 2:
-            a, b = rng.sample(g.ids, 2)
-            g = DualGraph.build(g.vertices, [*g.edges, (a, b)])  # may close a cycle
-        ids = list(g.ids)
-        support = None
-        if index % 4:
-            support = [rng.choice(ids) for _ in range(rng.randint(0, 12))] if ids else []
-            if index % 4 == 3:
-                support.append("nowhere")
+        g, support = _graph_and_support(rng, index)
         repeated += support is not None and len(set(support)) < len(support)
         new = outcome(g.intersection_matrix, support)
         if new != outcome(has_edge_intersection_matrix, g, support):
@@ -759,8 +770,65 @@ def test_intersection_matrix_matches_the_has_edge_build():
     assert repeated > 500
 
 
+def test_graph_leaf_pass_matches_the_matrix_routes():
+    # the discriminant against det(-Q) of the intersection matrix, value,
+    # type and errors, and classify_boundary's definiteness against
+    # Sylvester's test of Q on every tree; each drawn support is also taken
+    # with its repeats and unknown ids dropped.  Repeated and unknown ids and
+    # cycles take the matrix route, and must keep its values and KeyError
+    rng = random.Random(0x1EAF)
+    mismatches = []
+    counts = dict.fromkeys(
+        ["d = 0", "cycle", "repeated", "unknown", "empty", "proper", "definite"], 0
+    )
+    for index in range(4000):
+        g, drawn = _graph_and_support(rng, index)
+        supports = [None] if drawn is None else [drawn, [v for v in dict.fromkeys(drawn) if v in g]]
+        for support in supports:
+            new = outcome(discriminant, g, support)
+            old = outcome(matrix_discriminant, g, support)
+            if new != old or type(new) is not type(old):
+                mismatches.append(("discriminant", g, support))
+            counts["d = 0"] += new == 0
+            if support is not None:
+                counts["repeated"] += len(set(support)) < len(support)
+                counts["unknown"] += "nowhere" in support
+                counts["empty"] += not support
+                counts["proper"] += 0 < len(set(support)) == len(support) < len(g)
+        if len(g) and g.is_tree():
+            definite = is_negative_definite(g.intersection_matrix())
+            if (classify_boundary(g).tag is BoundaryTag.NEGATIVE_DEFINITE) != definite:
+                mismatches.append(("definite", g))
+            counts["definite"] += definite
+        counts["cycle"] += not g.is_forest()
+    assert mismatches == []
+    assert counts["d = 0"] > 500 and counts["cycle"] > 300, counts
+    assert counts["repeated"] > 1000 and counts["unknown"] > 800, counts
+    assert counts["empty"] > 100 and counts["proper"] > 1000, counts
+    assert counts["definite"] > 100, counts
+
+
+def _graph_of(q):
+    """The graph whose intersection matrix is q, on ids v0, v1, ..."""
+    n = len(q)
+    return DualGraph.build(
+        [(f"v{i}", q[i][i]) for i in range(n)],
+        [(f"v{i}", f"v{j}") for i in range(n) for j in range(i) if q[i][j]],
+    )
+
+
+def _compare_graph_with_dense(g, mismatches) -> None:
+    """The graph leaf pass against the matrix routes on a tree."""
+    q = g.intersection_matrix()
+    if discriminant(g) != det_exact([[-x for x in row] for row in q]):
+        mismatches.append(("discriminant", g))
+    if (classify_boundary(g).tag is BoundaryTag.NEGATIVE_DEFINITE) != is_negative_definite(q):
+        mismatches.append(("definite", g))
+
+
 def test_forms_trees_match_the_dense_routes():
-    # the benchmark's forms trees, and the discriminant's -Q of each
+    # the benchmark's forms trees, the discriminant's -Q of each, and their
+    # graphs through the leaf pass
     rng = random.Random(0xF07)
     mismatches = []
     definite = 0
@@ -768,6 +836,7 @@ def test_forms_trees_match_the_dense_routes():
         q = forms_tree_form(rng, (8, 14, 20)[index % 3], definite=index % 2 == 0)
         _compare_with_dense(q, mismatches)
         _compare_with_dense([[-x for x in row] for row in q], mismatches)
+        _compare_graph_with_dense(_graph_of(q), mismatches)
         definite += is_negative_definite(q)
     assert mismatches == []
     assert definite >= 300
@@ -778,9 +847,11 @@ def test_case_forks_match_the_dense_routes():
     assert len(cases) == 13
     mismatches = []
     for case in cases:
-        q = build_fork(case["branch_weight"], case["twigs"]).intersection_matrix()
+        g = build_fork(case["branch_weight"], case["twigs"])
+        q = g.intersection_matrix()
         _compare_with_dense(q, mismatches)
         _compare_with_dense([[-x for x in row] for row in q], mismatches)
+        _compare_graph_with_dense(g, mismatches)
     assert mismatches == []
 
 
@@ -799,6 +870,40 @@ def test_forest_forms_never_reach_bareiss(monkeypatch):
         is_negative_definite(g.intersection_matrix())
         tags.add(classify_boundary(g).tag)
     assert BoundaryTag.NEGATIVE_DEFINITE in tags and BoundaryTag.OTHER in tags
+
+
+def test_graph_invariants_build_no_matrix(monkeypatch):
+    # on distinct supports of forests, the discriminant, the definiteness of
+    # a boundary and the multiplicities of a fiber are one leaf pass over
+    # the graph: no intersection matrix and no matrix route of linalg
+    rng = random.Random(0x6E1)
+    forests = [random_forest(rng, 12) for _ in range(300)]
+    supports = [rng.sample(g.ids, rng.randint(0, len(g))) for g in forests]
+    trees = [random_tree(rng, 12) for _ in range(300)]
+    trees += [build_fork(c["branch_weight"], c["twigs"]) for c in load_cases()["cases"]]
+    fibers = bench_workloads().WORKLOADS["fibers"]
+    fiber_graphs = [parse_graph(fibers.make(11, index).text) for index in range(200)]
+
+    def run():
+        return (
+            [discriminant(g, sup) for g, sup in zip(forests, supports)],
+            [discriminant(g) for g in trees],
+            [classify_boundary(g) for g in trees],
+            [outcome(fiber_multiplicities, g) for g in fiber_graphs],
+        )
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph invariant built a matrix")
+
+    monkeypatch.setattr(DualGraph, "intersection_matrix", refuse)
+    for module in (linalg, calculus, surgery):
+        for name in ("det_exact", "is_negative_definite", "kernel_basis", "_forest_minors"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert run() == expected
+    assert sum(isinstance(f, FiberGraph) for f in expected[3]) == 100
 
 
 def test_smith_postconditions_raise_under_optimization():

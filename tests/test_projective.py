@@ -15,6 +15,7 @@ from helpers import (
     minor_conics_proportional,
     minor_proj_eq,
     outcome,
+    six_term_det3,
     three_scan_dual_hesse_check,
     triple_product_push_conic,
 )
@@ -35,6 +36,7 @@ from sncalc.projective import (
     conic_family_solve,
     conics_proportional,
     dual_hesse_check,
+    _det3,
     _mat_inv3,
     incident,
     intersection_multiplicity,
@@ -506,7 +508,8 @@ def _random_qe_matrix(rng, singular: bool):
 
 def test_inverse_and_conic_push_match_the_cofactor_build():
     # entry by entry against the written-out cofactors and triple products,
-    # the singular-matrix error included
+    # the singular-matrix error included, and the determinant against its
+    # six-term expansion
     rng = random.Random(0x3C0F)
     mismatches = []
     singular = 0
@@ -514,6 +517,8 @@ def test_inverse_and_conic_push_match_the_cofactor_build():
         m = _random_qe_matrix(rng, singular=index % 4 == 0)
         a = _random_qe_matrix(rng, singular=False)
         conic = ProjConic([[a[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)])
+        if _det3(m) != six_term_det3(m):
+            mismatches.append(("det", m))
         inverse = outcome(_mat_inv3, m)
         singular += isinstance(inverse, tuple)
         if inverse != outcome(cofactor_mat_inv3, m):

@@ -148,8 +148,9 @@ def test_verify_all_output_is_pinned(capsys):
 
 # QuadExt arithmetic in one `verify all`; it was 11,731 while projective
 # equality took 2x2 minors instead of comparing scaled coordinates, and
-# 8,719 while the dual Hesse check evaluated each incidence up to three times
-VERIFY_ALL_QUADEXT_OPS = 7855
+# 8,719 while the dual Hesse check evaluated each incidence up to three times,
+# and 7,855 while the 3x3 determinant expanded six terms
+VERIFY_ALL_QUADEXT_OPS = 7792
 QUADEXT_OPS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
     "__truediv__", "__rtruediv__", "inverse",
@@ -269,6 +270,17 @@ def test_cli_input_errors(capsys, tmp_path):
     assert main(["det", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize("path", ["../__init__.py", "../fixtures/y1a.graph", "cli.py"])
+def test_cli_bundled_lookup_stays_in_fixtures(capsys, monkeypatch, tmp_path, path):
+    # only a bare file name falls back to the bundled fixtures; a path that
+    # leaves them, or names a package file, is no such file
+    monkeypatch.chdir(tmp_path)
+    assert main(["det", path]) == 2
+    assert capsys.readouterr().err == f"error: no such file: {path} (also not a bundled fixture)\n"
+    assert main(["det", "y1a.graph"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 @pytest.mark.parametrize("argv", [["det"], ["arr", "run"]], ids=["det", "arr-run"])

@@ -9,15 +9,19 @@ import pytest
 
 from helpers import (
     backtracking_fiber_search,
+    bench_workloads,
     canonical_degree,
+    kernel_fiber_multiplicities,
+    matrix_discriminant,
     outcome,
     random_tree,
     two_branch_blowup_graph,
 )
 import sncalc
+import sncalc.surgery
 from sncalc.calculus import discriminant
-from sncalc.errors import NotAFiberError
-from sncalc.graphs import DualGraph, canonical_form
+from sncalc.errors import InvariantError, NotAFiberError
+from sncalc.graphs import DualGraph, canonical_form, parse_graph
 from sncalc.linalg import det_exact, kernel_basis
 from sncalc.surgery import (
     FiberGraph,
@@ -163,6 +167,40 @@ def test_not_a_fiber_cases():
         fiber_multiplicities(chain([-2, -2, -1]))
     with pytest.raises(NotAFiberError):
         fiber_multiplicities(chain([-2]))
+
+
+def test_fiber_multiplicities_match_the_kernel_route():
+    # the benchmark's fibers items, grown fibers and their +-1 perturbations,
+    # against the primitive positive kernel vector of the intersection
+    # matrix and against the multiplicities tracked while growing
+    workload = bench_workloads().WORKLOADS["fibers"]
+    mismatches = []
+    valid = 0
+    for index in range(600):
+        item = workload.make(5, index)
+        g = parse_graph(item.text)
+        new = outcome(fiber_multiplicities, g)
+        if new != outcome(kernel_fiber_multiplicities, g):
+            mismatches.append(("kernel", index))
+        if item.accept and getattr(new, "multiplicities", None) != item.data["mu"]:
+            mismatches.append(("grown", index))
+        if discriminant(g) != matrix_discriminant(g):
+            mismatches.append(("discriminant", index))
+        valid += isinstance(new, FiberGraph)
+    assert mismatches == []
+    assert valid == 300
+
+
+@pytest.mark.parametrize(
+    "weights", [[-2, -2, -1], [0, 0], [1, 1]], ids=["definite", "zero-below", "negative-below"]
+)
+def test_multiplicities_refuse_a_form_against_zariski(monkeypatch, weights):
+    # were a non-fiber taken for a fiber, the leaf pass must see that its
+    # form is not singular (D(root) != 0) or that a proper subtree is not
+    # negative definite (some D(c) <= 0 below the root)
+    monkeypatch.setattr(sncalc.surgery, "is_valid_fiber", lambda g: (True, []))
+    with pytest.raises(InvariantError, match="Zariski"):
+        fiber_multiplicities(chain(weights))
 
 
 def test_fiber_graph_validation():
