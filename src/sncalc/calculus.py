@@ -177,9 +177,9 @@ def _check_minimal(g: DualGraph) -> None:
 def _two_ended_bark(ch: Chain, far: Fraction) -> dict[str, Fraction]:
     """x on an admissible chain with Q x = (-1, 0, ..., 0, -far): the chain
     bark from its tip plus far times the one from its other end."""
-    near = bark_chain(ch)
-    other = bark_chain(ch.reversed())
-    return {v: near[v] + far * other[v] for v in ch.ids}
+    near, d = _chain_bark(ch)
+    other, _ = _chain_bark(ch.reversed())  # d does not change under reversal
+    return {v: (x + far * y) / d for v, x, y in zip(ch.ids, near, reversed(other))}
 
 
 def bark(g: DualGraph) -> QDivisor:
@@ -231,7 +231,8 @@ def bark(g: DualGraph) -> QDivisor:
         for t in twigs:
             if not t.is_admissible():
                 raise NonAdmissibleError(f"maximal twig {list(t.bracket)} is not admissible")
-            coeffs.update(bark_chain(t).coeffs)
+            numerators, d = _chain_bark(t)
+            coeffs.update((v, Fraction(x, d)) for v, x in zip(t.ids, numerators))
     # the defining equations must hold exactly
     for v, x_v in coeffs.items():
         if w[v] * x_v + sum(coeffs.get(u, 0) for u in g.neighbors(v)) != g.degree(v) - 2:
@@ -247,16 +248,24 @@ def bark_chain(ch: Chain) -> QDivisor:
     """
     if not ch.is_admissible():
         raise NonAdmissibleError(f"chain {list(ch.bracket)} is not admissible")
-    n = len(ch)
-    if not n:  # no tip to carry the -1
+    if not len(ch):  # no tip to carry the -1
         raise ValueError("right-hand side has wrong length")
+    numerators, d = _chain_bark(ch)
+    return QDivisor(ch.to_graph(), {v: Fraction(x, d) for v, x in zip(ch.ids, numerators)})
+
+
+def _chain_bark(ch: Chain) -> tuple[list[int], int]:
+    """The bark of a nonempty admissible chain as integer numerators over
+    d = d(w): x_i d = d(w[i+1:]), re-checked against Q (x d) = (-d, 0, ..., 0)."""
+    n = len(ch)
     suffix = _continuants(ch.chain_weights[::-1])  # suffix[k] = d(w[n-k:])
-    x = [Fraction(suffix[n - 1 - i], suffix[n]) for i in range(n)]
+    d = suffix[n]
+    x = suffix[n - 1 :: -1]
     for i, w in enumerate(ch.chain_weights):
         row = w * x[i] + (x[i - 1] if i else 0) + (x[i + 1] if i + 1 < n else 0)
-        if row != (-1 if i == 0 else 0):
+        if row != (-d if i == 0 else 0):
             raise InvariantError(f"bark equation at {ch.ids[i]!r} fails")
-    return QDivisor(ch.to_graph(), dict(zip(ch.ids, x)))
+    return x, d
 
 
 def sharp(g: DualGraph) -> QDivisor:

@@ -122,13 +122,18 @@ class SurfaceLattice:
     """The Picard lattice of an iterated blow-up of the plane.
 
     Basis (H, e_1, ..., e_n); the Gram form is diag(1, -1, ..., -1) and the
-    canonical class is -3H + sum e_i.  Named classes are stored as integer
-    vectors in this basis.
+    canonical class is -3H + sum e_i.  A named class is stored sparsely, as
+    position -> nonzero coefficient, and the Gram table keeps, for each
+    name, its nonzero pairings with the names: a new name is paired only
+    with the names that share one of its positions, the only ones it can
+    meet.
     """
 
     def __init__(self, n_blowups: int):
         self._n = n_blowups
-        self._classes: dict[str, Vector] = {}
+        self._classes: dict[str, dict[int, int]] = {}
+        self._gram: dict[str, dict[str, int]] = {}
+        self._at: dict[int, list[str]] = {}  # position -> names nonzero there
 
     @property
     def rank(self) -> int:
@@ -146,6 +151,12 @@ class SurfaceLattice:
         return tuple(self._classes)
 
     def class_of(self, name: str) -> Vector:
+        vec = [0] * self.rank
+        for pos, x in self._sparse(name).items():
+            vec[pos] = x
+        return tuple(vec)
+
+    def _sparse(self, name: str) -> dict[int, int]:
         try:
             return self._classes[name]
         except KeyError:
@@ -163,22 +174,35 @@ class SurfaceLattice:
         return vec
 
     def pair(self, a, b) -> int | Fraction:
-        """Gram pairing of two classes (names, 'K', or vectors)."""
+        """Gram pairing of two classes (names, 'K', or vectors); two curve
+        names are one lookup in the Gram table."""
+        row = self._gram.get(a) if isinstance(a, str) and a != "K" else None
+        if row is not None and isinstance(b, str) and b != "K" and b in self._gram:
+            return row.get(b, 0)
         return _dot(self.resolve(a), self.resolve(b))
 
     def register(self, name: str, vec: Sequence[int]) -> None:
         """Name a derived class; rational-curve adjunction is enforced."""
         if name in self._classes:
             raise LatticeError(f"name {name!r} already in use")
-        v = tuple(int(x) for x in vec)
+        v = [_integer(x) for x in vec]
         if len(v) != self.rank:
             raise LatticeError("class vector has the wrong length")
-        self._register_checked(name, v)
+        self._register_checked(name, {pos: x for pos, x in enumerate(v) if x})
 
-    def _register_checked(self, name: str, v: Vector) -> None:
-        if self.pair(v, v) + self.pair(v, "K") != -2:
+    def _register_checked(self, name: str, cls: dict[int, int]) -> None:
+        square = _sparse_dot(cls, cls)
+        if square + _k_dot(cls) != -2:
             raise LatticeError(f"class for {name!r} violates rational adjunction")
-        self._classes[name] = v
+        row = {name: square} if square else {}
+        for other in dict.fromkeys(o for pos in cls for o in self._at.get(pos, ())):
+            prod = _sparse_dot(cls, self._classes[other])
+            if prod:
+                row[other] = self._gram[other][name] = prod
+        self._classes[name] = cls
+        self._gram[name] = row
+        for pos in cls:
+            self._at.setdefault(pos, []).append(name)
 
 
 def run_program(p: BlowupProgram) -> SurfaceLattice:
@@ -186,11 +210,16 @@ def run_program(p: BlowupProgram) -> SurfaceLattice:
 
     Blowing up subtracts the new exceptional class from every curve listed
     in the center, after checking that all listed curves still meet there
-    pairwise.  Adjunction is re-checked for every class after every step.
+    pairwise.  Adjunction C.C + K.C = -2 holds for every class after every
+    step: a step changes only its new class and, for a blow-up, the centers,
+    and any other class is 0 at the new position, so its C.C and K.C stay
+    what they were.  So only the changed classes are re-checked, in the
+    order the classes were introduced, and the first to fail is the one a
+    check of every class would find.
     """
-    n = p.n_blowups
-    lat = SurfaceLattice(n)
-    classes: dict[str, list[int]] = {}
+    lat = SurfaceLattice(p.n_blowups)
+    classes: dict[str, dict[int, int]] = {}  # sparse, as in the lattice
+    order: dict[str, int] = {}
     k = 0
     for step in p.steps:
         if step[0] == "curve":
@@ -200,32 +229,32 @@ def run_program(p: BlowupProgram) -> SurfaceLattice:
                     f"curve {name!r} has degree {degree}; only smooth rational "
                     "plane curves (degree 1 or 2) are supported"
                 )
-            classes[name] = [degree] + [0] * n
+            classes[name] = {0: degree}
+            changed = [name]
         else:
             _, name, centers = step
             k += 1
             for i, a in enumerate(centers):
                 for b in centers[i + 1 :]:
-                    prod = _dot(classes[a], classes[b])
-                    if prod < 1:
+                    if _sparse_dot(classes[a], classes[b]) < 1:
                         raise ExcessIntersectionError(
                             f"blow-up {name!r}: curves {a!r} and {b!r} no longer "
                             "meet at the center (excess intersection exhausted)"
                         )
             for c in centers:
-                classes[c][k] -= 1
-            vec = [0] * (n + 1)
-            vec[k] = 1
-            classes[name] = vec
-        for cname, cvec in classes.items():
-            sq = _dot(cvec, cvec)
-            kc = -3 * cvec[0] - sum(cvec[1 : k + 1])  # K pairs only with spent basis
-            if sq + kc != -2:
+                cls = classes[c]
+                cls[k] = cls.get(k, 0) - 1
+            classes[name] = {k: 1}
+            changed = [*centers, name]
+        order.setdefault(name, len(order))
+        for cname in sorted(set(changed), key=order.__getitem__):
+            cls = classes[cname]
+            if _sparse_dot(cls, cls) + _k_dot(cls) != -2:
                 raise LatticeError(
                     f"adjunction fails for {cname!r} after step introducing {step[1]!r}"
                 )
-    for cname, cvec in classes.items():
-        lat._register_checked(cname, tuple(cvec))
+    for cname, cls in classes.items():
+        lat._register_checked(cname, cls)
     return lat
 
 
@@ -233,22 +262,66 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
 
 
+def _sparse_dot(a: dict[int, int], b: dict[int, int]) -> int:
+    """_dot of two sparse classes, over the positions of the shorter."""
+    if len(b) < len(a):
+        a, b = b, a
+    shared = 0
+    for pos, x in a.items():  # a loop: these classes are short, and a generator costs more
+        if pos in b:
+            shared += x * b[pos]
+    return 2 * a.get(0, 0) * b.get(0, 0) - shared
+
+
+def _k_dot(cls: dict[int, int]) -> int:
+    """K.C for a sparse class C: -3 c_0 - sum of the other coefficients."""
+    return -2 * cls.get(0, 0) - sum(cls.values())
+
+
+def _integer(x) -> int:
+    """x as an int; a class coefficient or a pairing value must be integral."""
+    n = int(x)
+    if n != x:
+        raise LatticeError(f"{x!r} is not an integer")
+    return n
+
+
 def extract_boundary_graph(l: SurfaceLattice, names: Sequence[str]) -> DualGraph:
     """Dual graph of a set of named curves: weights are self-pairings, edges
     mark pairing 1.  Pairing 2 or more is a non-snc configuration and is
-    rejected; so are cycles."""
+    rejected; so are cycles.
+
+    Two curves pair to nonzero only if they share a position, so only those
+    pairs are made; a name with no class in the table ('K', an unknown name)
+    is paired with every name.  The pairs are made in the order of the scan
+    of all pairs (i, j), i <= j, so the first error is the one that scan
+    raises.
+    """
+    todo: set[tuple[int, int]] = set()
+    at: dict[int, list[int]] = {}
+    for i, a in enumerate(names):
+        cls = l._classes.get(a) if isinstance(a, str) and a != "K" else None
+        if cls is None:
+            todo.update((min(i, j), max(i, j)) for j in range(len(names)))
+            continue
+        todo.add((i, i))
+        for pos in cls:
+            bucket = at.setdefault(pos, [])
+            todo.update((j, i) for j in bucket)
+            bucket.append(i)
     verts = []
     edges = []
-    for i, a in enumerate(names):
-        verts.append((a, int(l.pair(a, a))))
-        for b in names[i + 1 :]:
-            prod = l.pair(a, b)
-            if prod == 1:
-                edges.append((a, b))
-            elif prod != 0:
-                raise LatticeError(
-                    f"curves {a!r} and {b!r} pair to {prod}; not an snc tree"
-                )
+    for i, j in sorted(todo):
+        a, b = names[i], names[j]
+        prod = l.pair(a, b)
+        if i == j:
+            verts.append((a, int(prod)))
+        elif prod == 1:
+            edges.append((a, b))
+        elif prod != 0:
+            raise LatticeError(
+                f"curves {a!r} and {b!r} pair to {prod}; not an snc tree"
+            )
     g = DualGraph.build(verts, edges)
     if not g.is_forest():
         raise NonTreeError("boundary curves form a cycle")
@@ -262,9 +335,8 @@ def k_plus_sharp_class(l: SurfaceLattice, boundary: Sequence[str]) -> tuple[Frac
     vec = [Fraction(x) for x in l.canonical_class]
     for name in boundary:
         coeff = 1 - bk[name]
-        cvec = l.class_of(name)
-        for i in range(l.rank):
-            vec[i] += coeff * cvec[i]
+        for pos, x in l._sparse(name).items():
+            vec[pos] += coeff * x
     return tuple(vec)
 
 
@@ -360,12 +432,16 @@ def ruling_decompose(
             raise LatticeError(f"curve {name!r} pairs negatively with the fiber class")
 
     # group vertical curves by pairing connectivity: a union-find over their
-    # positions, so groups come in the order of their first curve
+    # positions, so groups come in the order of their first curve, joined
+    # along the positive entries of each curve's row of the Gram table
     parent: dict[int, int] = {}
+    where: dict[str, list[int]] = {}  # name -> its positions so far
     for i, name in enumerate(vertical):
-        for j in range(i):
-            if l.pair(name, vertical[j]) > 0:
-                parent[_find(parent, i)] = _find(parent, j)
+        for other, prod in l._gram[name].items():
+            if prod > 0:
+                for j in where.get(other, ()):
+                    parent[_find(parent, i)] = _find(parent, j)
+        where.setdefault(name, []).append(i)
     groups: dict[int, list[str]] = {}
     for i, name in enumerate(vertical):
         groups.setdefault(_find(parent, i), []).append(name)
@@ -441,7 +517,7 @@ def solve_curve_class(
     def add(vec, value):
         # v . c = value, written in coordinates via the Gram form
         rows.append([vec[0]] + [-x for x in vec[1:]])
-        rhs.append(int(value))
+        rhs.append(_integer(value))
 
     add(l.canonical_class, -self_sq - 2)  # adjunction, given v . v = self_sq
     for key, value in constraints:
@@ -454,7 +530,8 @@ def solve_curve_class(
         out = [tuple(x0)] if _dot(x0, x0) == self_sq else []
     else:
         # M = -gram must be positive definite; one pass tests it and gives B
-        m = [[-_dot(bi, bj) for bj in basis] for bi in basis]
+        sparse = [{pos: x for pos, x in enumerate(bi) if x} for bi in basis]
+        m = [[-_sparse_dot(bi, bj) for bj in sparse] for bi in sparse]
         b = [list(row) for row in m]
         if _bareiss(b, definite=True) <= 0:
             raise UnderconstrainedError(

@@ -19,7 +19,9 @@ replaced, the second copies (a union-find beside a search, written-out
 terms, cofactors and triple products, repeated incidence scans, one
 blow-up rebuild per kind of center) that one routine each replaced, and
 the discriminant and fiber multiplicities by the intersection matrix that
-one leaf pass over the graph replaced."""
+one leaf pass over the graph replaced, and the dense blow-up lattice (every
+class re-checked after every step, every pair of names paired) that sparse
+classes and one Gram table replaced."""
 
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from typing import Iterable, Sequence
 
 from sncalc.calculus import ChainInvariants, _check_minimal, chain_invariants
 from sncalc.errors import (
+    ExcessIntersectionError,
     InvariantError,
     LatticeError,
     NonAdmissibleError,
@@ -1349,3 +1352,117 @@ def kernel_fiber_multiplicities(g: DualGraph) -> FiberGraph:
     if any(x <= 0 for x in ints):
         raise NotAFiberError("kernel vector is not positive")
     return FiberGraph(g, dict(zip(g.ids, ints)))
+
+
+# -- the dense blow-up lattice ------------------------------------------------
+# `sncalc.lattice.run_program` and `extract_boundary_graph` before classes
+# were stored as position -> coefficient and pairings read off one Gram
+# table: dense classes, every class re-checked after every step, and every
+# pair of names paired over the whole rank.  Kept verbatim as oracles, on a
+# copy of the dense `SurfaceLattice` reduced to what they read.
+
+
+def dense_pair(a: Sequence[int], b: Sequence[int]) -> int:
+    return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+
+
+class DenseLattice:
+    """Named classes as dense vectors in the basis (H, e_1, ..., e_n)."""
+
+    def __init__(self, n_blowups: int):
+        self.rank = n_blowups + 1
+        self.classes: dict[str, tuple[int, ...]] = {}
+
+    def resolve(self, obj) -> tuple:
+        if isinstance(obj, str):
+            if obj == "K":
+                return (-3,) + (1,) * (self.rank - 1)
+            try:
+                return self.classes[obj]
+            except KeyError:
+                raise KeyError(f"unknown curve {obj!r}") from None
+        vec = tuple(obj)
+        if len(vec) != self.rank:
+            raise LatticeError(f"vector has length {len(vec)}, lattice rank is {self.rank}")
+        return vec
+
+    def pair(self, a, b) -> int | Fraction:
+        return dense_pair(self.resolve(a), self.resolve(b))
+
+    def _register_checked(self, name: str, v: tuple[int, ...]) -> None:
+        if self.pair(v, v) + self.pair(v, "K") != -2:
+            raise LatticeError(f"class for {name!r} violates rational adjunction")
+        self.classes[name] = v
+
+
+def dense_run_program(p) -> DenseLattice:
+    """Execute a blow-up program, re-checking adjunction for every class
+    after every step."""
+    n = p.n_blowups
+    lat = DenseLattice(n)
+    classes: dict[str, list[int]] = {}
+    k = 0
+    for step in p.steps:
+        if step[0] == "curve":
+            _, name, degree = step
+            if degree not in (1, 2):
+                raise LatticeError(
+                    f"curve {name!r} has degree {degree}; only smooth rational "
+                    "plane curves (degree 1 or 2) are supported"
+                )
+            classes[name] = [degree] + [0] * n
+        else:
+            _, name, centers = step
+            k += 1
+            for i, a in enumerate(centers):
+                for b in centers[i + 1 :]:
+                    prod = dense_pair(classes[a], classes[b])
+                    if prod < 1:
+                        raise ExcessIntersectionError(
+                            f"blow-up {name!r}: curves {a!r} and {b!r} no longer "
+                            "meet at the center (excess intersection exhausted)"
+                        )
+            for c in centers:
+                classes[c][k] -= 1
+            vec = [0] * (n + 1)
+            vec[k] = 1
+            classes[name] = vec
+        for cname, cvec in classes.items():
+            sq = dense_pair(cvec, cvec)
+            kc = -3 * cvec[0] - sum(cvec[1 : k + 1])  # K pairs only with spent basis
+            if sq + kc != -2:
+                raise LatticeError(
+                    f"adjunction fails for {cname!r} after step introducing {step[1]!r}"
+                )
+    for cname, cvec in classes.items():
+        lat._register_checked(cname, tuple(cvec))
+    return lat
+
+
+def all_pairs_extract_boundary_graph(l: DenseLattice, names: Sequence[str]) -> DualGraph:
+    """Dual graph of a set of named curves, pairing every two of them."""
+    verts = []
+    edges = []
+    for i, a in enumerate(names):
+        verts.append((a, int(l.pair(a, a))))
+        for b in names[i + 1 :]:
+            prod = l.pair(a, b)
+            if prod == 1:
+                edges.append((a, b))
+            elif prod != 0:
+                raise LatticeError(
+                    f"curves {a!r} and {b!r} pair to {prod}; not an snc tree"
+                )
+    g = DualGraph.build(verts, edges)
+    if not g.is_forest():
+        raise NonTreeError("boundary curves form a cycle")
+    return g
+
+
+def chain_program(n: int) -> str:
+    """A line L and a conic C, E0 blown up at a point where they meet, then
+    n - 1 blow-ups Ei at a point of E(i-1): a chain of infinitely near
+    points, with L - E0 - E1 - ... - E(n-1) a chain of curves."""
+    steps = ["curve L degree=1", "curve C degree=2", "blowup E0 at L,C"]
+    steps += [f"blowup E{i} at E{i - 1}" for i in range(1, n)]
+    return "\n".join(steps) + "\n"

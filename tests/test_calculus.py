@@ -412,13 +412,14 @@ def test_bark_builds_no_matrix_and_no_subgraph(monkeypatch):
     expected = [outcome(dense_bark_items, g) for g in forests]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("bark must not build a matrix, solve or take a subgraph")
+        raise AssertionError("bark must not build a matrix, solve, subgraph or chain graph")
 
     monkeypatch.setattr(linalg, "solve_rational", refuse)
     monkeypatch.setattr(linalg, "is_negative_definite", refuse)
     monkeypatch.setattr(calculus, "_leaf_pass", refuse)
     monkeypatch.setattr(DualGraph, "intersection_matrix", refuse)
     monkeypatch.setattr(DualGraph, "subgraph", refuse)
+    monkeypatch.setattr(Chain, "to_graph", refuse)
     assert [outcome(bark_items, g) for g in forests] == expected
 
 
@@ -437,16 +438,16 @@ def test_bark_check_raises_under_optimization():
     # a perturbed chain bark passes its own check but not the bark equations
     # of the whole component, on each of the three routes and even with -O
     code = (
-        "from fractions import Fraction\n"
         "import sncalc.calculus as ca\n"
         "from sncalc.errors import InvariantError\n"
-        "from sncalc.graphs import DualGraph, QDivisor, build_fork\n"
-        "real = ca.bark_chain\n"
+        "from sncalc.graphs import DualGraph, build_fork\n"
+        "real = ca._chain_bark\n"
         "def perturbed(ch):\n"
-        "    bk = real(ch)\n"
-        "    tip = ch.ids[0]\n"
-        "    return QDivisor(bk.graph, {**bk.coeffs, tip: bk[tip] + Fraction(1, 7)})\n"
-        "ca.bark_chain = perturbed\n"
+        "    numerators, d = real(ch)\n"
+        "    scaled = [7 * x for x in numerators]\n"
+        "    scaled[0] += d  # the tip coefficient plus 1/7\n"
+        "    return scaled, 7 * d\n"
+        "ca._chain_bark = perturbed\n"
         "for g in (DualGraph.from_chain_weights([-2, -3]), build_fork(-2, [[2], [2], [3]]),\n"
         "          build_fork(-1, [[2], [3], [2, 2]])):\n"
         "    try:\n"

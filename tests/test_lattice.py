@@ -3,9 +3,10 @@ import io
 import os
 import random
 import subprocess
+from collections import Counter
 import sys
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, log2
 
 import pytest
 
@@ -14,10 +15,15 @@ import sncalc
 import sncalc.lattice
 import sncalc.scenarios
 from helpers import (
+    all_pairs_extract_boundary_graph,
     bench_workloads,
+    chain_program,
+    dense_run_program,
     fraction_integer_range,
     merge_vertical_groups,
+    outcome,
     recursive_solve_curve_class,
+    time_limit,
 )
 from sncalc.cli import main
 from sncalc.errors import (
@@ -387,3 +393,153 @@ def test_union_find_groups_match_the_merge_oracle():
                 largest.append(max(map(len, groups), default=0))
     assert mismatches == []
     assert len(largest) > 1500 and sum(1 for k in largest if k > 1) > 1000
+
+
+def test_register_refuses_entries_that_are_not_integers():
+    # int() would truncate each of these to a valid class: (1, 0) is a line
+    lat = lat_of("curve L degree=1\nblowup E at L\n")
+    for vec in ((1, Fraction(1, 2)), (1.9, 0), (Fraction(3, 2), Fraction(-1, 2))):
+        with pytest.raises(LatticeError, match="is not an integer"):
+            lat.register("X", vec)
+    assert "X" not in lat.names()
+    lat.register("M", (Fraction(0), 1.0))  # integral values of any type are fine
+    assert lat.class_of("M") == (0, 1)
+    with pytest.raises(LatticeError, match="is not an integer"):
+        solve_curve_class(lat, [("L", Fraction(1, 2))], -1)
+
+
+# every program text of this module, for the side-by-side test below, and
+# one with a curve named K, which the canonical class 'K' shadows
+_MODULE_PROGRAMS = (
+    "curve K degree=1\ncurve M degree=2\nblowup E at K,M\nblowup F at K\n",
+    "curve L degree=1\n",
+    "curve L degree=1\nblowup E at L\n",
+    "curve L degree=1\nblowup E\n",
+    "curve C degree=3\n",
+    "curve A degree=1\ncurve B degree=1\nblowup E1 at A,B\nblowup E2 at A,B\n",
+    "curve A degree=2\ncurve B degree=2\n",
+    "curve L degree=1\nblowup E1 at L\nblowup E2 at L\n",
+    "\n".join(["curve L degree=1"] + [f"blowup E{i} at L" for i in range(1, 10)]) + "\n",
+    _TOWER,
+    "curve A degree=1\ncurve B degree=1\ncurve C degree=1\n"
+    "blowup P at A,B,C\nblowup Q at A\nblowup R at B\n",
+)
+
+
+def _name_lists(names, rng):
+    """Name lists for the extraction: in order, shuffled, reversed, with
+    repeats, with 'K' and with an unknown name, each error at a different
+    place in the scan."""
+    shuffled = rng.sample(names, len(names))
+    return [
+        names,
+        shuffled,
+        names[::-1],
+        names[:2] * 2,
+        names[:3] + ["K"] + names[3:],
+        shuffled[:4] + ["nope"] + shuffled[4:],
+        ["K"],
+        [],
+    ]
+
+
+def _sparse_matches_dense(text, name_lists, seen, gram=True):
+    """Run a program both ways and count what the oracle gave in `seen`:
+    the same classes, pairings (with 'K' too) and, for each name list, the
+    same graph or error.  Returns the mismatches."""
+    program = parse_arrangement(text)
+    new, old = outcome(run_program, program), outcome(dense_run_program, program)
+    if isinstance(old, tuple):
+        seen[old[0].__name__] += 1
+        return [] if new == old else [("run", old, new)]
+    if isinstance(new, tuple):
+        return [("run", "ok", new)]
+    names = list(old.classes)
+    bad = []
+    if list(new.names()) != names or any(new.class_of(a) != old.classes[a] for a in names):
+        bad.append(("classes",))
+    if gram:
+        every = names + ["K"]
+        bad += [("pair", a, b) for a in every for b in every if new.pair(a, b) != old.pair(a, b)]
+    for chosen in name_lists(names):
+        expected = outcome(all_pairs_extract_boundary_graph, old, chosen)
+        seen[expected[0].__name__ if isinstance(expected, tuple) else "graph"] += 1
+        if outcome(extract_boundary_graph, new, chosen) != expected:
+            bad.append(("graph", chosen))
+    return bad
+
+
+def test_sparse_lattice_matches_the_dense_oracle():
+    # old-versus-new on the chain family, the two scenario programs, the
+    # benchmark's seed-5 lattice programs (150 of the 600 raise) and the
+    # programs of this module: classes, Gram values, graphs, error types and
+    # messages; the full Gram is compared up to 64 blow-ups
+    rng = random.Random(0x5A7)
+    seen = Counter()
+    mismatches = []
+    for n in (1, 2, 3, 5, 8, 16, 32, 64, 128, 256):
+        chain = ["L"] + [f"E{i}" for i in range(n)]
+        mismatches += _sparse_matches_dense(
+            chain_program(n), lambda names: [chain, names], seen, gram=n <= 64
+        )
+    for name in ("y244", "y333"):
+        text = sncalc.scenarios._fixture_text(f"{name}.arr")
+        mismatches += _sparse_matches_dense(text, lambda names: _name_lists(names, rng), seen)
+    workload = bench_workloads().WORKLOADS["lattice"]
+    for index in range(600):
+        item = workload.make(5, index)
+        lists = lambda names: [item.data["boundary"], *_name_lists(names, rng)]  # noqa: E731
+        mismatches += _sparse_matches_dense(item.text, lists, seen)
+    for text in _MODULE_PROGRAMS:
+        mismatches += _sparse_matches_dense(text, lambda names: _name_lists(names, rng), seen)
+    assert mismatches == []
+    # every route of the extraction ran: graphs, pairings other than 0 and
+    # 1, cycles, unknown names and repeated ones
+    least = {"graph": 2000, "LatticeError": 500, "KeyError": 300, "ValueError": 50}
+    assert all(seen[kind] > count for kind, count in least.items()), seen
+    assert seen["NonTreeError"] > 10 and seen["ExcessIntersectionError"] == 151, seen
+
+
+def test_pairing_products_grow_linearly_with_the_program(monkeypatch):
+    # each coefficient product of a pairing helper is counted; a dense class
+    # re-checked after every step and all-pairs extraction make the count
+    # cubic in the number of blow-ups, a sparse incremental lattice linear
+    products = 0
+
+    def counting(real):
+        def pairing(a, b):
+            nonlocal products
+            products += min(len(a), len(b))
+            return real(a, b)
+
+        return pairing
+
+    for name in ("_dot", "_sparse_dot"):
+        monkeypatch.setattr(sncalc.lattice, name, counting(getattr(sncalc.lattice, name)))
+    counts = {}
+    for n in (128, 256, 512):
+        products = 0
+        lat = run_program(parse_arrangement(chain_program(n)))
+        extract_boundary_graph(lat, ["L"] + [f"E{i}" for i in range(n)])
+        counts[n] = products
+    for n in (128, 256):
+        assert counts[2 * n] <= 2 * counts[n] * log2(2 * n) / log2(n), counts
+
+
+def test_run_program_takes_near_linear_time():
+    # 512 infinitely near blow-ups: re-checking every dense class after
+    # every step takes several seconds
+    program = parse_arrangement(chain_program(512))
+    with time_limit(1):
+        lat = run_program(program)
+    assert lat.rank == 513 and lat.pair("K", "K") == 9 - 512
+
+
+def test_boundary_extraction_takes_near_linear_time():
+    # pairing every two of 513 dense classes takes several seconds
+    lat = run_program(parse_arrangement(chain_program(512)))
+    names = ["L"] + [f"E{i}" for i in range(512)]
+    with time_limit(1):
+        g = extract_boundary_graph(lat, names)
+    assert g.weights == {"L": 0, **{f"E{i}": -2 for i in range(511)}, "E511": -1}
+    assert len(g.edges) == 512 and g.is_forest()

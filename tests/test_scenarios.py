@@ -2,6 +2,9 @@ import copy
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,6 +147,15 @@ def test_verify_all_output_is_pinned(capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[key], key
+
+
+def test_python_m_sncalc_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sncalc.cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "sncalc", "verify", "all"], capture_output=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == VERIFY_ALL_SHA256["text"]
 
 
 # QuadExt arithmetic in one `verify all`; it was 11,731 while projective
