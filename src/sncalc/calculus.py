@@ -179,7 +179,8 @@ def _two_ended_bark(ch: Chain, far: Fraction) -> dict[str, Fraction]:
     bark from its tip plus far times the one from its other end."""
     near, d = _chain_bark(ch)
     other, _ = _chain_bark(ch.reversed())  # d does not change under reversal
-    return {v: (x + far * y) / d for v, x, y in zip(ch.ids, near, reversed(other))}
+    p, q = far.numerator, far.denominator
+    return {v: Fraction(q * x + p * y, q * d) for v, x, y in zip(ch.ids, near, reversed(other))}
 
 
 def bark(g: DualGraph) -> QDivisor:

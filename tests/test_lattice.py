@@ -3,8 +3,8 @@ import io
 import os
 import random
 import subprocess
-from collections import Counter
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, log2
 
@@ -473,7 +473,8 @@ def test_sparse_lattice_matches_the_dense_oracle():
     # old-versus-new on the chain family, the two scenario programs, the
     # benchmark's seed-5 lattice programs (150 of the 600 raise) and the
     # programs of this module: classes, Gram values, graphs, error types and
-    # messages; the full Gram is compared up to 64 blow-ups
+    # messages; on the chain family the full Gram is compared up to 64
+    # blow-ups
     rng = random.Random(0x5A7)
     seen = Counter()
     mismatches = []
@@ -488,8 +489,9 @@ def test_sparse_lattice_matches_the_dense_oracle():
     workload = bench_workloads().WORKLOADS["lattice"]
     for index in range(600):
         item = workload.make(5, index)
-        lists = lambda names: [item.data["boundary"], *_name_lists(names, rng)]  # noqa: E731
-        mismatches += _sparse_matches_dense(item.text, lists, seen)
+        mismatches += _sparse_matches_dense(
+            item.text, lambda names: [item.data["boundary"], *_name_lists(names, rng)], seen
+        )
     for text in _MODULE_PROGRAMS:
         mismatches += _sparse_matches_dense(text, lambda names: _name_lists(names, rng), seen)
     assert mismatches == []
