@@ -76,6 +76,8 @@ def parse_arrangement(text: str) -> BlowupProgram:
         curve <name> degree=<d>
         blowup <name> at <name>,<name>,...
         blowup <name>              # free center, on no named curve
+
+    The name K is the canonical class, so no curve may take it.
     """
     steps: list[tuple] = []
     names: set[str] = set()
@@ -88,8 +90,7 @@ def parse_arrangement(text: str) -> BlowupProgram:
             if len(parts) != 3 or not parts[2].startswith("degree="):
                 raise GraphParseError("expected 'curve <name> degree=<d>'", lineno)
             name = parts[1]
-            if name in names:
-                raise GraphParseError(f"name {name!r} already declared", lineno)
+            _check_new_name(name, names, lineno)
             try:
                 degree = int(parts[2][7:])
             except ValueError:
@@ -104,8 +105,7 @@ def parse_arrangement(text: str) -> BlowupProgram:
                 centers = tuple(c for c in parts[3].split(",") if c)
             else:
                 raise GraphParseError("expected 'blowup <name> [at <name>,...]'", lineno)
-            if name in names:
-                raise GraphParseError(f"name {name!r} already declared", lineno)
+            _check_new_name(name, names, lineno)
             if len(set(centers)) != len(centers):
                 raise GraphParseError("center lists a curve twice", lineno)
             for c in centers:
@@ -116,6 +116,13 @@ def parse_arrangement(text: str) -> BlowupProgram:
         else:
             raise GraphParseError(f"unknown directive {parts[0]!r}", lineno)
     return BlowupProgram(tuple(steps))
+
+
+def _check_new_name(name: str, names: set[str], lineno: int) -> None:
+    if name == "K":
+        raise GraphParseError("'K' is the canonical class and cannot name a curve", lineno)
+    if name in names:
+        raise GraphParseError(f"name {name!r} already declared", lineno)
 
 
 class SurfaceLattice:
@@ -183,6 +190,8 @@ class SurfaceLattice:
 
     def register(self, name: str, vec: Sequence[int]) -> None:
         """Name a derived class; rational-curve adjunction is enforced."""
+        if name == "K":
+            raise LatticeError("'K' is the canonical class and cannot name a curve")
         if name in self._classes:
             raise LatticeError(f"name {name!r} already in use")
         v = [_integer(x) for x in vec]
@@ -422,8 +431,10 @@ def ruling_decompose(
         raise LatticeError(f"boundary names missing from curve list: {sorted(unknown)}")
     horizontal: list[tuple[str, int]] = []
     vertical: list[str] = []
+    sparse_f = {pos: x for pos, x in enumerate(f) if x}
     for name in curve_names:
-        deg = l.pair(name, f)
+        cls = l._classes.get(name)
+        deg = l.pair(name, f) if cls is None else _sparse_dot(cls, sparse_f)
         if deg > 0:
             horizontal.append((name, int(deg)))
         elif deg == 0:

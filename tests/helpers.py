@@ -4,7 +4,9 @@ backtracking fiber search and the eliminations that the exact linear
 algebra core replaced, the Fraction-pair arithmetic of Q(eps) that the
 integer-backed QuadExt replaced, the power-series intersection
 multiplicity that the pencil criterion replaced, the Euclid-and-swap
-Smith normal form that the Bezout steps replaced, the Gauss-Jordan
+Smith normal form that the Bezout steps replaced, the torsion and the
+integer solve by Smith transforms that invariant factors without
+transforms and a column Hermite form replaced, the Gauss-Jordan
 solves and kernels over Fraction that the integer echelon form replaced,
 the projective equality by vanishing minors that scaled coordinates
 replaced, the recursive curve-class enumeration over a Fraction LDL
@@ -55,11 +57,13 @@ from sncalc.linalg import (
     _bareiss,
     _check_rectangular,
     _echelon,
+    TorsionGroup,
     det_exact,
     identity_matrix,
     is_negative_definite,
     kernel_basis,
     mat_mul,
+    smith_normal_form,
     solve_integer,
     solve_rational,
 )
@@ -595,6 +599,46 @@ def euclid_smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[
     if any(b % a for a, b in zip(diag, diag[1:]) if a):
         raise InvariantError("Smith form: the diagonal is not a divisibility chain")
     return u, s, v
+
+
+# -- the torsion and the integer solve by the Smith transforms -----------------
+# `sncalc.linalg.torsion_of_cokernel` and `solve_integer` before invariant
+# factors without transforms and the column Hermite form replaced them, kept
+# verbatim (up to names) as the oracles.  Both call the public Smith form.
+
+
+def smith_torsion_of_cokernel(m) -> TorsionGroup:
+    """Torsion of Z^rows / (column span of m), read off the Smith form."""
+    _, s, _ = smith_normal_form(m)
+    diag = [s[k][k] for k in range(min(len(s), len(s[0]) if s else 0))]
+    return TorsionGroup(tuple(d for d in diag if d > 1))
+
+
+def smith_solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
+    """All integer solutions of a x = b: a particular one plus a lattice basis.
+
+    Returns None when no integer solution exists (including the case where
+    the system is rationally inconsistent).
+    """
+    rows, cols = _check_rectangular(a)
+    if len(b) != rows:
+        raise ValueError("right-hand side has wrong length")
+    u, s, v = smith_normal_form(a)
+    ub = [sum(u[i][k] * b[k] for k in range(rows)) for i in range(rows)]
+    y = [0] * cols
+    for i in range(rows):
+        d = s[i][i] if i < cols else 0
+        if d == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % d != 0:
+                return None
+            y[i] = ub[i] // d
+    x0 = [sum(v[r][c] * y[c] for c in range(cols)) for r in range(cols)]
+    rank = sum(1 for i in range(min(rows, cols)) if s[i][i] != 0)
+    lattice = [[v[r][c] for r in range(cols)] for c in range(rank, cols)]
+    return x0, lattice
 
 
 # -- the Gauss-Jordan solves and kernels over Fraction -------------------------

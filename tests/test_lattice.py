@@ -33,6 +33,7 @@ from sncalc.errors import (
     UnderconstrainedError,
 )
 from sncalc.lattice import (
+    SurfaceLattice,
     euler_numbers,
     extract_boundary_graph,
     h1_order,
@@ -82,6 +83,23 @@ def test_parse_errors():
         parse_arrangement("curve L degree=1\nblowup E at L,L\n")
     with pytest.raises(GraphParseError, match="unknown directive"):
         parse_arrangement("squiggle\n")
+
+
+def test_the_canonical_class_name_is_reserved():
+    # a curve named K would shadow the canonical class: after `curve K
+    # degree=1` and `blowup E at K`, pair('K', 'K') gave 8 rather than 0
+    for text, lineno in (
+        ("curve K degree=1\nblowup E at K\n", 1),
+        ("curve L degree=1\n\nblowup K at L\n", 3),
+        ("curve L degree=1\nblowup K\n", 2),
+    ):
+        with pytest.raises(GraphParseError, match="canonical class") as exc:
+            parse_arrangement(text)
+        assert exc.value.lineno == lineno
+    lat = lat_of("curve L degree=1\nblowup E at L\n")
+    with pytest.raises(LatticeError, match="canonical class"):
+        lat.register("K", (0, 1))
+    assert lat.pair("K", "K") == 8
 
 
 def test_degree_three_rejected():
@@ -395,6 +413,37 @@ def test_union_find_groups_match_the_merge_oracle():
     assert len(largest) > 1500 and sum(1 for k in largest if k > 1) > 1000
 
 
+def test_ruling_pairs_the_fiber_with_sparse_classes(monkeypatch):
+    # each curve meets the fiber through its sparse class, so the ruling
+    # resolves only the fiber class (for F.F and F.K), however many curves
+    # it is given, and finds the degrees that dense pairings give
+    workload = bench_workloads().WORKLOADS["lattice"]
+    resolved = 0
+    real = SurfaceLattice.resolve
+
+    def counting(self, obj):
+        nonlocal resolved
+        resolved += 1
+        return real(self, obj)
+
+    checked = 0
+    for index in range(120):
+        item = workload.make(7, index)
+        if not item.accept:
+            continue
+        lat = lat_of(item.text)
+        fiber = (1, -1) + (0,) * (lat.rank - 2)
+        names = item.data["names"]
+        expected = [(n, d) for n in names if (d := lat.pair(n, fiber)) > 0]
+        with monkeypatch.context() as mp:
+            mp.setattr(SurfaceLattice, "resolve", counting)
+            resolved = 0
+            dec = ruling_decompose(lat, fiber, names, [])
+        assert resolved == 5 and list(dec.horizontal) == expected
+        checked += 1
+    assert checked == 90
+
+
 def test_register_refuses_entries_that_are_not_integers():
     # int() would truncate each of these to a valid class: (1, 0) is a line
     lat = lat_of("curve L degree=1\nblowup E at L\n")
@@ -409,9 +458,10 @@ def test_register_refuses_entries_that_are_not_integers():
 
 
 # every program text of this module, for the side-by-side test below, and
-# one with a curve named K, which the canonical class 'K' shadows
+# one with a line and a conic meeting twice (its line was named K until the
+# parser reserved that name for the canonical class)
 _MODULE_PROGRAMS = (
-    "curve K degree=1\ncurve M degree=2\nblowup E at K,M\nblowup F at K\n",
+    "curve J degree=1\ncurve M degree=2\nblowup E at J,M\nblowup F at J\n",
     "curve L degree=1\n",
     "curve L degree=1\nblowup E at L\n",
     "curve L degree=1\nblowup E\n",

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import os
 import random
 import subprocess
@@ -6,7 +8,6 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 
@@ -29,11 +30,13 @@ from helpers import (
     rref_kernel_basis,
     rref_solve_rational,
     rref_solve_rational_overdetermined,
+    smith_solve_integer,
+    smith_torsion_of_cokernel,
     time_limit,
     union_find_forest_minors,
 )
 import sncalc
-from sncalc import calculus, linalg, surgery
+from sncalc import calculus, cli, lattice, linalg, scenarios, surgery
 from sncalc.calculus import BoundaryTag, classify_boundary, discriminant
 from sncalc.casetable import load_cases
 from sncalc.errors import SncalcError, SingularMatrixError
@@ -309,30 +312,90 @@ def test_torsion_of_formerly_stalled_trees(d, text):
     with time_limit(1.0):
         torsion = torsion_of_cokernel(q)
     assert torsion.order == d
+    # old-versus-new, with a solvable and a random right-hand side
+    rng = random.Random(d)
+    mismatches = []
+    for b in (_apply(q, [rng.randint(-3, 3) for _ in q]), [rng.randint(-9, 9) for _ in q]):
+        _compare_with_smith(q, b, mismatches)
+    assert mismatches == []
+
+
+# the invariant factors of seeded_tree_form(100), read off the Smith form
+# with transforms
+SEEDED_100_FACTORS = (2,) * 9 + (12, 24, 24, 24, 24, 360, 329_205_590_251_590_563_605_458_000)
+
+
+def seeded_tree_form(n):
+    """The form of a random n-vertex tree: weights drawn from -2, -3, -4
+    first, then vertex i joined to a random earlier one."""
+    rng = random.Random(n)
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = rng.choice((-2, -3, -4))
+    for i in range(1, n):
+        j = rng.randrange(i)
+        q[i][j] = q[j][i] = 1
+    return q
+
+
+def test_torsion_of_the_seeded_100_vertex_tree():
+    # the Smith form with transforms takes about a minute here, and its
+    # transforms reach 400,847 bits; reduction mod |det| bounds every entry
+    q = seeded_tree_form(100)
+    with time_limit(1):
+        torsion = torsion_of_cokernel(q)
+    assert torsion.order == abs(det_exact(q))
+    assert torsion.invariant_factors == SEEDED_100_FACTORS
 
 
 def _apply(m, x):
     return [sum(a * c for a, c in zip(row, x)) for row in m]
 
 
+def _coordinates(vecs, basis):
+    """Integer c with vecs = c basis, or None when some vector is not an
+    integer combination of the rows of basis."""
+    if not basis:
+        return [] if not any(map(any, vecs)) else None
+    gram = mat_mul(basis, [list(col) for col in zip(*basis)])
+    c = [solve_rational(gram, _apply(basis, row)) for row in vecs]
+    if mat_mul(c, basis) != [list(row) for row in vecs]:
+        return None
+    return None if any(x.denominator != 1 for row in c for x in row) else c
+
+
 def _same_lattice(b1, b2) -> bool:
     """Whether two row bases span one lattice: b1 = c b2, c integer, det c = +-1."""
     if len(b1) != len(b2):
         return False
-    if not b1:
-        return True
-    gram = mat_mul(b2, [list(col) for col in zip(*b2)])
-    c = [solve_rational(gram, _apply(b2, row)) for row in b1]
-    return (
-        mat_mul(c, b2) == b1
-        and all(x.denominator == 1 for row in c for x in row)
-        and abs(det_exact(c)) == 1
-    )
+    c = _coordinates(b1, b2)
+    return c is not None and (not c or abs(det_exact(c)) == 1)
+
+
+def _compare_with_smith(m, b, mismatches) -> None:
+    """Torsion and integer solve against the Smith-transform oracles: the
+    same factors, the same solvability both ways, and the same solution
+    set, a basis of the same lattice and particular solutions whose
+    difference lies in it."""
+    if torsion_of_cokernel(m) != smith_torsion_of_cokernel(m):
+        mismatches.append(("torsion", m))
+    old, new = smith_solve_integer(m, b), solve_integer(m, b)
+    if (old is None) != (new is None):
+        mismatches.append(("solvable", m, b))
+    elif new is not None:
+        (x0, basis), (old_x0, old_basis) = new, old
+        if _apply(m, x0) != list(b):
+            mismatches.append(("x0", m, b))
+        if not _same_lattice(basis, old_basis):
+            mismatches.append(("lattice", m, b))
+        if _coordinates([[x - y for x, y in zip(x0, old_x0)]], old_basis) is None:
+            mismatches.append(("coset", m, b))
 
 
 def _compare_with_euclid(m, rng, mismatches) -> bool:
-    """Smith form and integer solve against the Euclid-and-swap oracle;
-    False when the oracle does not finish within 0.5 s."""
+    """The Smith form against the Euclid-and-swap oracle, then torsion and
+    integer solve against the Smith-transform oracles; False when the
+    Euclid oracle does not finish within 0.5 s."""
     # b = m x is solvable; a random b mostly is not
     if rng.random() < 0.5:
         b = _apply(m, [rng.randint(-3, 3) for _ in m[0]])
@@ -347,17 +410,7 @@ def _compare_with_euclid(m, rng, mismatches) -> bool:
         new = smith_normal_form(m)
     if new[1] != old[1]:
         mismatches.append(("s", m))
-    with patch.object(linalg, "smith_normal_form", lambda _: old):
-        old_sol = solve_integer(m, b)
-    new_sol = solve_integer(m, b)
-    if (old_sol is None) != (new_sol is None):
-        mismatches.append(("solvable", m, b))
-    elif new_sol is not None:
-        x0, basis = new_sol
-        if _apply(m, x0) != b:
-            mismatches.append(("x0", m, b))
-        if not _same_lattice(basis, old_sol[1]):
-            mismatches.append(("lattice", m, b))
+    _compare_with_smith(m, b, mismatches)
     return True
 
 
@@ -586,6 +639,145 @@ def test_solve_integer():
     assert x0[0] + x0[1] == 5 and len(lattice) == 1
     k = lattice[0]
     assert k[0] + k[1] == 0 and k != [0, 0]
+
+
+def test_torsion_of_bordered_tree_forms():
+    # a zero row adds a free summand and a zero column nothing, so the
+    # torsion stays that of the square form; diagonalised over Z, the
+    # 161 x 160 and 160 x 161 matrices ran for minutes, and the singular
+    # 131 x 131 one took 11 s
+    for n, border in ((160, "row"), (160, "column"), (130, "both")):
+        q = seeded_tree_form(n)
+        m = [row + [0] for row in q] if border != "row" else [row[:] for row in q]
+        if border != "column":
+            m.append([0] * len(m[0]))
+        with time_limit(2):
+            assert torsion_of_cokernel(m) == torsion_of_cokernel(q)
+
+
+def _record_integer_calls(run) -> tuple[list, list]:
+    """The matrices given to `torsion_of_cokernel` and the systems given to
+    `solve_integer` by the package's callers while run() runs."""
+    torsions, solves = [], []
+
+    def torsion(m):
+        torsions.append([list(row) for row in m])
+        return torsion_of_cokernel(m)
+
+    def solve(a, b):
+        solves.append(([list(row) for row in a], list(b)))
+        return solve_integer(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (lattice, scenarios, cli):
+            if hasattr(module, "torsion_of_cokernel"):
+                mp.setattr(module, "torsion_of_cokernel", torsion)
+            if hasattr(module, "solve_integer"):
+                mp.setattr(module, "solve_integer", solve)
+        run()
+    return torsions, solves
+
+
+def _lattice_ops(seed: int, count: int) -> None:
+    workload = bench_workloads().WORKLOADS["lattice"]
+    for index in range(count):
+        item = workload.make(seed, index)
+        assert workload.check(item, workload.run(item)) is None
+
+
+def _verify_all() -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all"]) == 0
+
+
+def test_package_calls_match_the_smith_oracles():
+    # old-versus-new on every call of 1,200 seed-11 lattice ops and of
+    # `verify all`: the same factors, solvability and solution sets
+    mismatches = []
+    counts = []
+    for run in (lambda: _lattice_ops(11, 1200), _verify_all):
+        torsions, solves = _record_integer_calls(run)
+        for m in torsions:
+            if torsion_of_cokernel(m) != smith_torsion_of_cokernel(m):
+                mismatches.append(("torsion", m))
+        for a, b in solves:
+            _compare_with_smith(a, b, mismatches)
+        counts.append((len(torsions), len(solves)))
+    assert mismatches == []
+    assert counts == [(900, 900), (6, 8)]
+
+
+def test_no_package_path_calls_the_smith_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("smith_normal_form was called")
+
+    monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+    _verify_all()
+    _lattice_ops(11, 60)
+
+
+def test_invariant_factor_and_hermite_certificates_raise_under_optimization():
+    # each certificate must trip on its own corruption even with -O
+    code = (
+        "import sncalc.linalg as la\n"
+        "from sncalc.errors import InvariantError\n"
+        "diagonalise, rows, identity = la._diagonalise, la._rows, la.identity_matrix\n"
+        "def off_diagonal(s, r):\n"
+        "    diagonalise(s, r)\n"
+        "    s[0][1] = 1\n"
+        "def setting(diagonal):\n"
+        "    def fake(s, r):\n"
+        "        diagonalise(s, r)\n"
+        "        for k, d in enumerate(diagonal):\n"
+        "            s[k][k] = d\n"
+        "    return fake\n"
+        "def kernel_off(mats, i, j, step):\n"
+        "    rows(mats, i, j, step)\n"
+        "    mats[1][j][0] += 1\n"
+        "def scaled(k):\n"
+        "    def fake(n):\n"
+        "        v = identity(n)\n"
+        "        v[k][k] = 2\n"
+        "        return v\n"
+        "    return fake\n"
+        "cases = [\n"
+        "    ('_diagonalise', off_diagonal, la.torsion_of_cokernel, [[2, 0], [0, 4]]),\n"
+        "    ('_diagonalise', setting([4, 2]), la.torsion_of_cokernel, [[2, 0], [0, 4]]),\n"
+        "    ('_diagonalise', setting([1, 8]), la.torsion_of_cokernel, [[2, 0], [0, 4]]),\n"
+        "    ('_diagonalise', setting([2, 8]), la.torsion_of_cokernel, [[2, 0], [0, 4]]),\n"
+        "    ('_diagonalise', setting([2, 8]), la.torsion_of_cokernel, [[2, 0, 0], [0, 4, 0]]),\n"
+        "    ('_diagonalise', setting([2, 4]), la.torsion_of_cokernel, [[2, 0, 0], [4, 0, 0]]),\n"
+        "    ('_echelon', lambda a, n: [1], la.torsion_of_cokernel, [[2, 0, 0], [4, 0, 0]]),\n"
+        "    ('identity_matrix', scaled(0), la.solve_integer, [[1, 1]], [5]),\n"
+        "    ('_rows', kernel_off, la.solve_integer, [[1, 1]], [5]),\n"
+        "    ('identity_matrix', scaled(1), la.solve_integer, [[1, 0]], [3]),\n"
+        "]\n"
+        "for name, fake, call, *args in cases:\n"
+        "    real = getattr(la, name)\n"
+        "    setattr(la, name, fake)\n"
+        "    try:\n"
+        "        call(*args)\n"
+        "    except InvariantError as exc:\n"
+        "        print('InvariantError:', exc)\n"
+        "    setattr(la, name, real)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sncalc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "InvariantError: invariant factors: the matrix is not diagonal",
+        "InvariantError: invariant factors: the diagonal is not a divisibility chain",
+        "InvariantError: invariant factors: the first is not the gcd of the entries",
+        "InvariantError: invariant factors: the product does not match the minor",
+        "InvariantError: invariant factors: the product does not match the minor",
+        "InvariantError: invariant factors: the free part differs from the echelon rank",
+        "InvariantError: invariant factors: the echelon pivots give no nonzero minor",
+        "InvariantError: integer solve: a x0 differs from b",
+        "InvariantError: integer solve: a basis vector is not in the kernel",
+        "InvariantError: integer solve: the transform is not unimodular",
+    ]
 
 
 def test_elimination_core_matches_the_replaced_routines():
