@@ -28,10 +28,10 @@ from .errors import (
 from .graphs import DualGraph, _find
 from .linalg import (
     TorsionGroup,
+    _back_substitute,
     _bareiss,
     _solve,
     solve_integer,
-    solve_rational,
     torsion_of_cokernel,
 )
 from .surgery import RulingBookkeeping
@@ -540,18 +540,18 @@ def solve_curve_class(
     if not basis:
         out = [tuple(x0)] if _dot(x0, x0) == self_sq else []
     else:
-        # M = -gram must be positive definite; one pass tests it and gives B
+        # M = -gram must be positive definite
         sparse = [{pos: x for pos, x in enumerate(bi) if x} for bi in basis]
         m = [[-_sparse_dot(bi, bj) for bj in sparse] for bi in sparse]
-        b = [list(row) for row in m]
-        if _bareiss(b, definite=True) <= 0:
+        lin = [_dot(x0, bi) for bi in basis]
+        solved = _definite_center(m, lin)
+        if solved is None:
             raise UnderconstrainedError(
                 "constraints leave a direction space that is not negative definite; "
                 "the solution family may be infinite",
                 free_directions=basis,
             )
-        lin = [_dot(x0, bi) for bi in basis]
-        center = solve_rational(m, lin)  # then (t - center)' M (t - center) = radius
+        b, center = solved  # then (t - center)' M (t - center) = radius
         radius = _dot(x0, x0) - self_sq + sum(map(mul, lin, center))
         points = _ellipsoid_points(b, center, radius) if radius >= 0 else []
         cols = list(zip(*basis))
@@ -563,15 +563,36 @@ def solve_curve_class(
     return out
 
 
+def _definite_center(
+    m: list[list[int]], lin: list[int]
+) -> tuple[list[list[int]], list[Fraction]] | None:
+    """For a positive definite integer M, the Bareiss rows B of [M | lin]
+    and the center M^-1 lin; None when M is not positive definite.
+
+    One fraction-free pass with lin as an augmented column tests every
+    leading principal minor and triangularises the system, and the center
+    comes from back-substitution on B; it is re-checked as M c = lin.
+    """
+    k = len(m)
+    b = [[*row, c] for row, c in zip(m, lin)]
+    if _bareiss(b, definite=True, ncols=k) <= 0:
+        return None
+    y, d = _back_substitute(b, list(range(k)), k, -1)
+    del y[k]
+    if any(sum(map(mul, row, y)) != c * d for row, c in zip(m, lin)):
+        raise InvariantError("curve-class center check failed")
+    return b, [Fraction(x, d) for x in y]
+
+
 def _ellipsoid_points(
     b: list[list[int]], center: list[Fraction], radius: Fraction
 ) -> list[list[int]]:
     """Integer t with (t - c)' M (t - c) = radius, for B the Bareiss rows of
-    a positive definite M, by Fincke-Pohst (Math. Comp. 44, 1985; Cohen,
-    GTM 138, sec. 2.7.3) over Z: x' M x = sum_i z_i^2 / (B_ii B_(i-1)(i-1)),
-    z_i = sum_(j>=i) B_ij x_j.  With c = N / D and y = D t - N, scaling by
-    D^2 L, L the lcm of the B_ii B_(i-1)(i-1), makes it sum_i w_i z_i^2 = R
-    in integers.  Each t_i tried costs one unit of the candidate cap.
+    a positive definite M (columns past M's are ignored), by Fincke-Pohst
+    (Math. Comp. 44, 1985; Cohen, GTM 138, sec. 2.7.3) over Z:
+    x' M x = sum_i z_i^2 / (B_ii B_(i-1)(i-1)), z_i = sum_(j>=i) B_ij x_j.
+    With c = N / D and y = D t - N, scaling by D^2 L, L the lcm of the
+    B_ii B_(i-1)(i-1), makes it sum_i w_i z_i^2 = R in integers.  Each t_i tried costs one unit of the candidate cap.
     """
     k = len(b)
     denom = lcm(*(c.denominator for c in center))
@@ -590,7 +611,7 @@ def _ellipsoid_points(
     i, entering = k - 1, True
     while i < k:
         if entering:  # the t_i with w_i z_i^2 <= remaining[i + 1], lowest first
-            shift[i] = pivots[i] * numer[i] - sum(map(mul, b[i][i + 1 :], y[i + 1 :]))
+            shift[i] = pivots[i] * numer[i] - sum(map(mul, b[i][i + 1 : k], y[i + 1 :]))
             u = isqrt(remaining[i + 1] // weight[i])
             t[i] = -((u - shift[i]) // step[i]) - 1
             last[i] = (shift[i] + u) // step[i]

@@ -176,12 +176,13 @@ def _leaf_fold(diagonal: list[int], adj: list[list[tuple[int, int]]]):
     return order, up, minors, product
 
 
-def _bareiss(a: list[list[int]], definite: bool = False) -> int:
+def _bareiss(a: list[list[int]], definite: bool = False, ncols: int | None = None) -> int:
     """Fraction-free elimination (Bareiss 1968) of a square integer matrix,
     in place; returns its determinant.  Every division is exact.  A tall
     matrix (more rows than columns) gives, up to sign, the maximal minor on
     the rows its exchanges bring to the top: nonzero exactly when its
-    columns are independent.
+    columns are independent.  Only the first ncols columns (all by default)
+    are pivoted on; later columns are right-hand sides, carried along.
 
     Without row exchanges a[k][j] (j >= k) ends as the minor on rows 0..k
     and columns 0..k-1, j, so a[k][k] is the (k+1)-th leading principal
@@ -190,9 +191,9 @@ def _bareiss(a: list[list[int]], definite: bool = False) -> int:
     leading principal minor is positive (Sylvester).
     """
     rows = len(a)
-    n = len(a[0]) if rows else 0
+    width = len(a[0]) if rows else 0
     sign = prev = 1
-    for k in range(n):
+    for k in range(width if ncols is None else ncols):
         row = a[k]
         pivot = row[k]
         if definite:
@@ -211,7 +212,7 @@ def _bareiss(a: list[list[int]], definite: bool = False) -> int:
             f = ai[k]
             if not f and pivot == prev:
                 continue  # the update would leave the row as it is
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 ai[j] = (ai[j] * pivot - f * row[j]) // prev
         prev = pivot
     return sign * prev

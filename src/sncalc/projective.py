@@ -201,14 +201,26 @@ EPS = QuadExt(0, 1)
 
 
 def _scaled(v: tuple[QuadExt, ...]) -> tuple[QuadExt, ...] | None:
-    """v divided by its first nonzero entry, or None if v is zero."""
+    """v divided by its first nonzero entry, or None if v is zero; each
+    nonzero entry is canonicalised once."""
     lead = next((c for c in v if c), None)
     if lead is None:
         return None
-    if lead == 1:
+    la, lb, ld = lead._a, lead._b, lead._d
+    if lb == 0 and la == ld:  # the canonical 1
         return v
-    inv = lead.inverse()
-    return tuple(c * inv for c in v)
+    # c / lead = c conj(L) ld / (c_d N(L)) for L = la + lb eps, whose
+    # conjugate is (la + lb) - lb eps and whose norm N(L) is positive
+    ia, ib = la + lb, -lb
+    n = la * la + la * lb + lb * lb
+    out = []
+    for c in v:
+        p, q = c._a, c._b
+        if p or q:
+            qi = q * ib
+            c = _quad((p * ia - qi) * ld, (p * ib + q * ia + qi) * ld, c._d * n)
+        out.append(c)
+    return tuple(out)
 
 
 def _homogeneous(values: tuple, noun: str) -> tuple[QuadExt, QuadExt, QuadExt]:
@@ -261,9 +273,7 @@ class ProjConic:
     given: a pencil F0 + u F1 keeps its parameter u."""
 
     def __init__(self, matrix: Sequence[Sequence]):
-        self.matrix = tuple(tuple(QuadExt.of(x) for x in row) for row in matrix)
-        if len(self.matrix) != 3 or any(len(r) != 3 for r in self.matrix):
-            raise ValueError("conic matrix must be 3x3")
+        self.matrix = tuple(_rows3(matrix, "conic"))
         for i in range(3):
             for j in range(i):
                 if self.matrix[i][j] != self.matrix[j][i]:
@@ -311,20 +321,61 @@ def proj_eq(p: ProjPoint | ProjLine, q: ProjPoint | ProjLine) -> bool:
     return p == q
 
 
+# The kernels below read the integer fields of their operands, accumulate
+# numerators over a common denominator and canonicalise once per result
+# entry; (p + q eps)(r + s eps) = pr - qs + (ps + qr + qs) eps.
+
+
 def _dot(x, y) -> QuadExt:
-    return sum((a * b for a, b in zip(x, y)), QuadExt(0))
+    """sum x_i y_i."""
+    a = b = 0
+    d = 1
+    for u, v in zip(x, y):
+        p, q, r, s = u._a, u._b, v._a, v._b
+        if (p or q) and (r or s):
+            qs = q * s
+            e = u._d * v._d
+            if e == d:
+                a += p * r - qs
+                b += p * s + q * r + qs
+            else:
+                a = a * e + (p * r - qs) * d
+                b = b * e + (p * s + q * r + qs) * d
+                d *= e
+    return _quad(a, b, d)
+
+
+def _minor(u, v, w, z) -> QuadExt:
+    """u v - w z."""
+    p, q, r, s = u._a, u._b, v._a, v._b
+    f, g, h, k = w._a, w._b, z._a, z._b
+    qs, gk = q * s, g * k
+    a, b, d = p * r - qs, p * s + q * r + qs, u._d * v._d
+    a2, b2, d2 = f * h - gk, f * k + g * h + gk, w._d * z._d
+    if d == d2:
+        return _quad(a - a2, b - b2, d)
+    return _quad(a * d2 - a2 * d, b * d2 - b2 * d, d * d2)
 
 
 def _mat_vec(m, x) -> tuple[QuadExt, QuadExt, QuadExt]:
-    return tuple(sum((row[j] * x[j] for j in range(3)), QuadExt(0)) for row in m)
+    return tuple(_dot(row, x) for row in m)
 
 
 def _cross(a, b):
     return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
+        _minor(a[1], b[2], a[2], b[1]),
+        _minor(a[2], b[0], a[0], b[2]),
+        _minor(a[0], b[1], a[1], b[0]),
     )
+
+
+def _rows3(m, noun: str) -> list[tuple[QuadExt, QuadExt, QuadExt]]:
+    """The rows of a 3x3 matrix as Q(eps) entries; ValueError for any other
+    shape, before a kernel's zip could drop or miss an entry."""
+    rows = [tuple(map(QuadExt.of, row)) for row in m]
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        raise ValueError(f"{noun} matrix must be 3x3")
+    return rows
 
 
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
@@ -340,18 +391,18 @@ def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
 
 
 def apply_matrix(m: Sequence[Sequence], p: ProjPoint) -> ProjPoint:
-    rows = [tuple(QuadExt.of(x) for x in row) for row in m]
-    return ProjPoint(_mat_vec(rows, p.coords))
+    return ProjPoint(_mat_vec(_rows3(m, "projectivity"), p.coords))
 
 
 def _mat_inv3(m):
-    rows = [[QuadExt.of(x) for x in row] for row in m]
-    det = _det3(rows)
+    rows = _rows3(m, "projectivity")
+    # column j of adj(m) is row j+1 cross row j+2, and det = row 0 . column 0
+    adj = [_cross(rows[(j + 1) % 3], rows[(j + 2) % 3]) for j in range(3)]
+    det = _dot(rows[0], adj[0])
     if not det:
         raise ValueError("singular matrix")
-    # column j of adj(m) is row j+1 cross row j+2
-    adj = [_cross(rows[(j + 1) % 3], rows[(j + 2) % 3]) for j in range(3)]
-    return [[adj[j][i] / det for j in range(3)] for i in range(3)]
+    inv = det.inverse()
+    return [[adj[j][i] * inv for j in range(3)] for i in range(3)]
 
 
 def push_conic(m: Sequence[Sequence], c: ProjConic) -> ProjConic:
@@ -373,7 +424,8 @@ def conics_proportional(c1: ProjConic, c2: ProjConic) -> bool:
 
 def _pencil(x, m1, y, m2) -> list[list[QuadExt]]:
     """The symmetric matrix x M1 + y M2."""
-    return [[x * a + y * b for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
+    xy = (QuadExt.of(x), QuadExt.of(y))
+    return [[_dot(xy, ab) for ab in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
 
 
 _UNIT = tuple(tuple(QuadExt(int(i == k)) for i in range(3)) for k in range(3))
@@ -640,46 +692,51 @@ IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 def automorphism_action_check() -> ActionReport:
     """Verify the stated generator matrices act as claimed on the bundled
-    configurations."""
+    configurations.
+
+    The matrices are read from the module when the check runs, and each is
+    converted once; each point's image under the order-3 map is computed
+    once and read by every check that needs it.
+    """
     pts = Y333_POINTS
     checks: list[tuple[str, bool]] = []
+    swap, order_three, flip, identity = (
+        _rows3(m, "projectivity") for m in (SWAP_P1_P2, ORDER_THREE, CONIC_FLIP, IDENTITY)
+    )
 
-    def img(m, name):
-        return apply_matrix(m, pts[name])
+    def img(rows, p: ProjPoint) -> ProjPoint:
+        return ProjPoint(_mat_vec(rows, p.coords))
 
     p3_conj = ProjPoint(1, 1 - EPS, -EPS)  # the conjugate partner of P3
-    checks.append(("swap fixes Q1", img(SWAP_P1_P2, "Q1") == pts["Q1"]))
-    checks.append(("swap fixes Q2", img(SWAP_P1_P2, "Q2") == pts["Q2"]))
-    checks.append(("swap sends P1 to P2", img(SWAP_P1_P2, "P1") == pts["P2"]))
-    checks.append(("swap sends P2 to P1", img(SWAP_P1_P2, "P2") == pts["P1"]))
-    checks.append(("swap sends P3 to its conjugate", img(SWAP_P1_P2, "P3") == p3_conj))
+    checks.append(("swap fixes Q1", img(swap, pts["Q1"]) == pts["Q1"]))
+    checks.append(("swap fixes Q2", img(swap, pts["Q2"]) == pts["Q2"]))
+    checks.append(("swap sends P1 to P2", img(swap, pts["P1"]) == pts["P2"]))
+    checks.append(("swap sends P2 to P1", img(swap, pts["P2"]) == pts["P1"]))
+    checks.append(("swap sends P3 to its conjugate", img(swap, pts["P3"]) == p3_conj))
 
-    checks.append(("order-3 map fixes Q1", img(ORDER_THREE, "Q1") == pts["Q1"]))
-    checks.append(("order-3 map fixes Q2", img(ORDER_THREE, "Q2") == pts["Q2"]))
+    image = {name: img(order_three, p) for name, p in pts.items()}
+    checks.append(("order-3 map fixes Q1", image["Q1"] == pts["Q1"]))
+    checks.append(("order-3 map fixes Q2", image["Q2"] == pts["Q2"]))
     cycle_ok = (
-        img(ORDER_THREE, "P1") == pts["P3"]
-        and img(ORDER_THREE, "P3") == pts["P2"]
-        and img(ORDER_THREE, "P2") == pts["P1"]
+        image["P1"] == pts["P3"] and image["P3"] == pts["P2"] and image["P2"] == pts["P1"]
     )
     checks.append(("order-3 map cycles P1, P3, P2", cycle_ok))
 
     def line_img(name):
         # the line through the images of two of its points
-        return line_through(*(img(ORDER_THREE, p) for p in Y333_INCIDENCES[name][:2]))
+        return line_through(*(image[p] for p in Y333_INCIDENCES[name][:2]))
 
-    def permutes(image, objs) -> bool:
+    def permutes(send, objs) -> bool:
         # one lookup per image; the images hit every name only if they biject
         name_of = {obj: name for name, obj in objs.items()}
-        return {name_of.get(image(name)) for name in objs} == set(objs)
+        return {name_of.get(send(name)) for name in objs} == set(objs)
 
     checks.append(
-        ("order-3 map permutes the twelve points",
-         permutes(lambda name: img(ORDER_THREE, name), pts))
+        ("order-3 map permutes the twelve points", permutes(image.__getitem__, pts))
     )
     checks.append(("order-3 map permutes the nine lines", permutes(line_img, Y333_LINES)))
 
     d = Y244_DATA
-    flip = CONIC_FLIP
     checks.append(
         ("flip swaps the two tangent conics",
          conics_proportional(push_conic(flip, d["T23"]), d["T33"])
@@ -689,13 +746,13 @@ def automorphism_action_check() -> ActionReport:
         ("flip preserves the osculating conic",
          conics_proportional(push_conic(flip, d["E"]), d["E"]))
     )
-    checks.append(("flip fixes P1", apply_matrix(flip, d["P1"]) == d["P1"]))
+    checks.append(("flip fixes P1", img(flip, d["P1"]) == d["P1"]))
     checks.append(
         ("flip swaps P2 and P3",
-         apply_matrix(flip, d["P2"]) == d["P3"] and apply_matrix(flip, d["P3"]) == d["P2"])
+         img(flip, d["P2"]) == d["P3"] and img(flip, d["P3"]) == d["P2"])
     )
     checks.append(
         ("identity fixes the configuration",
-         all(apply_matrix(IDENTITY, p) == p for p in pts.values()))
+         all(img(identity, p) == p for p in pts.values()))
     )
     return ActionReport(tuple(checks))

@@ -21,9 +21,11 @@ replaced, the second copies (a union-find beside a search, written-out
 terms, cofactors and triple products, repeated incidence scans, one
 blow-up rebuild per kind of center) that one routine each replaced, and
 the discriminant and fiber multiplicities by the intersection matrix that
-one leaf pass over the graph replaced, and the dense blow-up lattice (every
+one leaf pass over the graph replaced, the dense blow-up lattice (every
 class re-checked after every step, every pair of names paired) that sparse
-classes and one Gram table replaced."""
+classes and one Gram table replaced, and the Q(eps) kernels built from
+QuadExt operators (a canonical element per product and partial sum) that
+kernels canonicalising once per result entry replaced."""
 
 from __future__ import annotations
 
@@ -1510,3 +1512,41 @@ def chain_program(n: int) -> str:
     steps = ["curve L degree=1", "curve C degree=2", "blowup E0 at L,C"]
     steps += [f"blowup E{i} at E{i - 1}" for i in range(1, n)]
     return "\n".join(steps) + "\n"
+
+
+# -- Q(eps) kernels built from the QuadExt operators --------------------------
+# `sncalc.projective._dot`, `_mat_vec`, `_cross`, `_pencil` and `_scaled` as
+# they were before the kernels read the integer fields, kept verbatim as
+# oracles (only the names changed).
+
+
+def operator_dot(x, y) -> QuadExt:
+    return sum((a * b for a, b in zip(x, y)), QuadExt(0))
+
+
+def operator_mat_vec(m, x) -> tuple[QuadExt, QuadExt, QuadExt]:
+    return tuple(sum((row[j] * x[j] for j in range(3)), QuadExt(0)) for row in m)
+
+
+def operator_cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def operator_pencil(x, m1, y, m2) -> list[list[QuadExt]]:
+    """The symmetric matrix x M1 + y M2."""
+    return [[x * a + y * b for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
+
+
+def operator_scaled(v: tuple[QuadExt, ...]) -> tuple[QuadExt, ...] | None:
+    """v divided by its first nonzero entry, or None if v is zero."""
+    lead = next((c for c in v if c), None)
+    if lead is None:
+        return None
+    if lead == 1:
+        return v
+    inv = lead.inverse()
+    return tuple(c * inv for c in v)

@@ -29,6 +29,7 @@ from sncalc.cli import main
 from sncalc.errors import (
     ExcessIntersectionError,
     GraphParseError,
+    InvariantError,
     LatticeError,
     UnderconstrainedError,
 )
@@ -42,7 +43,9 @@ from sncalc.lattice import (
     ruling_decompose,
     run_program,
     solve_curve_class,
+    _definite_center,
 )
+from sncalc.linalg import _back_substitute, _bareiss, solve_rational
 
 
 def lat_of(text):
@@ -331,6 +334,70 @@ def test_curve_class_walk_matches_the_recursive_oracle(curve_class_calls):
     outcomes = [call[3] for call in curve_class_calls]
     assert sum(1 for o in outcomes if isinstance(o, list) and o) > 1000
     assert [o[0] for o in outcomes if isinstance(o, tuple)] == [UnderconstrainedError]
+
+
+def test_augmented_bareiss_center_matches_the_two_passes(curve_class_calls):
+    # old-versus-new: one Bareiss pass over [M | lin] against the definiteness
+    # pass over M and the solve of M c = lin it replaced (verdict, Bareiss
+    # rows and center), on every system the fixture's calls build (the
+    # benchmark's seed 7-9 programs and the y244 and y333 curves of `verify
+    # all`) and on 1,000 seeded integer Gram forms, half of them A'A + I and
+    # half symmetric with free entries, which are mostly not definite
+    systems = []
+
+    def recording(m, lin):
+        systems.append(([row[:] for row in m], lin[:]))
+        return _definite_center(m, lin)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sncalc.lattice, "_definite_center", recording)
+        for lat, constraints, self_sq, _, _ in curve_class_calls:
+            _outcome(solve_curve_class, lat, constraints, self_sq)
+    from_calls = len(systems)
+    rng = random.Random(0xCE27)
+    for index in range(1000):
+        k = rng.randint(1, 6)
+        if index % 2:
+            a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            m = [
+                [sum(row[i] * row[j] for row in a) + (i == j) for j in range(k)]
+                for i in range(k)
+            ]
+        else:
+            m = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + 1):
+                    m[i][j] = m[j][i] = rng.randint(-4, 6)
+        systems.append((m, [rng.randint(-9, 9) for _ in range(k)]))
+    mismatches, seen = [], Counter()
+    for m, lin in systems:
+        rows = [row[:] for row in m]
+        verdict = _bareiss(rows, definite=True) > 0
+        got = _definite_center(m, lin)
+        seen[verdict] += 1
+        if got is None:
+            if verdict:
+                mismatches.append(("verdict", m, lin))
+            continue
+        b, center = got
+        k = len(m)
+        if not verdict or [row[:k] for row in b] != rows or center != solve_rational(m, lin):
+            mismatches.append(("center", m, lin))
+    assert mismatches == []
+    assert from_calls > 1000 and seen[True] > 1500 and seen[False] > 300, (from_calls, seen)
+
+
+def test_a_wrong_center_raises(monkeypatch):
+    # the center is re-checked as M c = lin, so a corrupted back-substitution
+    # raises rather than shifting the ellipsoid
+    def off_by_one(a, pivots, col, value):
+        y, d = _back_substitute(a, pivots, col, value)
+        y[0] += 1
+        return y, d
+
+    monkeypatch.setattr(sncalc.lattice, "_back_substitute", off_by_one)
+    with pytest.raises(InvariantError, match="center check failed"):
+        _definite_center([[2, 1], [1, 2]], [1, 5])
 
 
 def test_candidate_cap_counts_every_tried_coefficient(curve_class_calls, monkeypatch):

@@ -14,6 +14,11 @@ from helpers import (
     intersection_multiplicity as series_multiplicity,
     minor_conics_proportional,
     minor_proj_eq,
+    operator_cross,
+    operator_dot,
+    operator_mat_vec,
+    operator_pencil,
+    operator_scaled,
     outcome,
     six_term_det3,
     three_scan_dual_hesse_check,
@@ -36,8 +41,13 @@ from sncalc.projective import (
     conic_family_solve,
     conics_proportional,
     dual_hesse_check,
+    _cross,
     _det3,
+    _dot,
     _mat_inv3,
+    _mat_vec,
+    _pencil,
+    _scaled,
     incident,
     intersection_multiplicity,
     line_through,
@@ -663,3 +673,84 @@ def test_permutes_fails_for_a_map_that_moves_the_configuration(monkeypatch):
 def test_apply_matrix_identity():
     for p in Y333_POINTS.values():
         assert proj_eq(apply_matrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)), p), p)
+
+
+def _random_entry(rng):
+    # zero, or built from an int, a Fraction, two ints or two Fractions,
+    # the Fractions over mixed denominators
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 10)))
+
+    kind = rng.randrange(6)
+    if kind == 0:
+        return QuadExt(0)
+    if kind == 1:
+        return QuadExt(rng.randint(-9, 9))
+    if kind == 2:
+        return QuadExt(frac())
+    if kind == 3:
+        return QuadExt(rng.randint(-9, 9), rng.randint(-9, 9))
+    return QuadExt(frac(), frac())
+
+
+def _random_vector(rng):
+    v = [_random_entry(rng) for _ in range(3)]
+    for i in range(rng.choice((0, 0, 1, 2, 3))):  # leading zeros, or all zero
+        v[i] = QuadExt(0)
+    return tuple(v)
+
+
+def _flat(x):
+    if x is None or isinstance(x, QuadExt):
+        return [x]
+    return [c for part in x for c in _flat(part)]
+
+
+def _fields(c):
+    return None if c is None else (c._a, c._b, c._d)
+
+
+def test_fused_kernels_match_the_operator_build():
+    # old-versus-new on 5,000 seeded inputs: the same canonical fields,
+    # entry by entry, and every result canonical (d > 0, gcd(a, b, d) = 1)
+    rng = random.Random(0xF05ED)
+    mismatches, entries = [], 0
+    for _ in range(5000):
+        x, y = _random_vector(rng), _random_vector(rng)
+        m1 = [_random_vector(rng) for _ in range(3)]
+        m2 = [_random_vector(rng) for _ in range(3)]
+        s, t = (rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3),
+                            _random_entry(rng))) for _ in range(2))
+        for name, new, old in (
+            ("dot", _dot(x, y), operator_dot(x, y)),
+            ("mat_vec", _mat_vec(m1, x), operator_mat_vec(m1, x)),
+            ("cross", _cross(x, y), operator_cross(x, y)),
+            ("pencil", _pencil(s, m1, t, m2), operator_pencil(s, m1, t, m2)),
+            ("scaled", _scaled(x), operator_scaled(x)),
+        ):
+            new = _flat(new)
+            if list(map(_fields, new)) != list(map(_fields, _flat(old))):
+                mismatches.append((name, x, y, m1, m2, s, t))
+            for c in new:
+                if c is not None:
+                    entries += 1
+                    if c._d <= 0 or gcd(c._a, c._b, c._d) != 1:
+                        mismatches.append(("not canonical", name, _fields(c)))
+    assert mismatches == []
+    assert entries > 5000 * 15
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        ((1, 0, 0, 5), (0, 1, 0), (0, 0, 1)),  # a fourth entry a zip would drop
+        ((1, 0), (0, 1, 0), (0, 0, 1)),  # a short row
+        ((1, 0, 0), (0, 1, 0)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),
+    ],
+)
+def test_projectivities_must_be_3x3(m):
+    with pytest.raises(ValueError, match="projectivity matrix must be 3x3"):
+        apply_matrix(m, ProjPoint(1, 2, 3))
+    with pytest.raises(ValueError, match="projectivity matrix must be 3x3"):
+        push_conic(m, Y244_DATA["E"])

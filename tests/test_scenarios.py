@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sncalc.cli
+import sncalc.projective
 import sncalc.scenarios
 from sncalc.casetable import load_cases, run_case_table
 from sncalc.cli import main
@@ -30,6 +31,20 @@ def test_case_table_passes():
     rep = run_case_table()
     failed = [c.name for c in rep.checks if not c.passed]
     assert rep.passed, failed
+
+
+def test_case_table_reports_an_f_infty_that_is_no_fiber():
+    # B (0) and a (-2)-twig contract no further: the table reports the
+    # stated fiber as failed and stops that case's ruling checks there
+    fixture = copy.deepcopy(load_cases())
+    case = next(c for c in fixture["cases"] if c["id"] == "X0")
+    case["ruling"]["f_infty"] = {"B": 1, "T1_1": 1}
+    checks = {c.name: c for c in run_case_table(fixture).checks}
+    assert checks["X0.f_infty_is_fiber"].actual is False
+    assert not checks["X0.f_infty_is_fiber"].passed
+    assert not any(name.startswith("X0.f_") and name != "X0.f_infty_is_fiber" for name in checks)
+    assert "X0.sigma_fujita" not in checks
+    assert sum(name.endswith(".f_infty_mu") for name in checks) == 9  # the other cases
 
 
 def test_case_table_zero_set():
@@ -161,8 +176,15 @@ def test_python_m_sncalc_runs_the_cli():
 # QuadExt arithmetic in one `verify all`; it was 11,731 while projective
 # equality took 2x2 minors instead of comparing scaled coordinates, and
 # 8,719 while the dual Hesse check evaluated each incidence up to three times,
-# and 7,855 while the 3x3 determinant expanded six terms
-VERIFY_ALL_QUADEXT_OPS = 7792
+# and 7,855 while the 3x3 determinant expanded six terms, and 7,792 while the
+# dot, matrix-vector, cross and pencil kernels and the scaling of points went
+# through these operators
+VERIFY_ALL_QUADEXT_OPS = 74
+# canonical Q(eps) elements built (`projective._quad` calls) in one `verify
+# all`, which the kernels make without the operators above; it was 7,751
+# while they built one per product and partial sum, and the automorphism
+# check applied the order-3 map 35 times for its 12 point images
+VERIFY_ALL_QUAD_CALLS = 1568
 QUADEXT_OPS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
     "__truediv__", "__rtruediv__", "inverse",
@@ -187,6 +209,22 @@ def test_verify_all_quadext_operation_count(monkeypatch, capsys):
     assert main(["verify", "all"]) == 0
     capsys.readouterr()
     assert 0 < count <= VERIFY_ALL_QUADEXT_OPS
+
+
+def test_verify_all_canonicalisation_count(monkeypatch, capsys):
+    # every Q(eps) result entry is canonicalised once, through `_quad`
+    count = 0
+    real = sncalc.projective._quad
+
+    def counting(a, b, d):
+        nonlocal count
+        count += 1
+        return real(a, b, d)
+
+    monkeypatch.setattr(sncalc.projective, "_quad", counting)
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert 0 < count <= VERIFY_ALL_QUAD_CALLS
 
 
 def test_report_tag_validation():
