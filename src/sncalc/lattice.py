@@ -418,8 +418,12 @@ def ruling_decompose(
     """Split named curves into horizontal ones and fiber groups.
 
     Vertical curves are grouped by connectivity of the pairing graph; each
-    group's multiplicities are solved from the class equation.  Groups with
-    zero pairing that truly belong to one fiber stay separate pieces -- the
+    group's multiplicities are solved from the class equation, on the rows
+    of the group's sparse classes only (`_solve_on_support`): a row with a
+    single entry fixes its multiplicity first, and the fiber class nonzero
+    off those rows leaves the piece incomplete.  A dense class vector is
+    built only for an incomplete piece's residual.  Groups with zero
+    pairing that truly belong to one fiber stay separate pieces -- the
     decomposition never invents connectivity.
     """
     f = l.resolve(fiber_class)
@@ -459,21 +463,21 @@ def ruling_decompose(
 
     pieces: list[FiberPiece] = []
     for grp in groups.values():
-        cols = [l.class_of(name) for name in grp]
-        a = [[c[r] for c in cols] for r in range(l.rank)]
-        sol = _solve_rational_overdetermined(a, list(f))
+        classes = [l._classes[name] for name in grp]
+        sol = _solve_on_support(classes, sparse_f)
         in_boundary = all(name in bset for name in grp)
         sigma = sum(1 for name in grp if name not in bset)
         if sol is None:
-            residual = tuple(
-                f[r] - sum(c[r] for c in cols) for r in range(l.rank)
-            )
-            pieces.append(FiberPiece(tuple(grp), None, residual, in_boundary, sigma))
+            residual = list(f)
+            for cls in classes:
+                for pos, x in cls.items():
+                    residual[pos] -= x
+            pieces.append(FiberPiece(tuple(grp), None, tuple(residual), in_boundary, sigma))
         else:
             if any(x.denominator != 1 or x < 1 for x in sol):
                 raise LatticeError(
                     f"fiber group {grp} solves to non-positive-integer "
-                    f"multiplicities {sol}"
+                    f"multiplicities {[Fraction(x) for x in sol]}"
                 )
             pieces.append(
                 FiberPiece(tuple(grp), tuple(int(x) for x in sol), None, in_boundary, sigma)
@@ -491,17 +495,70 @@ def ruling_decompose(
     return RulingDecomposition(f, tuple(horizontal), tuple(pieces), bookkeeping)
 
 
-def _solve_rational_overdetermined(a, b) -> list[Fraction] | None:
-    """Unique rational solution of a (possibly tall) system, or None.
+def _solve_on_support(
+    columns: list[dict[int, int]], b: dict[int, int]
+) -> list[int | Fraction] | None:
+    """The unique rational x with sum_j x_j c_j = b, for sparse columns c_j
+    and a sparse b (position -> nonzero int or Fraction), or None when
+    there is none; raises LatticeError when the columns are dependent.
+    Each x_j is an int where the elimination kept it one.
 
-    Raises if the columns are dependent: fiber groups must have independent
-    classes for the multiplicity question to be well-posed.
+    Only the rows of the columns' support are solved; b nonzero off the
+    support means no solution.  A row with a single nonzero left fixes its
+    column's x_j, which is substituted into the other rows; a worklist
+    peels these rows first, and `_solve` takes the rows and columns left.
+    The rank is the number peeled plus the rank of that core, and the
+    solution is re-checked against every column and b.
     """
-    cols = len(a[0]) if a else 0
-    rank, sol = _solve(a, b)
-    if rank < cols:
+    support: dict[int, dict[int, int]] = {}  # position -> column -> entry
+    for j, col in enumerate(columns):
+        for pos, a in col.items():
+            support.setdefault(pos, {})[j] = a
+    consistent = all(pos in support for pos in b)
+    rhs = {pos: b.get(pos, 0) for pos in support}
+    x: list = [None] * len(columns)
+    todo = [pos for pos, row in support.items() if len(row) == 1]
+    while todo:
+        pos = todo.pop()
+        row = support[pos]
+        if len(row) != 1:
+            continue  # a later peel emptied it: a zero row, left to the core
+        ((j, a),) = row.items()
+        del support[pos]
+        r = rhs.pop(pos)
+        q, rem = divmod(r, a)
+        x[j] = value = Fraction(r) / a if rem else q
+        for other in columns[j]:
+            if other in support:
+                left = support[other]
+                rhs[other] -= left.pop(j) * value
+                if len(left) == 1:
+                    todo.append(other)
+    free = [j for j, value in enumerate(x) if value is None]
+    rank = len(x) - len(free)
+    if free:
+        core_rank, core = _solve(
+            [[row.get(j, 0) for j in free] for row in support.values()],
+            [rhs[pos] for pos in support],
+        )
+        rank += core_rank
+        consistent = consistent and core is not None
+    else:
+        consistent = consistent and not any(rhs.values())
+    if rank < len(columns):
         raise LatticeError("fiber group classes are linearly dependent")
-    return sol
+    if not consistent:
+        return None
+    if free:
+        for j, value in zip(free, core):
+            x[j] = value
+    total: dict[int, int | Fraction] = {}
+    for col, value in zip(columns, x):
+        for pos, a in col.items():
+            total[pos] = total.get(pos, 0) + a * value
+    if {pos: t for pos, t in total.items() if t} != b:
+        raise InvariantError("fiber multiplicities check failed")
+    return x
 
 
 _CANDIDATE_CAP = 10**6  # solve_curve_class raises on trying its cap-th candidate
@@ -542,8 +599,13 @@ def solve_curve_class(
     else:
         # M = -gram must be positive definite
         sparse = [{pos: x for pos, x in enumerate(bi) if x} for bi in basis]
-        m = [[-_sparse_dot(bi, bj) for bj in sparse] for bi in sparse]
-        lin = [_dot(x0, bi) for bi in basis]
+        k = len(sparse)
+        m = [[0] * k for _ in range(k)]
+        for i, bi in enumerate(sparse):
+            for j in range(i, k):
+                m[i][j] = m[j][i] = -_sparse_dot(bi, sparse[j])
+        x0_sparse = {pos: x for pos, x in enumerate(x0) if x}
+        lin = [_sparse_dot(x0_sparse, bi) for bi in sparse]
         solved = _definite_center(m, lin)
         if solved is None:
             raise UnderconstrainedError(
@@ -552,11 +614,17 @@ def solve_curve_class(
                 free_directions=basis,
             )
         b, center = solved  # then (t - center)' M (t - center) = radius
-        radius = _dot(x0, x0) - self_sq + sum(map(mul, lin, center))
+        radius = _sparse_dot(x0_sparse, x0_sparse) - self_sq + sum(map(mul, lin, center))
         points = _ellipsoid_points(b, center, radius) if radius >= 0 else []
-        cols = list(zip(*basis))
-        # tuple() of a list: a tuple grown from a generator is resized and fills free lists
-        out = sorted(tuple([x + sum(map(mul, t, c)) for x, c in zip(x0, cols)]) for t in points)
+        out = []
+        for t in points:
+            v = x0[:]
+            for c, bi in zip(t, sparse):
+                if c:
+                    for pos, x in bi.items():
+                        v[pos] += c * x
+            out.append(tuple(v))
+        out.sort()
     for v in out:
         if _dot(v, v) != self_sq or [sum(map(mul, row, v)) for row in rows] != rhs:
             raise InvariantError("curve class check failed")

@@ -15,7 +15,13 @@ common denominator serves the solves and the kernels, and builds Fractions
 only for the values returned.  Work over Z goes by unimodular Bezout
 steps and builds no Smith transform: cokernel torsion diagonalises the
 matrix alone, mod a nonzero minor of the size of its rank, and integer
-solves track only the transform of a column Hermite form.
+solves track only the transform of a column Hermite form, as sparse
+columns.  Before a dense kernel runs over Z, a peel linear in the
+nonzeros takes out the unit pivots alone on their row or column and the
+zero lines (`_peel`, checked step by step by `_core`).  The dense kernels
+then see only the core: the Hermite transforms of the lattice's solves
+peel to nothing, and the boundary classes of a blown-up plane to a small
+core or to nothing.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ def _check_rectangular(m) -> tuple[int, int]:
 
 
 def _check_integer(m, what: str) -> None:
+    if set(map(type, chain.from_iterable(m))) <= {int}:
+        return  # the common case, read at C speed
     if any(not isinstance(x, int) for row in m for x in row):
         raise ValueError(f"{what} needs an integer matrix")
 
@@ -519,33 +527,153 @@ class TorsionGroup:
         return " x ".join(f"Z{f}" for f in self.invariant_factors)
 
 
+def _peel(
+    columns: list[dict[int, int]], nrows: int, zeros: bool = True
+) -> list[tuple[int, int, bool]]:
+    """The unit pivots of an integer matrix, given by its sparse columns
+    (row -> nonzero entry), taken out before any dense elimination.
+
+    A worklist of rows and columns, linear in the nonzeros, takes out every
+    pair (i, j) whose row i or column j has a single nonzero left and that
+    nonzero is +-1, and, with zeros=True, every row or column with none
+    left.  Returns the steps in order, each (i, j, by_row): a pair found on
+    its row (by_row) or on its column, or a zero row (j = -1) or column
+    (i = -1).  A pair found on row i splits off by row steps that change
+    only column j, one found on column j by column steps that change only
+    row i, so the pairs change neither the invariant factors nor |det|,
+    and the matrix left, the core, is the input on the lines never taken
+    out.  A zero row adds a free summand and no torsion, but makes the
+    determinant 0, so a determinant keeps its zero lines (zeros=False).
+    """
+    cols = [dict(col) for col in columns]  # the nonzeros left, by column
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]  # and by row
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    rgone, cgone = [False] * nrows, [False] * len(cols)
+    rtodo = [i for i, row in enumerate(rows) if len(row) < 2]  # lines that may go
+    ctodo = [j for j, col in enumerate(cols) if len(col) < 2]
+    steps: list[tuple[int, int, bool]] = []
+    while rtodo or ctodo:
+        while rtodo:
+            i = rtodo.pop()
+            row = rows[i]
+            if rgone[i] or len(row) > 1:
+                continue
+            if not row:
+                if zeros:
+                    rgone[i] = True
+                    steps.append((i, -1, True))
+                continue
+            ((j, x),) = row.items()
+            if x != 1 and x != -1:
+                continue
+            rgone[i] = cgone[j] = True
+            steps.append((i, j, True))
+            for r in cols[j]:  # column j goes: each row crossing it loses one
+                if r != i:
+                    left = rows[r]
+                    del left[j]
+                    if len(left) < 2:
+                        rtodo.append(r)
+        while ctodo:
+            j = ctodo.pop()
+            col = cols[j]
+            if cgone[j] or len(col) > 1:
+                continue
+            if not col:
+                if zeros:
+                    cgone[j] = True
+                    steps.append((-1, j, False))
+                continue
+            ((i, x),) = col.items()
+            if x != 1 and x != -1:
+                continue
+            rgone[i] = cgone[j] = True
+            steps.append((i, j, False))
+            for c in rows[i]:  # row i goes: each column crossing it loses one
+                if c != j:
+                    left = cols[c]
+                    del left[i]
+                    if len(left) < 2:
+                        ctodo.append(c)
+    return steps
+
+
+def _core(
+    columns: list[dict[int, int]], nrows: int, steps: list[tuple[int, int, bool]], what: str
+) -> tuple[list[int], list[int]]:
+    """The rows and the columns that the steps of `_peel` leave, after a
+    check of each step on the matrix left before it, which raises
+    InvariantError: a pair's pivot is +-1, and a nonzero whose row and
+    column leave at different steps lies on the line that left first as
+    the other side of a pair (a row that left with a pair found on its
+    column, or a column with a pair found on its row).  So a zero line, or
+    the line a pair was found on, had no other nonzero left."""
+    n = len(steps)
+    rstage, cstage = [n] * nrows, [n] * len(columns)
+    rside, cside = [False] * nrows, [False] * len(columns)
+    for k, (i, j, by_row) in enumerate(steps):
+        if i >= 0 <= j and columns[j].get(i) not in (1, -1):
+            raise InvariantError(f"{what}: a peeled pivot is not a unit")
+        if i >= 0 and rstage[i] < n or j >= 0 and cstage[j] < n:
+            raise InvariantError(f"{what}: the peel takes a line out twice")
+        if i >= 0:
+            rstage[i] = k
+            rside[i] = j >= 0 and not by_row
+        if j >= 0:
+            cstage[j] = k
+            cside[j] = i >= 0 and by_row
+    for c, col in enumerate(columns):
+        kc = cstage[c]
+        for r in col:
+            kr = rstage[r]
+            if kr < kc and not rside[r] or kc < kr and not cside[c]:
+                raise InvariantError(f"{what}: the peel is not triangular")
+    return [i for i, k in enumerate(rstage) if k == n], [j for j, k in enumerate(cstage) if k == n]
+
+
 def torsion_of_cokernel(m) -> TorsionGroup:
     """Torsion of Z^rows / (column span of m): its invariant factors, with
     no transform built.
 
-    m and its transpose have the same invariant factors, so a tall m is
-    transposed to s, with rows <= cols.  Let r be its rank and D a nonzero
-    r x r minor.  Every torsion factor divides D, so the cokernel of
-    [s | D I] is the torsion plus rows - r copies of Z/D, one for each free
-    summand, and `_diagonalise` reduces the entries mod |D|: its diagonal
-    is the torsion's factors, padded with 1s, and then rows - r copies of
-    |D|.  At full rank D is the determinant of the forest kernel (a square
-    forest form) or of one Bareiss pass over the transpose; otherwise the
-    pivot columns of `_echelon` give r, and a Bareiss pass over those
-    columns gives D.
+    `_peel` first takes out the zero rows and columns and the unit pivots
+    that are alone on their row or column, and the rest runs on the core
+    that is left, which has the same torsion.  The classes of a chain of
+    infinitely near blow-ups peel to nothing, and a tree form bordered by
+    zero lines to the square form.
+    The core and its transpose have the same invariant factors, so a tall
+    core is transposed to s, with rows <= cols.  Let r be its rank and D a
+    nonzero r x r minor.  Every torsion factor divides D, so the cokernel
+    of [s | D I] is the torsion plus rows - r copies of Z/D, one for each
+    free summand, and `_diagonalise` reduces the entries mod |D|: its
+    diagonal is the torsion's factors, padded with 1s, and then rows - r
+    copies of |D|.  At full rank D is the determinant of the forest kernel
+    (a square forest core) or of one Bareiss pass over the transpose;
+    otherwise the pivot columns of `_echelon` give r, and a Bareiss pass
+    over those columns gives D.
 
     Every answer is certified, and a failed check raises InvariantError:
-    the diagonalised matrix is diagonal, its diagonal is a divisibility
-    chain, its first entry is the gcd of the entries of m (for r > 0), and
-    its last rows - r entries are |D|.  The product of the torsion's
-    factors, the gcd of the maximal minors at full rank, must divide |D|,
-    and equal it for a square m of full rank.  The gcd itself is not
-    computed for other shapes: it costs more than the diagonalisation.
+    each step of the peel is checked on the matrix it ran on (`_core`);
+    on the core, the diagonalised matrix is diagonal, its diagonal is a
+    divisibility chain, its first entry is the gcd of the core's entries
+    (for r > 0), and its last rows - r entries are |D|.  The product of the
+    torsion's factors, the gcd of the maximal minors at full rank, must
+    divide |D|, and equal it for a square core of full rank.  The gcd
+    itself is not computed for other shapes: it costs more than the
+    diagonalisation.
     """
     rows, cols = _check_rectangular(m)
     _check_integer(m, "the torsion of a cokernel")
-    s = [list(row) for row in m] if rows <= cols else [list(col) for col in zip(*m)]
-    rows, cols = len(s), len(s[0]) if s else 0
+    columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*m)]
+    keep_rows, keep_cols = _core(columns, rows, _peel(columns, rows), "invariant factors")
+    if not keep_rows:
+        return TorsionGroup(())
+    if len(keep_rows) <= len(keep_cols):
+        s = [[m[i][j] for j in keep_cols] for i in keep_rows]
+    else:
+        s = [[columns[j].get(i, 0) for i in keep_rows] for j in keep_cols]
+    rows, cols = len(s), len(s[0])
     forest = _forest_minors(s) if rows == cols else None
     minor = forest[0] if forest is not None else _bareiss([list(col) for col in zip(*s)])
     rank = rows
@@ -555,6 +683,7 @@ def torsion_of_cokernel(m) -> TorsionGroup:
         minor = _bareiss([[row[p] for p in pivots] for row in s])
         if not minor:
             raise InvariantError("invariant factors: the echelon pivots give no nonzero minor")
+    content = gcd(*chain.from_iterable(s))
     minor = abs(minor)
     _diagonalise(s, minor)
     factors = [s[k][k] for k in range(rows)]
@@ -562,7 +691,7 @@ def torsion_of_cokernel(m) -> TorsionGroup:
         raise InvariantError("invariant factors: the matrix is not diagonal")
     if 0 in factors or any(b % a for a, b in zip(factors, factors[1:])):
         raise InvariantError("invariant factors: the diagonal is not a divisibility chain")
-    if rank and factors[0] != gcd(*chain.from_iterable(m)):
+    if rank and factors[0] != content:
         raise InvariantError("invariant factors: the first is not the gcd of the entries")
     if factors[rank:] != [minor] * (rows - rank):
         raise InvariantError("invariant factors: the free part differs from the echelon rank")
@@ -593,29 +722,65 @@ def kernel_basis(m) -> list[list[Fraction]]:
     return basis
 
 
+def _unit_columns(n: int) -> list[dict[int, int]]:
+    """The identity matrix as sparse columns (row -> nonzero entry)."""
+    return [{j: 1} for j in range(n)]
+
+
+def _combine(v: list[dict[int, int]], i: int, j: int, step) -> None:
+    """Sparse columns i, j of v become x c_i + y c_j, p c_i + q c_j (x = 1 when y = 0)."""
+    x, y, p, q = step
+    ci, cj = v[i], v[j]
+    if y:
+        v[i] = _sparse_sum(x, ci, y, cj)
+        v[j] = _sparse_sum(p, ci, q, cj)
+        return
+    for k, e in ci.items():  # q = 1: c_j += p c_i, in place
+        f = cj.get(k, 0) + p * e
+        if f:
+            cj[k] = f
+        else:
+            del cj[k]
+
+
+def _sparse_sum(x: int, a: dict[int, int], y: int, b: dict[int, int]) -> dict[int, int]:
+    """x a + y b for sparse vectors a and b and y != 0, with no zero stored."""
+    out = {k: x * e for k, e in a.items()} if x else {}
+    for k, f in b.items():
+        e = out.get(k, 0) + y * f
+        if e:
+            out[k] = e
+        else:
+            del out[k]
+    return out
+
+
 def solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
     """All integer solutions of a x = b: a particular one plus a lattice basis.
 
     Returns None when no integer solution exists (including the case where
     the system is rationally inconsistent).  Column steps bring a to its
     column Hermite form a v = [H | 0] (Cohen, GTM 138, sec. 2.4), with H in
-    column echelon form and v unimodular; only v is tracked.  Row by row,
-    a smallest nonzero among the columns not yet used becomes the pivot,
-    and one Bezout step per entry (`_bezout`) clears the rest of the row.
-    Forward substitution through H gives y, the particular solution is
-    x0 = v y, and the columns of v from the rank on are the basis.  The
-    result is checked: a x0 = b, a kills each basis vector and |det v| = 1.
-    v changes only by the steps of its few rows, and those of
-    `solve_curve_class` pivot on the units of K and of the classes, so
-    they are plain subtractions: on its systems no entry of v exceeds 3.
-    Dense random 7x7 matrices with entries up to 5 take v to 63 bits.
+    column echelon form and v unimodular; only v is tracked, as sparse
+    columns (`_combine`).  Row by row, a smallest nonzero among the columns
+    not yet used becomes the pivot, and one Bezout step per entry
+    (`_bezout`) clears the rest of the row.  Forward substitution through H
+    gives y, the particular solution is x0 = v y, and the columns of v from
+    the rank on are the basis; both are made dense only at the end.  The
+    result is checked: a x0 = b, a kills each basis vector and |det v| = 1,
+    the last by `_peel`, which keeps zero lines here, and one Bareiss pass
+    over the core it leaves.  v changes only by the steps of its few rows,
+    and those of `solve_curve_class` pivot on the units of K and of the
+    classes, so they are plain subtractions: on its systems no entry of v
+    exceeds 3, and v peels to nothing.  Dense random 7x7 matrices with
+    entries up to 5 take v to 63 bits.
     """
     rows, cols = _check_rectangular(a)
     if len(b) != rows:
         raise ValueError("right-hand side has wrong length")
     _check_integer(a, "an integer solve")
     h = [list(col) for col in zip(*a)]  # the columns of a v
-    v = identity_matrix(cols)  # v[j] is column j of v
+    v = _unit_columns(cols)
     pivots: list[int] = []
     for i in range(rows):
         r = len(pivots)
@@ -624,10 +789,13 @@ def solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
             continue
         _, j = min(nonzero)
         if j != r:
-            _rows((h, v), r, j, _SWAP)
+            h[r], h[j] = h[j], h[r]
+            v[r], v[j] = v[j], v[r]
         for j in range(r + 1, cols):
             if h[j][i]:
-                _rows((h, v), r, j, _bezout(h[r][i], h[j][i]))
+                step = _bezout(h[r][i], h[j][i])
+                _rows((h,), r, j, step)
+                _combine(v, r, j, step)
         pivots.append(i)
     rank = len(pivots)
     y: list[int] = []
@@ -638,12 +806,21 @@ def solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
         y.append(q)
     if any(sum(h[j][i] * y[j] for j in range(rank)) != b[i] for i in range(rows)):
         return None
-    x0 = [sum(map(mul, col, y)) for col in zip(*v[:rank])] if rank else [0] * cols
-    basis = v[rank:]
+    x0 = [0] * cols
+    for c, t in zip(v, y):
+        for pos, e in c.items():
+            x0[pos] += e * t
+    basis = []
+    for c in v[rank:]:
+        k = [0] * cols
+        for pos, e in c.items():
+            k[pos] = e
+        basis.append(k)
     if [sum(map(mul, row, x0)) for row in a] != list(b):
         raise InvariantError("integer solve: a x0 differs from b")
     if any(sum(map(mul, row, k)) for k in basis for row in a):
         raise InvariantError("integer solve: a basis vector is not in the kernel")
-    if abs(_bareiss([col[:] for col in v])) != 1:
+    keep_rows, keep_cols = _core(v, cols, _peel(v, cols, zeros=False), "integer solve")
+    if abs(_bareiss([[v[j].get(i, 0) for j in keep_cols] for i in keep_rows])) != 1:
         raise InvariantError("integer solve: the transform is not unimodular")
     return x0, basis

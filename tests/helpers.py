@@ -23,9 +23,11 @@ blow-up rebuild per kind of center) that one routine each replaced, and
 the discriminant and fiber multiplicities by the intersection matrix that
 one leaf pass over the graph replaced, the dense blow-up lattice (every
 class re-checked after every step, every pair of names paired) that sparse
-classes and one Gram table replaced, and the Q(eps) kernels built from
+classes and one Gram table replaced, the Q(eps) kernels built from
 QuadExt operators (a canonical element per product and partial sum) that
-kernels canonicalising once per result entry replaced."""
+kernels canonicalising once per result entry replaced, and the torsion,
+integer solve and fiber-group solve by dense elimination that peeled unit
+pivots, a sparse Hermite transform and solves on the support replaced."""
 
 from __future__ import annotations
 
@@ -35,8 +37,8 @@ import signal
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import compress
-from math import gcd, isqrt, lcm
+from itertools import chain, compress
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -52,13 +54,27 @@ from sncalc.errors import (
     SingularMatrixError,
     UnderconstrainedError,
 )
-from sncalc.graphs import Chain, DualGraph, QDivisor, canonical_form, maximal_twigs
-from sncalc.lattice import SurfaceLattice, Vector, _dot
+from sncalc.graphs import Chain, DualGraph, QDivisor, _find, canonical_form, maximal_twigs
+from sncalc.lattice import (
+    FiberPiece,
+    RulingDecomposition,
+    SurfaceLattice,
+    Vector,
+    _dot,
+    _sparse_dot,
+)
 from sncalc.linalg import (
+    _SWAP,
     _back_substitute,
     _bareiss,
+    _bezout,
+    _check_integer,
     _check_rectangular,
+    _diagonalise,
     _echelon,
+    _forest_minors,
+    _rows,
+    _solve,
     TorsionGroup,
     det_exact,
     identity_matrix,
@@ -71,7 +87,13 @@ from sncalc.linalg import (
 )
 from sncalc import projective
 from sncalc.projective import ProjConic, ProjLine, ProjPoint, QuadExt, incident, proj_eq
-from sncalc.surgery import FiberGraph, _fresh_id, contract_minus_one, is_valid_fiber
+from sncalc.surgery import (
+    FiberGraph,
+    RulingBookkeeping,
+    _fresh_id,
+    contract_minus_one,
+    is_valid_fiber,
+)
 
 
 def random_tree(
@@ -1550,3 +1572,215 @@ def operator_scaled(v: tuple[QuadExt, ...]) -> tuple[QuadExt, ...] | None:
         return v
     inv = lead.inverse()
     return tuple(c * inv for c in v)
+
+
+# -- torsion, integer solves and fiber groups by dense elimination -------------
+# `sncalc.linalg.torsion_of_cokernel` and `solve_integer` and
+# `sncalc.lattice.ruling_decompose` with its `_solve_rational_overdetermined`
+# before unit pivots were peeled first, the Hermite transform was kept as
+# sparse columns and each fiber group was solved on its support, kept
+# verbatim (up to names) as oracles.
+
+
+def dense_torsion_of_cokernel(m) -> TorsionGroup:
+    """Torsion of Z^rows / (column span of m): its invariant factors, with
+    no transform built.
+
+    m and its transpose have the same invariant factors, so a tall m is
+    transposed to s, with rows <= cols.  Let r be its rank and D a nonzero
+    r x r minor.  Every torsion factor divides D, so the cokernel of
+    [s | D I] is the torsion plus rows - r copies of Z/D, one for each free
+    summand, and `_diagonalise` reduces the entries mod |D|: its diagonal
+    is the torsion's factors, padded with 1s, and then rows - r copies of
+    |D|.  At full rank D is the determinant of the forest kernel (a square
+    forest form) or of one Bareiss pass over the transpose; otherwise the
+    pivot columns of `_echelon` give r, and a Bareiss pass over those
+    columns gives D.
+
+    Every answer is certified, and a failed check raises InvariantError:
+    the diagonalised matrix is diagonal, its diagonal is a divisibility
+    chain, its first entry is the gcd of the entries of m (for r > 0), and
+    its last rows - r entries are |D|.  The product of the torsion's
+    factors, the gcd of the maximal minors at full rank, must divide |D|,
+    and equal it for a square m of full rank.  The gcd itself is not
+    computed for other shapes: it costs more than the diagonalisation.
+    """
+    rows, cols = _check_rectangular(m)
+    _check_integer(m, "the torsion of a cokernel")
+    s = [list(row) for row in m] if rows <= cols else [list(col) for col in zip(*m)]
+    rows, cols = len(s), len(s[0]) if s else 0
+    forest = _forest_minors(s) if rows == cols else None
+    minor = forest[0] if forest is not None else _bareiss([list(col) for col in zip(*s)])
+    rank = rows
+    if not minor:
+        pivots = _echelon([row[:] for row in s], cols)
+        rank = len(pivots)
+        minor = _bareiss([[row[p] for p in pivots] for row in s])
+        if not minor:
+            raise InvariantError("invariant factors: the echelon pivots give no nonzero minor")
+    minor = abs(minor)
+    _diagonalise(s, minor)
+    factors = [s[k][k] for k in range(rows)]
+    if any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(s)):
+        raise InvariantError("invariant factors: the matrix is not diagonal")
+    if 0 in factors or any(b % a for a, b in zip(factors, factors[1:])):
+        raise InvariantError("invariant factors: the diagonal is not a divisibility chain")
+    if rank and factors[0] != gcd(*chain.from_iterable(m)):
+        raise InvariantError("invariant factors: the first is not the gcd of the entries")
+    if factors[rank:] != [minor] * (rows - rank):
+        raise InvariantError("invariant factors: the free part differs from the echelon rank")
+    factors = factors[:rank]
+    if minor % prod(factors) or rank == cols and prod(factors) != minor:
+        raise InvariantError("invariant factors: the product does not match the minor")
+    return TorsionGroup(tuple(d for d in factors if d > 1))
+
+
+def dense_solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
+    """All integer solutions of a x = b: a particular one plus a lattice basis.
+
+    Returns None when no integer solution exists (including the case where
+    the system is rationally inconsistent).  Column steps bring a to its
+    column Hermite form a v = [H | 0] (Cohen, GTM 138, sec. 2.4), with H in
+    column echelon form and v unimodular; only v is tracked.  Row by row,
+    a smallest nonzero among the columns not yet used becomes the pivot,
+    and one Bezout step per entry (`_bezout`) clears the rest of the row.
+    Forward substitution through H gives y, the particular solution is
+    x0 = v y, and the columns of v from the rank on are the basis.  The
+    result is checked: a x0 = b, a kills each basis vector and |det v| = 1.
+    v changes only by the steps of its few rows, and those of
+    `solve_curve_class` pivot on the units of K and of the classes, so
+    they are plain subtractions: on its systems no entry of v exceeds 3.
+    Dense random 7x7 matrices with entries up to 5 take v to 63 bits.
+    """
+    rows, cols = _check_rectangular(a)
+    if len(b) != rows:
+        raise ValueError("right-hand side has wrong length")
+    _check_integer(a, "an integer solve")
+    h = [list(col) for col in zip(*a)]  # the columns of a v
+    v = identity_matrix(cols)  # v[j] is column j of v
+    pivots: list[int] = []
+    for i in range(rows):
+        r = len(pivots)
+        nonzero = [(abs(col[i]), j) for j, col in enumerate(h[r:], r) if col[i]]
+        if not nonzero:
+            continue
+        _, j = min(nonzero)
+        if j != r:
+            _rows((h, v), r, j, _SWAP)
+        for j in range(r + 1, cols):
+            if h[j][i]:
+                _rows((h, v), r, j, _bezout(h[r][i], h[j][i]))
+        pivots.append(i)
+    rank = len(pivots)
+    y: list[int] = []
+    for k, i in enumerate(pivots):
+        q, rem = divmod(b[i] - sum(map(mul, (h[j][i] for j in range(k)), y)), h[k][i])
+        if rem:
+            return None
+        y.append(q)
+    if any(sum(h[j][i] * y[j] for j in range(rank)) != b[i] for i in range(rows)):
+        return None
+    x0 = [sum(map(mul, col, y)) for col in zip(*v[:rank])] if rank else [0] * cols
+    basis = v[rank:]
+    if [sum(map(mul, row, x0)) for row in a] != list(b):
+        raise InvariantError("integer solve: a x0 differs from b")
+    if any(sum(map(mul, row, k)) for k in basis for row in a):
+        raise InvariantError("integer solve: a basis vector is not in the kernel")
+    if abs(_bareiss([col[:] for col in v])) != 1:
+        raise InvariantError("integer solve: the transform is not unimodular")
+    return x0, basis
+
+
+def dense_ruling_decompose(
+    l: SurfaceLattice,
+    fiber_class: Sequence[int],
+    curve_names: Sequence[str],
+    boundary: Sequence[str],
+) -> RulingDecomposition:
+    """Split named curves into horizontal ones and fiber groups.
+
+    Vertical curves are grouped by connectivity of the pairing graph; each
+    group's multiplicities are solved from the class equation.  Groups with
+    zero pairing that truly belong to one fiber stay separate pieces -- the
+    decomposition never invents connectivity.
+    """
+    f = l.resolve(fiber_class)
+    if l.pair(f, f) != 0 or l.pair(f, "K") != -2:
+        raise LatticeError("not a fiber class: need F.F = 0 and F.K = -2")
+    bset = set(boundary)
+    unknown = bset - set(curve_names)
+    if unknown:
+        raise LatticeError(f"boundary names missing from curve list: {sorted(unknown)}")
+    horizontal: list[tuple[str, int]] = []
+    vertical: list[str] = []
+    sparse_f = {pos: x for pos, x in enumerate(f) if x}
+    for name in curve_names:
+        cls = l._classes.get(name)
+        deg = l.pair(name, f) if cls is None else _sparse_dot(cls, sparse_f)
+        if deg > 0:
+            horizontal.append((name, int(deg)))
+        elif deg == 0:
+            vertical.append(name)
+        else:
+            raise LatticeError(f"curve {name!r} pairs negatively with the fiber class")
+
+    # group vertical curves by pairing connectivity: a union-find over their
+    # positions, so groups come in the order of their first curve, joined
+    # along the positive entries of each curve's row of the Gram table
+    parent: dict[int, int] = {}
+    where: dict[str, list[int]] = {}  # name -> its positions so far
+    for i, name in enumerate(vertical):
+        for other, prod in l._gram[name].items():
+            if prod > 0:
+                for j in where.get(other, ()):
+                    parent[_find(parent, i)] = _find(parent, j)
+        where.setdefault(name, []).append(i)
+    groups: dict[int, list[str]] = {}
+    for i, name in enumerate(vertical):
+        groups.setdefault(_find(parent, i), []).append(name)
+
+    pieces: list[FiberPiece] = []
+    for grp in groups.values():
+        cols = [l.class_of(name) for name in grp]
+        a = [[c[r] for c in cols] for r in range(l.rank)]
+        sol = dense_solve_rational_overdetermined(a, list(f))
+        in_boundary = all(name in bset for name in grp)
+        sigma = sum(1 for name in grp if name not in bset)
+        if sol is None:
+            residual = tuple(
+                f[r] - sum(c[r] for c in cols) for r in range(l.rank)
+            )
+            pieces.append(FiberPiece(tuple(grp), None, residual, in_boundary, sigma))
+        else:
+            if any(x.denominator != 1 or x < 1 for x in sol):
+                raise LatticeError(
+                    f"fiber group {grp} solves to non-positive-integer "
+                    f"multiplicities {sol}"
+                )
+            pieces.append(
+                FiberPiece(tuple(grp), tuple(int(x) for x in sol), None, in_boundary, sigma)
+            )
+
+    nu = sum(1 for p in pieces if p.in_boundary and p.complete)
+    sigma_excess = sum(p.sigma - 1 for p in pieces if not p.in_boundary)
+    bookkeeping = RulingBookkeeping(
+        h=sum(1 for name, _ in horizontal if name in bset),
+        nu=nu,
+        sigma_excess=sigma_excess,
+        b2_surface=l.rank,
+        b2_boundary=len(bset),
+    )
+    return RulingDecomposition(f, tuple(horizontal), tuple(pieces), bookkeeping)
+
+
+def dense_solve_rational_overdetermined(a, b) -> list[Fraction] | None:
+    """Unique rational solution of a (possibly tall) system, or None.
+
+    Raises if the columns are dependent: fiber groups must have independent
+    classes for the multiplicity question to be well-posed.
+    """
+    cols = len(a[0]) if a else 0
+    rank, sol = _solve(a, b)
+    if rank < cols:
+        raise LatticeError("fiber group classes are linearly dependent")
+    return sol

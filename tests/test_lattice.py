@@ -18,6 +18,7 @@ from helpers import (
     all_pairs_extract_boundary_graph,
     bench_workloads,
     chain_program,
+    dense_ruling_decompose,
     dense_run_program,
     fraction_integer_range,
     merge_vertical_groups,
@@ -662,3 +663,81 @@ def test_boundary_extraction_takes_near_linear_time():
         g = extract_boundary_graph(lat, names)
     assert g.weights == {"L": 0, **{f"E{i}": -2 for i in range(511)}, "E511": -1}
     assert len(g.edges) == 512 and g.is_forest()
+
+
+def test_ruling_groups_solved_on_their_support_match_the_dense_solve():
+    # old-versus-new, exactly: every ruling of 1,200 seed-11 lattice ops and
+    # of `verify all`, and on a third of those lattices the rulings H - e_k
+    # of every position k (often with curves that pair negatively or pieces
+    # left incomplete), shuffled subsets of the names, the names with
+    # repeats (dependent groups) and a class registered to solve to
+    # multiplicities that are not positive integers: the same FiberPiece
+    # tuples, bookkeeping, error types and messages
+    calls = []
+    real = sncalc.lattice.ruling_decompose
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sncalc.lattice, "ruling_decompose", recording)
+        mp.setattr(sncalc.scenarios, "ruling_decompose", recording)
+        workload = bench_workloads().WORKLOADS["lattice"]
+        for index in range(1200):
+            item = workload.make(11, index)
+            assert workload.check(item, workload.run(item)) is None
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "all"]) == 0
+    assert len(calls) == 900 + 5
+    rng = random.Random(0x5F1)
+    variants = []
+    for lat, _, names, _ in calls[:900:3]:
+        names = list(names)
+        for k in range(1, lat.rank):
+            fiber = [1] + [0] * (lat.rank - 1)
+            fiber[k] = -1
+            variants.append((lat, tuple(fiber), names, []))
+        chosen = rng.sample(names, rng.randint(1, len(names)))
+        variants.append((lat, (1, -1) + (0,) * (lat.rank - 2), chosen, []))
+        variants.append((lat, (1, -1) + (0,) * (lat.rank - 2), names + chosen[:2], []))
+    lat = lat_of(_TOWER)
+    lat.register("X", (-2, 2, -1, 2))
+    for names in (["A", "E3", "X"], ["E2", "E3", "X"], ["E2", "X"]):
+        variants.append((lat, (1, -1, 0, 0), names, []))
+    seen = Counter()
+    mismatches = []
+    for args in calls + variants:
+        new, old = outcome(ruling_decompose, *args), outcome(dense_ruling_decompose, *args)
+        if new != old:
+            mismatches.append(args[1:])
+        if isinstance(old, tuple):
+            seen[next(w for w in ("dependent", "multiplicities", "class") if w in old[1])] += 1
+        else:
+            seen["complete"] += sum(p.complete for p in old.fibers)
+            seen["incomplete"] += sum(not p.complete for p in old.fibers)
+    assert mismatches == []
+    assert seen["incomplete"] > 1000 and seen["complete"] > 5000, seen
+    assert seen["dependent"] > 100 and seen["class"] > 500 and seen["multiplicities"] == 2, seen
+
+
+def test_chain_boundary_torsion_hands_no_entry_to_dense_elimination(monkeypatch):
+    # the boundary L, E0, ..., E(n-2) of the chain program peels to nothing,
+    # so no matrix entry reaches a dense kernel; without the peel the count
+    # grows as n^2
+    entries = 0
+
+    def counting(real):
+        def kernel(a, *args, **kwargs):
+            nonlocal entries
+            entries += sum(map(len, a))
+            return real(a, *args, **kwargs)
+
+        return kernel
+
+    for name in ("_bareiss", "_diagonalise"):
+        monkeypatch.setattr(sncalc.linalg, name, counting(getattr(sncalc.linalg, name)))
+    for n in (128, 256, 512):
+        lat = run_program(parse_arrangement(chain_program(n)))
+        assert h1_order(lat, ["L"] + [f"E{i}" for i in range(n - 1)]).is_trivial
+    assert entries == 0

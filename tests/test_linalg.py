@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -15,6 +16,8 @@ from helpers import (
     bareiss_det_exact,
     bareiss_is_negative_definite,
     bench_workloads,
+    dense_solve_integer,
+    dense_torsion_of_cokernel,
     echelon_kernel_basis,
     euclid_smith_normal_form,
     forms_tree_form,
@@ -41,7 +44,7 @@ from sncalc.calculus import BoundaryTag, classify_boundary, discriminant
 from sncalc.casetable import load_cases
 from sncalc.errors import SncalcError, SingularMatrixError
 from sncalc.graphs import DualGraph, build_fork, parse_graph
-from sncalc.lattice import _solve_rational_overdetermined
+from sncalc.lattice import _solve_on_support
 from sncalc.linalg import (
     TorsionGroup,
     det_exact,
@@ -526,6 +529,14 @@ def _outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
+def _solve_overdetermined(m, b):
+    """The fiber-group solve of `ruling_decompose` on a dense system, with
+    the solution as Fractions, as the dense solve it replaced returned it."""
+    columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*m)]
+    sol = _solve_on_support(columns, {i: x for i, x in enumerate(b) if x})
+    return None if sol is None else [Fraction(x) for x in sol]
+
+
 def test_solves_and_kernels_match_the_rref_oracle():
     # old-versus-new: the Gauss-Jordan routines over Fraction against the
     # integer echelon form on shapes up to 7x7; one in five rational, every
@@ -573,7 +584,7 @@ def test_solves_and_kernels_match_the_rref_oracle():
         if solved != _outcome(rref_solve_rational, m, b):
             mismatches.append(("solve", m, b))
         if rows >= cols:
-            over = _outcome(_solve_rational_overdetermined, m, b)
+            over = _outcome(_solve_overdetermined, m, b)
             counts["consistent"] += over != "None" and not isinstance(over, tuple)
             counts["inconsistent"] += over == "None"
             if over != _outcome(rref_solve_rational_overdetermined, m, b):
@@ -655,6 +666,148 @@ def test_torsion_of_bordered_tree_forms():
             assert torsion_of_cokernel(m) == torsion_of_cokernel(q)
 
 
+def _bordered(q, border):
+    """The form q with an extra zero row, zero column or both."""
+    m = [row + [0] for row in q] if border != "row" else [row[:] for row in q]
+    if border != "column":
+        m.append([0] * len(m[0]))
+    return m
+
+
+def test_bordered_forest_forms_take_the_forest_path(monkeypatch):
+    # the peel drops the zero lines, so the core is the square tree form and
+    # its modulus comes from the forest kernel; without the peel a Bareiss
+    # pass over the transpose found it, in 0.4-0.7 s at 160 vertices and
+    # 4-8 s at 320
+    q = seeded_tree_form(160)
+    expected = torsion_of_cokernel(q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_bareiss was called")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_bareiss", refuse)
+        for border in ("row", "column", "both"):
+            assert torsion_of_cokernel(_bordered(q, border)) == expected
+    q = seeded_tree_form(320)
+    expected = None
+    for border in ("row", "column", "both"):
+        with time_limit(2):
+            torsion = torsion_of_cokernel(_bordered(q, border))
+        assert expected is None or torsion == expected
+        expected = torsion
+
+
+def _planted_sparse_matrix(rng):
+    """A sparse integer matrix up to 9 x 9 with planted lines: a unit alone
+    on its row or its column, a non-unit alone on its line, a zero row or
+    a zero column, in random order, so that peels cascade and stop."""
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    m = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, 5)):
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        kind = rng.randrange(5)
+        value = rng.choice((1, -1)) if kind < 2 else rng.choice((2, -2, 3))
+        if kind in (0, 2):
+            m[i] = [0] * cols
+        elif kind in (1, 3):
+            for row in m:
+                row[j] = 0
+        if kind < 4:
+            m[i][j] = value
+        elif rng.random() < 0.5:
+            m[i] = [0] * cols
+        else:
+            for row in m:
+                row[j] = 0
+    return m
+
+
+def _seeded_systems():
+    """(m, b, family): the 3,000 seeded matrices of the Smith-oracle test,
+    with the right-hand sides it draws, the 150 tree forms, the seeded
+    100-vertex tree, the bordered forms, a few invalid inputs and 3,000
+    planted sparse matrices; b = m x half of the time (solvable), else
+    random (mostly not), and None for the large forms, on which the
+    Hermite transform swells."""
+    rng = random.Random(0x5B1)
+    for index in range(3000):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        if index % 3 == 0:
+            k = rng.randint(1, min(rows, cols))
+            a = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rows)]
+            m = mat_mul(a, [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(k)])
+        else:
+            m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:
+            b = _apply(m, [rng.randint(-3, 3) for _ in m[0]])
+        else:
+            b = [rng.randint(-9, 9) for _ in m]
+        yield m, b, "seeded"
+    rng = random.Random(0x7EE)
+    for index in range(150):
+        q = forms_tree_form(rng, (8, 14, 20)[index % 3], definite=index % 2 == 0)
+        yield q, _apply(q, [rng.randint(-3, 3) for _ in q]), "tree"
+    yield seeded_tree_form(100), None, "tree"
+    for n, border in ((40, "row"), (40, "column"), (30, "both"), (160, "row")):
+        yield _bordered(seeded_tree_form(n), border), None, "bordered"
+    invalid = (
+        ([[1, 2], [3]], [1, 2]),
+        ([[1, Fraction(1, 2)], [0, 1]], [1, 1]),
+        ([[1, 2], [0, 1.0]], [1, 1]),
+        ([[1, 2], [0, 1]], [1]),
+        ([[True, 0], [0, 2]], [1, 2]),
+        ([], []),
+        ([[], []], [0, 1]),
+    )
+    for m, b in invalid:
+        yield m, b, "invalid"
+    rng = random.Random(0x9EE1)
+    for _ in range(3000):
+        m = _planted_sparse_matrix(rng)
+        if rng.random() < 0.5:
+            b = _apply(m, [rng.randint(-3, 3) for _ in m[0]])
+        else:
+            b = [rng.randint(-3, 3) for _ in m]
+        yield m, b, "planted"
+
+
+def test_peeled_torsion_and_sparse_solves_match_the_dense_oracles():
+    # old-versus-new, exactly: the invariant factors, the x0 and basis
+    # lists and the errors of the dense torsion and the dense-transform
+    # solve; the planted matrices peel partly, wholly and not at all
+    mismatches = []
+    shapes = Counter()
+    for m, b, family in _seeded_systems():
+        if outcome(torsion_of_cokernel, m) != outcome(dense_torsion_of_cokernel, m):
+            mismatches.append(("torsion", m))
+        if b is not None and outcome(solve_integer, m, b) != outcome(dense_solve_integer, m, b):
+            mismatches.append(("solve", m, b))
+        if family == "planted":
+            columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*m)]
+            steps = linalg._peel(columns, len(m))
+            rows, cols = linalg._core(columns, len(m), steps, "test")
+            shapes["empty" if not rows else "partial" if steps else "whole"] += 1
+            shapes["tall" if len(rows) > len(cols) else "wide"] += bool(rows and steps)
+    assert mismatches == []
+    assert all(shapes[kind] > 150 for kind in ("empty", "partial", "whole", "tall", "wide")), shapes
+
+
+def test_peel_keeps_zero_lines_for_a_determinant():
+    # |det| through the peel and a Bareiss pass on the core, as the
+    # unimodularity check of solve_integer reads it, against det_exact
+    rng = random.Random(0xDE7)
+    for _ in range(1000):
+        n = rng.randint(1, 8)
+        m = _planted_sparse_matrix(rng)
+        m = [(row + [0] * n)[:n] for row in (m + [[0] * n] * n)[:n]]
+        columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*m)]
+        rows, cols = linalg._core(columns, n, linalg._peel(columns, n, zeros=False), "test")
+        assert len(rows) == len(cols)
+        core = [[m[i][j] for j in cols] for i in rows]
+        assert abs(linalg._bareiss(core)) == abs(det_exact(m))
+
+
 def _record_integer_calls(run) -> tuple[list, list]:
     """The matrices given to `torsion_of_cokernel` and the systems given to
     `solve_integer` by the package's callers while run() runs."""
@@ -707,6 +860,21 @@ def test_package_calls_match_the_smith_oracles():
     assert counts == [(900, 900), (6, 8)]
 
 
+def test_package_calls_match_the_dense_oracles():
+    # old-versus-new, exactly, on every call of 1,200 seed-11 lattice ops and
+    # of `verify all`: the invariant factors and the x0 and basis lists
+    mismatches = []
+    for run in (lambda: _lattice_ops(11, 1200), _verify_all):
+        torsions, solves = _record_integer_calls(run)
+        for m in torsions:
+            if torsion_of_cokernel(m) != dense_torsion_of_cokernel(m):
+                mismatches.append(("torsion", m))
+        for a, b in solves:
+            if solve_integer(a, b) != dense_solve_integer(a, b):
+                mismatches.append(("solve", a, b))
+    assert mismatches == []
+
+
 def test_no_package_path_calls_the_smith_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("smith_normal_form was called")
@@ -717,11 +885,13 @@ def test_no_package_path_calls_the_smith_form(monkeypatch):
 
 
 def test_invariant_factor_and_hermite_certificates_raise_under_optimization():
-    # each certificate must trip on its own corruption even with -O
+    # each certificate must trip on its own corruption even with -O; the
+    # Hermite transform is corrupted through its sparse columns, and a
+    # faulty peel through the steps it reports
     code = (
         "import sncalc.linalg as la\n"
         "from sncalc.errors import InvariantError\n"
-        "diagonalise, rows, identity = la._diagonalise, la._rows, la.identity_matrix\n"
+        "diagonalise, combine, units = la._diagonalise, la._combine, la._unit_columns\n"
         "def off_diagonal(s, r):\n"
         "    diagonalise(s, r)\n"
         "    s[0][1] = 1\n"
@@ -731,26 +901,32 @@ def test_invariant_factor_and_hermite_certificates_raise_under_optimization():
         "        for k, d in enumerate(diagonal):\n"
         "            s[k][k] = d\n"
         "    return fake\n"
-        "def kernel_off(mats, i, j, step):\n"
-        "    rows(mats, i, j, step)\n"
-        "    mats[1][j][0] += 1\n"
+        "def kernel_off(v, i, j, step):\n"
+        "    combine(v, i, j, step)\n"
+        "    v[j][0] = v[j].get(0, 0) + 1\n"
         "def scaled(k):\n"
         "    def fake(n):\n"
-        "        v = identity(n)\n"
+        "        v = units(n)\n"
         "        v[k][k] = 2\n"
         "        return v\n"
         "    return fake\n"
+        "def peeling(steps):\n"
+        "    return lambda columns, nrows, zeros=True: steps\n"
+        "rank_one = [[2, 4, 6], [4, 8, 12]]\n"
         "cases = [\n"
         "    ('_diagonalise', off_diagonal, la.torsion_of_cokernel, [[2, 0], [0, 4]]),\n"
         "    ('_diagonalise', setting([4, 2]), la.torsion_of_cokernel, [[2, 0], [0, 4]]),\n"
         "    ('_diagonalise', setting([1, 8]), la.torsion_of_cokernel, [[2, 0], [0, 4]]),\n"
         "    ('_diagonalise', setting([2, 8]), la.torsion_of_cokernel, [[2, 0], [0, 4]]),\n"
         "    ('_diagonalise', setting([2, 8]), la.torsion_of_cokernel, [[2, 0, 0], [0, 4, 0]]),\n"
-        "    ('_diagonalise', setting([2, 4]), la.torsion_of_cokernel, [[2, 0, 0], [4, 0, 0]]),\n"
-        "    ('_echelon', lambda a, n: [1], la.torsion_of_cokernel, [[2, 0, 0], [4, 0, 0]]),\n"
-        "    ('identity_matrix', scaled(0), la.solve_integer, [[1, 1]], [5]),\n"
-        "    ('_rows', kernel_off, la.solve_integer, [[1, 1]], [5]),\n"
-        "    ('identity_matrix', scaled(1), la.solve_integer, [[1, 0]], [3]),\n"
+        "    ('_diagonalise', setting([2, 4]), la.torsion_of_cokernel, rank_one),\n"
+        "    ('_echelon', lambda a, n: [0, 1], la.torsion_of_cokernel, rank_one),\n"
+        "    ('_unit_columns', scaled(0), la.solve_integer, [[1, 1]], [5]),\n"
+        "    ('_combine', kernel_off, la.solve_integer, [[1, 1]], [5]),\n"
+        "    ('_unit_columns', scaled(1), la.solve_integer, [[1, 0]], [3]),\n"
+        "    ('_peel', peeling([(0, 0, True)]), la.torsion_of_cokernel, [[2, 0], [0, 4]]),\n"
+        "    ('_peel', peeling([(0, 1, True)]), la.torsion_of_cokernel, [[1, 1], [0, 2]]),\n"
+        "    ('_peel', peeling([(0, 0, True), (0, 1, True)]), la.solve_integer, [[1, 1]], [5]),\n"
         "]\n"
         "for name, fake, call, *args in cases:\n"
         "    real = getattr(la, name)\n"
@@ -777,6 +953,9 @@ def test_invariant_factor_and_hermite_certificates_raise_under_optimization():
         "InvariantError: integer solve: a x0 differs from b",
         "InvariantError: integer solve: a basis vector is not in the kernel",
         "InvariantError: integer solve: the transform is not unimodular",
+        "InvariantError: invariant factors: a peeled pivot is not a unit",
+        "InvariantError: invariant factors: the peel is not triangular",
+        "InvariantError: integer solve: the peel takes a line out twice",
     ]
 
 
