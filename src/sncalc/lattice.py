@@ -31,8 +31,9 @@ from .linalg import (
     _back_substitute,
     _bareiss,
     _solve,
+    _sparse_sum,
+    _torsion_of_columns,
     solve_integer,
-    torsion_of_cokernel,
 )
 from .surgery import RulingBookkeeping
 
@@ -373,12 +374,10 @@ def euler_numbers(
 
 
 def h1_order(l: SurfaceLattice, boundary: Sequence[str]) -> TorsionGroup:
-    """Torsion of the quotient of the lattice by the boundary classes."""
-    cols = [l.class_of(name) for name in boundary]
-    matrix = [[c[r] for c in cols] for r in range(l.rank)]
-    if not cols:
-        return TorsionGroup(())
-    return torsion_of_cokernel(matrix)
+    """Torsion of the quotient of the lattice by the boundary classes.  The
+    classes go to the torsion's peel as the sparse columns they are stored
+    as, and only the core that the peel leaves is made dense."""
+    return _torsion_of_columns([l._sparse(name) for name in boundary], l.rank)
 
 
 @dataclass(frozen=True)
@@ -578,6 +577,16 @@ def solve_curve_class(
     LatticeError.  When the Gram form on the sublattice's direction space is
     not negative definite the solution set can be infinite and an error
     lists the free directions.
+
+    The walk runs on the successive differences b_1, b_j - b_(j-1) of the
+    solve's basis.  They span the same lattice, and their first i span the
+    same space as the basis's first i, so the walk tries the same
+    coefficients, one for one.  Their Gram form is built from a position
+    index, pairing only the differences that share a position.  When it is
+    tridiagonal, as on the pencil programs, where the basis is e_j - e_2
+    and the differences are e_j - e_(j-1), continuants give its rows and
+    center (`_chain_center`); any other form takes one dense Bareiss pass
+    (`_definite_center`).
     """
     rows: list[list[int]] = []
     rhs: list[int] = []
@@ -597,31 +606,46 @@ def solve_curve_class(
     if not basis:
         out = [tuple(x0)] if _dot(x0, x0) == self_sq else []
     else:
-        # M = -gram must be positive definite
         sparse = [{pos: x for pos, x in enumerate(bi) if x} for bi in basis]
-        k = len(sparse)
-        m = [[0] * k for _ in range(k)]
-        for i, bi in enumerate(sparse):
-            for j in range(i, k):
-                m[i][j] = m[j][i] = -_sparse_dot(bi, sparse[j])
+        diffs = sparse[:1] + [_sparse_sum(-1, a, 1, b) for a, b in zip(sparse, sparse[1:])]
+        # M = -gram must be positive definite; m[i] holds row i's nonzeros
+        m: list[dict[int, int]] = []
+        at: dict[int, list[int]] = {}  # position -> diffs nonzero there
+        for i, diff in enumerate(diffs):
+            row = {i: -_sparse_dot(diff, diff)}
+            for j in dict.fromkeys(j for pos in diff for j in at.get(pos, ())):
+                value = -_sparse_dot(diff, diffs[j])
+                if value:
+                    row[j] = m[j][i] = value
+            m.append(row)
+            for pos in diff:
+                at.setdefault(pos, []).append(i)
         x0_sparse = {pos: x for pos, x in enumerate(x0) if x}
-        lin = [_sparse_dot(x0_sparse, bi) for bi in sparse]
-        solved = _definite_center(m, lin)
+        lin = [_sparse_dot(x0_sparse, diff) for diff in diffs]
+        if all(abs(i - j) < 2 for i, row in enumerate(m) for j in row):
+            solved = _chain_center(m, lin)
+        else:
+            k = len(m)
+            solved = _definite_center([[row.get(j, 0) for j in range(k)] for row in m], lin)
+            if solved is not None:
+                b, y, d = solved
+                solved = [r[i:k] for i, r in enumerate(b)], y, d
         if solved is None:
             raise UnderconstrainedError(
                 "constraints leave a direction space that is not negative definite; "
                 "the solution family may be infinite",
                 free_directions=basis,
             )
-        b, center = solved  # then (t - center)' M (t - center) = radius
-        radius = _sparse_dot(x0_sparse, x0_sparse) - self_sq + sum(map(mul, lin, center))
-        points = _ellipsoid_points(b, center, radius) if radius >= 0 else []
+        b, y, d = solved  # then (t - y/d)' M (t - y/d) = radius
+        const = _sparse_dot(x0_sparse, x0_sparse) - self_sq
+        radius = Fraction(const * d + sum(map(mul, lin, y)), d)
+        points = _ellipsoid_points(b, y, d, radius) if radius >= 0 else []
         out = []
         for t in points:
             v = x0[:]
-            for c, bi in zip(t, sparse):
+            for c, diff in zip(t, diffs):
                 if c:
-                    for pos, x in bi.items():
+                    for pos, x in diff.items():
                         v[pos] += c * x
             out.append(tuple(v))
         out.sort()
@@ -631,15 +655,55 @@ def solve_curve_class(
     return out
 
 
+def _chain_center(
+    m: list[dict[int, int]], lin: list[int]
+) -> tuple[list[list[int]], list[int], int] | None:
+    """`_definite_center` for a tridiagonal M, given by its rows (column ->
+    entry), with each Bareiss row from its diagonal on and d = det(M);
+    None when M is not positive definite.
+
+    The leading principal minors are continuants, D_i = m_ii D_(i-1) -
+    m_(i-1,i)^2 D_(i-2), and M is positive definite when all are positive
+    (Sylvester).  With no row exchange the Bareiss rows of [M | lin] are
+    bidiagonal, B_ii = D_i and B_(i,i+1) = m_(i,i+1) D_(i-1), and the
+    augmented column is N_i = lin_i D_(i-1) - m_(i-1,i) N_(i-1).
+    Back-substitution gives y = d M^-1 lin in integers by exact division,
+    where a remainder raises InvariantError, and y is re-checked as
+    M y = d lin.
+    """
+    b, numer = [], []
+    before, last, n = 0, 1, 0  # D_(i-2), D_(i-1), N_(i-1)
+    for i, row in enumerate(m):
+        off = row.get(i - 1, 0)
+        d = row[i] * last - off * off * before
+        if d <= 0:
+            return None
+        n = lin[i] * last - off * n
+        b.append([d, row.get(i + 1, 0) * last])
+        numer.append(n)
+        before, last = last, d
+    y = [0] * len(m)
+    above = 0  # y_(i+1)
+    for i in reversed(range(len(m))):
+        above, rem = divmod(numer[i] * last - b[i][1] * above, b[i][0])
+        if rem:
+            raise InvariantError("curve-class center division is not exact")
+        y[i] = above
+    if any(sum(x * y[j] for j, x in row.items()) != c * last for row, c in zip(m, lin)):
+        raise InvariantError("curve-class center check failed")
+    return b, y, last
+
+
 def _definite_center(
     m: list[list[int]], lin: list[int]
-) -> tuple[list[list[int]], list[Fraction]] | None:
+) -> tuple[list[list[int]], list[int], int] | None:
     """For a positive definite integer M, the Bareiss rows B of [M | lin]
-    and the center M^-1 lin; None when M is not positive definite.
+    and the center M^-1 lin as integers y over a denominator d > 0; None
+    when M is not positive definite.
 
     One fraction-free pass with lin as an augmented column tests every
     leading principal minor and triangularises the system, and the center
-    comes from back-substitution on B; it is re-checked as M c = lin.
+    comes from back-substitution on B; it is re-checked as M y = d lin.
     """
     k = len(m)
     b = [[*row, c] for row, c in zip(m, lin)]
@@ -649,23 +713,27 @@ def _definite_center(
     del y[k]
     if any(sum(map(mul, row, y)) != c * d for row, c in zip(m, lin)):
         raise InvariantError("curve-class center check failed")
-    return b, [Fraction(x, d) for x in y]
+    return b, y, d
 
 
 def _ellipsoid_points(
-    b: list[list[int]], center: list[Fraction], radius: Fraction
+    b: list[list[int]], numer: list[int], denom: int, radius: Fraction
 ) -> list[list[int]]:
-    """Integer t with (t - c)' M (t - c) = radius, for B the Bareiss rows of
-    a positive definite M (columns past M's are ignored), by Fincke-Pohst
-    (Math. Comp. 44, 1985; Cohen, GTM 138, sec. 2.7.3) over Z:
-    x' M x = sum_i z_i^2 / (B_ii B_(i-1)(i-1)), z_i = sum_(j>=i) B_ij x_j.
-    With c = N / D and y = D t - N, scaling by D^2 L, L the lcm of the
-    B_ii B_(i-1)(i-1), makes it sum_i w_i z_i^2 = R in integers.  Each t_i tried costs one unit of the candidate cap.
+    """Integer t with (t - c)' M (t - c) = radius, for the center c = N / D
+    (numer, denom, D > 0) and B the Bareiss rows of a positive definite M,
+    row i given from B_ii on as far as its nonzeros in M's columns reach,
+    by Fincke-Pohst (Math. Comp. 44, 1985; Cohen, GTM 138, sec. 2.7.3)
+    over Z: x' M x = sum_i z_i^2 / (B_ii B_(i-1)(i-1)), z_i = sum_(j>=i)
+    B_ij x_j.  With y = D t - N, scaling by D^2 L, L the lcm of the
+    B_ii B_(i-1)(i-1), makes it sum_i w_i z_i^2 = R in integers; a
+    common factor of N and D scales every z_i and the bound on it alike,
+    so the candidates are the same.  A shift costs the length of its row
+    as given, and each t_i tried one unit of the candidate cap.
     """
     k = len(b)
-    denom = lcm(*(c.denominator for c in center))
-    numer = [c.numerator * (denom // c.denominator) for c in center]
-    pivots = [b[i][i] for i in range(k)]
+    pivots = [row[0] for row in b]
+    tails = [row[1:] for row in b]  # B_ij for i < j < ends[i]
+    ends = [i + len(row) for i, row in enumerate(b)]
     products = [p * q for p, q in zip(pivots, [1] + pivots)]
     scale = lcm(*products)
     weight = [scale // p for p in products]
@@ -679,7 +747,7 @@ def _ellipsoid_points(
     i, entering = k - 1, True
     while i < k:
         if entering:  # the t_i with w_i z_i^2 <= remaining[i + 1], lowest first
-            shift[i] = pivots[i] * numer[i] - sum(map(mul, b[i][i + 1 : k], y[i + 1 :]))
+            shift[i] = pivots[i] * numer[i] - sum(map(mul, tails[i], y[i + 1 : ends[i]]))
             u = isqrt(remaining[i + 1] // weight[i])
             t[i] = -((u - shift[i]) // step[i]) - 1
             last[i] = (shift[i] + u) // step[i]

@@ -1,27 +1,37 @@
 """Exact integer and rational linear algebra.
 
 Everything here is exact: integer work uses Python's arbitrary-precision
-ints, rational work uses fractions.Fraction.  No floating point.  Three
-integer elimination kernels serve every routine.  A symmetric integer
-form whose off-diagonal nonzeros form a forest (every form of a boundary
-divisor), read from a matrix or straight from a graph, is eliminated leaf
-to root with no fill-in; its subtree determinants give the determinant,
-Sylvester's test, the kernel and fiber multiplicities in linear time.
-Every other matrix (cycles, asymmetric or row-scaled rational ones, the
-lattice's Gram matrices) goes through one fraction-free Bareiss pass
-(determinants, Sylvester's test, unimodularity checks, the rows of the
-curve-class walk).  One integer echelon form with back-substitution over a
-common denominator serves the solves and the kernels, and builds Fractions
-only for the values returned.  Work over Z goes by unimodular Bezout
-steps and builds no Smith transform: cokernel torsion diagonalises the
-matrix alone, mod a nonzero minor of the size of its rank, and integer
-solves track only the transform of a column Hermite form, as sparse
-columns.  Before a dense kernel runs over Z, a peel linear in the
-nonzeros takes out the unit pivots alone on their row or column and the
-zero lines (`_peel`, checked step by step by `_core`).  The dense kernels
-then see only the core: the Hermite transforms of the lattice's solves
-peel to nothing, and the boundary classes of a blown-up plane to a small
-core or to nothing.
+ints, rational work uses fractions.Fraction.  No floating point.  Six
+integer elimination kernels serve every routine here, and the
+curve-class walk of `lattice` has a seventh for chain forms:
+
+1. `_leaf_fold`: a symmetric form whose off-diagonal nonzeros form a
+   forest (every form of a boundary divisor), read from a matrix or
+   straight from a graph, is eliminated leaf to root with no fill-in; its
+   subtree determinants give the determinant, Sylvester's test, the
+   kernel and fiber multiplicities in linear time.
+2. `_bareiss`: every other square matrix (cycles, asymmetric or
+   row-scaled rational ones, Gram forms that are not chains) goes through
+   one fraction-free pass (determinants, Sylvester's test, unimodularity
+   checks, the rows of the curve-class walk).
+3. `_echelon`: one integer echelon form with back-substitution over a
+   common denominator serves the rational solves and the kernels, and
+   builds Fractions only for the values returned.
+4. `_diagonalise`: cokernel torsion diagonalises the matrix alone by
+   unimodular Bezout steps, mod a nonzero minor of the size of its rank,
+   and builds no Smith transform.
+5. The column Hermite loop of `solve_integer` tracks only its transform,
+   as sparse columns; a system of full column rank skips it.
+6. `_peel`, checked step by step by `_core`: before a dense kernel runs
+   over Z, a peel linear in the nonzeros takes out the unit pivots alone
+   on their row or column and the zero lines, from sparse columns.  The
+   dense kernels then see only the core: the Hermite transforms of the
+   lattice's solves peel to nothing, and the boundary classes of a
+   blown-up plane, handed over as their sparse columns, to a small core
+   or to nothing.
+7. `lattice._chain_center`: a tridiagonal positive definite form gives
+   its leading minors, Bareiss rows and center by continuants, in a
+   number of steps linear in its size.
 """
 
 from __future__ import annotations
@@ -663,14 +673,20 @@ def torsion_of_cokernel(m) -> TorsionGroup:
     itself is not computed for other shapes: it costs more than the
     diagonalisation.
     """
-    rows, cols = _check_rectangular(m)
+    rows, _ = _check_rectangular(m)
     _check_integer(m, "the torsion of a cokernel")
-    columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*m)]
-    keep_rows, keep_cols = _core(columns, rows, _peel(columns, rows), "invariant factors")
+    return _torsion_of_columns([{i: x for i, x in enumerate(col) if x} for col in zip(*m)], rows)
+
+
+def _torsion_of_columns(columns: list[dict[int, int]], nrows: int) -> TorsionGroup:
+    """`torsion_of_cokernel` of the integer matrix with these sparse columns
+    (row -> nonzero entry) and nrows rows; only the core left by the peel
+    is made dense."""
+    keep_rows, keep_cols = _core(columns, nrows, _peel(columns, nrows), "invariant factors")
     if not keep_rows:
         return TorsionGroup(())
     if len(keep_rows) <= len(keep_cols):
-        s = [[m[i][j] for j in keep_cols] for i in keep_rows]
+        s = [[columns[j].get(i, 0) for j in keep_cols] for i in keep_rows]
     else:
         s = [[columns[j].get(i, 0) for i in keep_rows] for j in keep_cols]
     rows, cols = len(s), len(s[0])
@@ -759,7 +775,11 @@ def solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
     """All integer solutions of a x = b: a particular one plus a lattice basis.
 
     Returns None when no integer solution exists (including the case where
-    the system is rationally inconsistent).  Column steps bring a to its
+    the system is rationally inconsistent).  A system with at least as
+    many rows as columns is first solved over Q by `_solve`, which
+    re-checks its answer: at full column rank the solution is unique, and
+    it is returned with an empty basis when it is integral, with no Hermite
+    form built.  Otherwise column steps bring a to its
     column Hermite form a v = [H | 0] (Cohen, GTM 138, sec. 2.4), with H in
     column echelon form and v unimodular; only v is tracked, as sparse
     columns (`_combine`).  Row by row, a smallest nonzero among the columns
@@ -779,6 +799,12 @@ def solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
     if len(b) != rows:
         raise ValueError("right-hand side has wrong length")
     _check_integer(a, "an integer solve")
+    if rows >= cols:  # the rank may be full, and then the solution unique
+        rank, x = _solve(a, b)
+        if rank == cols:
+            if x is None or any(t.denominator != 1 for t in x):
+                return None
+            return [t.numerator for t in x], []
     h = [list(col) for col in zip(*a)]  # the columns of a v
     v = _unit_columns(cols)
     pivots: list[int] = []

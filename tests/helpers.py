@@ -505,8 +505,9 @@ def intersection_multiplicity(
 
 # -- the Euclid-and-swap Smith normal form ------------------------------------
 # `sncalc.linalg.smith_normal_form` before it cleared each entry with one
-# Bezout step, kept verbatim as the oracle.  Its transforms can grow to
-# hundreds of thousands of bits, so callers run it under `time_limit`.
+# Bezout step, kept verbatim as the oracle apart from an optional budget.
+# Its transforms can grow to hundreds of thousands of bits, so callers give
+# it a budget on the size of the entries its steps write.
 
 
 @contextmanager
@@ -526,12 +527,22 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def euclid_smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+class OracleBudgetExceeded(Exception):
+    """An oracle's step wrote an entry larger than its budget allows."""
+
+
+def euclid_smith_normal_form(
+    m, max_bits: int | None = None
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (u, s, v) with u m v = s, u and v unimodular, s diagonal.
 
     Diagonal entries are nonnegative and each divides the next.  The
     postconditions are checked on every call and raise InvariantError; at
-    the matrix sizes this package sees the cost is negligible.
+    the matrix sizes this package sees the cost is negligible.  With
+    max_bits given, a row or column step that writes an entry of s or of a
+    transform longer than max_bits bits raises OracleBudgetExceeded: the
+    step count does not tell a stalled matrix, which makes a hundred steps
+    a second on entries of millions of bits, but the entry size does.
     """
     rows, cols = _check_rectangular(m)
     if any(not isinstance(x, int) for row in m for x in row):
@@ -540,17 +551,23 @@ def euclid_smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[
     u = identity_matrix(rows)
     v = identity_matrix(cols)
 
+    def within(entries):
+        if max_bits is not None and max(map(abs, entries)).bit_length() > max_bits:
+            raise OracleBudgetExceeded(f"an entry exceeds {max_bits} bits")
+
     def row_sub(i, j, q):  # row i -= q * row j
         for c in range(cols):
             s[i][c] -= q * s[j][c]
         for c in range(rows):
             u[i][c] -= q * u[j][c]
+        within(s[i] + u[i])
 
     def col_sub(i, j, q):  # col i -= q * col j
         for r in range(rows):
             s[r][i] -= q * s[r][j]
         for r in range(cols):
             v[r][i] -= q * v[r][j]
+        within([r[i] for r in s] + [r[i] for r in v])
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]

@@ -38,7 +38,7 @@ from sncalc.calculus import (
     sharp,
 )
 from sncalc.errors import InvariantError, NonAdmissibleError, NonTreeError, NotMinimalError
-from sncalc.graphs import Chain, DualGraph, QDivisor, build_fork
+from sncalc.graphs import Chain, DualGraph, QDivisor, build_fork, maximal_twigs
 from sncalc.linalg import is_negative_definite
 
 chain = DualGraph.from_chain_weights
@@ -646,3 +646,69 @@ def test_kobayashi_examples():
     assert not ok and slack == Fraction(-1, 2)
     with pytest.raises(ValueError):
         kobayashi_check(0, [1], Fraction(0))
+
+
+def _growth_families(n):
+    """Three forests on n vertices: a chain of (-2)s, a fork with twigs
+    (-2), (-2) and a chain of (-2)s, and a comb, a spine of (-3)s with a
+    (-2) tip on each of its vertices (n even)."""
+    ids = [f"v{i}" for i in range(n)]
+    fork = DualGraph.build(
+        [(v, -2) for v in ids],
+        [("v0", "v1"), ("v0", "v2"), ("v0", "v3")] + list(zip(ids[3:], ids[4:])),
+    )
+    spine, tips = ids[: n // 2], ids[n // 2 :]
+    comb = DualGraph.build(
+        [(v, -3) for v in spine] + [(v, -2) for v in tips],
+        list(zip(spine, spine[1:])) + list(zip(spine, tips)),
+    )
+    return {"chain": chain([-2] * n), "fork": fork, "comb": comb}
+
+
+_LAYERS = {
+    "leaf pass": lambda g: (discriminant(g), classify_boundary(g)),
+    "bark": bark,
+    "maximal_twigs": maximal_twigs,
+    "intersection_matrix": DualGraph.intersection_matrix,
+}
+
+
+@pytest.mark.parametrize("layer", list(_LAYERS))
+def test_linear_layers_read_each_graph_a_linear_number_of_times(layer, monkeypatch):
+    # the graph data a layer reads, counted exactly: one per adjacency lookup
+    # plus the neighbours it returns, and one per vertex for each `ids` or
+    # `weights` built and each `weight` looked up.  On each family at n, 2n
+    # and 4n vertices the count doubles with n; a rescan of the vertices per
+    # vertex, or a pass over a dense matrix, would make it grow as n^2
+    reads = 0
+
+    class CountingAdjacency(dict):
+        def __getitem__(self, v):
+            nonlocal reads
+            neighbours = dict.__getitem__(self, v)
+            reads += 1 + len(neighbours)
+            return neighbours
+
+    def counting(real):
+        def read(self, *args):
+            nonlocal reads
+            reads += len(self.vertices)
+            return real(self, *args)
+
+        return read
+
+    for name in ("ids", "weights"):
+        monkeypatch.setattr(DualGraph, name, property(counting(getattr(DualGraph, name).fget)))
+    monkeypatch.setattr(DualGraph, "weight", counting(DualGraph.weight))
+    counts = Counter()
+    for n in (200, 400, 800):
+        for family, g in _growth_families(n).items():
+            if layer == "maximal_twigs" and family == "chain":
+                continue  # a chain has no twigs of its own
+            object.__setattr__(g, "_adj", CountingAdjacency(g._adj))
+            reads = 0
+            _LAYERS[layer](g)
+            counts[family, n] = reads
+    for family, n in list(counts):
+        if n < 800:
+            assert 0 < counts[family, 2 * n] <= 2.05 * counts[family, n], counts

@@ -44,7 +44,9 @@ from sncalc.lattice import (
     ruling_decompose,
     run_program,
     solve_curve_class,
+    _chain_center,
     _definite_center,
+    _dot,
 )
 from sncalc.linalg import _back_substitute, _bareiss, solve_rational
 
@@ -340,18 +342,26 @@ def test_curve_class_walk_matches_the_recursive_oracle(curve_class_calls):
 def test_augmented_bareiss_center_matches_the_two_passes(curve_class_calls):
     # old-versus-new: one Bareiss pass over [M | lin] against the definiteness
     # pass over M and the solve of M c = lin it replaced (verdict, Bareiss
-    # rows and center), on every system the fixture's calls build (the
-    # benchmark's seed 7-9 programs and the y244 and y333 curves of `verify
-    # all`) and on 1,000 seeded integer Gram forms, half of them A'A + I and
-    # half symmetric with free entries, which are mostly not definite
+    # rows and center), on the form of the integer solve's own basis for
+    # every call of the fixture (the benchmark's seed 7-9 programs and the
+    # y244 and y333 curves of `verify all`), rebuilt here as the walk built
+    # it before it moved to successive differences, and on 1,000 seeded
+    # integer Gram forms, half of them A'A + I and half symmetric with free
+    # entries, which are mostly not definite
     systems = []
+    real_solve = sncalc.lattice.solve_integer
 
-    def recording(m, lin):
-        systems.append(([row[:] for row in m], lin[:]))
-        return _definite_center(m, lin)
+    def recording(a, b):
+        sol = real_solve(a, b)
+        if sol is not None and sol[1]:
+            x0, basis = sol
+            systems.append(
+                ([[-_dot(bi, bj) for bj in basis] for bi in basis], [_dot(x0, bi) for bi in basis])
+            )
+        return sol
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sncalc.lattice, "_definite_center", recording)
+        mp.setattr(sncalc.lattice, "solve_integer", recording)
         for lat, constraints, self_sq, _, _ in curve_class_calls:
             _outcome(solve_curve_class, lat, constraints, self_sq)
     from_calls = len(systems)
@@ -380,10 +390,66 @@ def test_augmented_bareiss_center_matches_the_two_passes(curve_class_calls):
             if verdict:
                 mismatches.append(("verdict", m, lin))
             continue
-        b, center = got
+        b, y, d = got
         k = len(m)
+        center = [Fraction(x, d) for x in y]
         if not verdict or [row[:k] for row in b] != rows or center != solve_rational(m, lin):
             mismatches.append(("center", m, lin))
+    assert mismatches == []
+    assert from_calls > 1000 and seen[True] > 1500 and seen[False] > 300, (from_calls, seen)
+
+
+def test_chain_center_matches_the_bareiss_pass(curve_class_calls):
+    # old-versus-new: the continuants of a tridiagonal form against one dense
+    # Bareiss pass over [M | lin] (verdict, each Bareiss row from its
+    # diagonal on, and center), on every chain form that the fixture's
+    # calls build and on 1,000 seeded tridiagonal forms, half of them
+    # L L' + I for a lower bidiagonal L, so definite, and half with free
+    # entries, mostly not definite
+    systems = []
+    real_center = sncalc.lattice._chain_center
+
+    def recording(m, lin):
+        systems.append(([dict(row) for row in m], lin[:]))
+        return real_center(m, lin)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sncalc.lattice, "_chain_center", recording)
+        for lat, constraints, self_sq, _, _ in curve_class_calls:
+            _outcome(solve_curve_class, lat, constraints, self_sq)
+    from_calls = len(systems)
+    rng = random.Random(0xC4A1)
+    for index in range(1000):
+        k = rng.randint(1, 8)
+        if index % 2:
+            diag = [rng.randint(-3, 3) for _ in range(k)]
+            sub = [0] + [rng.randint(-3, 3) for _ in range(k - 1)]
+            main = [d * d + s * s + 1 for d, s in zip(diag, sub)]
+            off = [0] + [sub[i] * diag[i - 1] for i in range(1, k)]  # m_(i-1,i)
+        else:
+            main = [rng.randint(-2, 6) for _ in range(k)]
+            off = [0] + [rng.randint(-4, 4) for _ in range(k - 1)]
+        m = [{i: main[i]} for i in range(k)]
+        for i in range(1, k):
+            if off[i]:
+                m[i][i - 1] = m[i - 1][i] = off[i]
+        systems.append((m, [rng.randint(-9, 9) for _ in range(k)]))
+    mismatches, seen = [], Counter()
+    for m, lin in systems:
+        k = len(m)
+        old = _definite_center([[row.get(j, 0) for j in range(k)] for row in m], lin)
+        new = _chain_center(m, lin)
+        seen[old is not None] += 1
+        if (old is None) != (new is None):
+            mismatches.append(("verdict", m, lin))
+        elif old is not None:
+            (b, y, d), (bands, chain_y, det) = old, new
+            if [row[i:k] for i, row in enumerate(b)] != [
+                (band + [0] * k)[: k - i] for i, band in enumerate(bands)
+            ]:
+                mismatches.append(("rows", m, lin))
+            if [Fraction(x, det) for x in chain_y] != [Fraction(x, d) for x in y]:
+                mismatches.append(("center", m, lin))
     assert mismatches == []
     assert from_calls > 1000 and seen[True] > 1500 and seen[False] > 300, (from_calls, seen)
 
@@ -399,6 +465,17 @@ def test_a_wrong_center_raises(monkeypatch):
     monkeypatch.setattr(sncalc.lattice, "_back_substitute", off_by_one)
     with pytest.raises(InvariantError, match="center check failed"):
         _definite_center([[2, 1], [1, 2]], [1, 5])
+
+
+def test_a_wrong_chain_center_raises():
+    # the continuant back-substitution divides exactly and its center is
+    # re-checked as M y = det(M) lin: rows that are not symmetric, which no
+    # Gram form has, trip the division and the check
+    with pytest.raises(InvariantError, match="division is not exact"):
+        _chain_center([{0: 3, 1: 1}, {0: 2, 1: 2}], [1, 0])
+    with pytest.raises(InvariantError, match="center check failed"):
+        _chain_center([{0: 2, 1: 1}, {0: 3, 1: 5}], [1, 0])
+    assert _chain_center([{0: 2, 1: 1}, {0: 1, 1: 2}], [1, 5]) == ([[2, 1], [3, 0]], [-3, 9], 3)
 
 
 def test_candidate_cap_counts_every_tried_coefficient(curve_class_calls, monkeypatch):
@@ -741,3 +818,133 @@ def test_chain_boundary_torsion_hands_no_entry_to_dense_elimination(monkeypatch)
         lat = run_program(parse_arrangement(chain_program(n)))
         assert h1_order(lat, ["L"] + [f"E{i}" for i in range(n - 1)]).is_trivial
     assert entries == 0
+
+
+def _chain_query(n):
+    """The chain program with n blow-ups, the (-1)-classes orthogonal to
+    H - E0 and E0 found on it, and the closed form of their list: H - E0 -
+    E1 and E2, ..., E(n-1)."""
+    lat = run_program(parse_arrangement(chain_program(n)))
+    units = [tuple(int(r == x) for r in range(n + 1)) for x in range(3, n + 1)]
+    expected = sorted([(1, -1, -1) + (0,) * (n - 2)] + units)
+    return lat, [((1, -1) + (0,) * (n - 1), 0), ("E0", 0)], expected
+
+
+def test_chain_curve_classes_and_h1_build_no_dense_matrix(monkeypatch):
+    # the differences of the chain's basis have a tridiagonal form, whose
+    # continuants hand no entry to a Bareiss pass, and H1 hands the sparse
+    # classes to the peel; the dense form of the solve's basis handed n^2
+    # entries to `_bareiss`, and H1 built a dense class per boundary name
+    entries = built = 0
+
+    def counting(real):
+        def kernel(a, *args, **kwargs):
+            nonlocal entries
+            entries += sum(map(len, a))
+            return real(a, *args, **kwargs)
+
+        return kernel
+
+    def class_of(self, name):
+        nonlocal built
+        built += 1
+        return real_class_of(self, name)
+
+    real_class_of = SurfaceLattice.class_of
+    for module in (sncalc.linalg, sncalc.lattice):
+        monkeypatch.setattr(module, "_bareiss", counting(module._bareiss))
+    for n in (128, 256, 512):
+        lat, constraints, expected = _chain_query(n)
+        assert solve_curve_class(lat, constraints, -1) == expected
+        with monkeypatch.context() as mp:
+            mp.setattr(SurfaceLattice, "class_of", class_of)
+            assert h1_order(lat, ["L"] + [f"E{i}" for i in range(n - 1)]).is_trivial
+    assert (entries, built) == (0, 0)
+
+
+def test_chain_curve_classes_take_near_quadratic_time():
+    # 512 infinitely near blow-ups: 130,815 candidates for 511 classes of 513
+    # coordinates; the dense Bareiss pass and dense shifts took about 6 s
+    lat, constraints, expected = _chain_query(512)
+    with time_limit(2):
+        found = solve_curve_class(lat, constraints, -1)
+    assert found == expected
+
+
+def _seeded_program(rng):
+    """Lines and conics, then up to 11 blow-ups at one, two or three of the
+    curves so far or at a free point; many exhaust an intersection."""
+    names = [f"C{i}" for i in range(rng.randint(2, 5))]
+    steps = [f"curve {name} degree={rng.choice((1, 1, 2))}" for name in names]
+    for k in range(rng.randint(1, 11)):
+        if rng.random() < 0.3:
+            steps.append(f"blowup E{k}")
+        else:
+            centers = rng.sample(names, min(len(names), rng.choice((1, 1, 1, 2, 2, 3))))
+            steps.append(f"blowup E{k} at {','.join(centers)}")
+        names.append(f"E{k}")
+    return "\n".join(steps) + "\n"
+
+
+def test_curve_classes_on_forms_that_are_not_chains_match_the_recursive_oracle(monkeypatch):
+    # old-versus-new on seeded programs whose difference forms are not
+    # tridiagonal, so the walk takes the dense Bareiss pass: the same classes
+    # in the same order, the same errors with the same free directions, and
+    # the same candidates tried, one cap unit each
+    rng = random.Random(0x5EED)
+    real_center = sncalc.lattice._definite_center
+    dense = 0
+
+    def recording(m, lin):
+        nonlocal dense
+        dense += 1
+        return real_center(m, lin)
+
+    tried = 0
+    real_range = helpers.fraction_integer_range
+    cap = sncalc.lattice._CANDIDATE_CAP
+
+    def counting_range(center, sq_bound):
+        nonlocal tried
+        lo, hi = real_range(center, sq_bound)
+        tried += max(0, hi - lo + 1)
+        return lo, hi
+
+    monkeypatch.setattr(sncalc.lattice, "_definite_center", recording)
+    monkeypatch.setattr(helpers, "fraction_integer_range", counting_range)
+    seen, mismatches = Counter(), []
+    while seen["dense"] < 200:
+        try:
+            lat = lat_of(_seeded_program(rng))
+        except ExcessIntersectionError:
+            continue
+        constraints = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                key = rng.choice(lat.names())
+            else:
+                key = tuple(rng.randint(-1, 1) for _ in range(lat.rank))
+            constraints.append((key, rng.randint(-1, 1)))
+        for self_sq in (-1, -2):
+            before = dense
+            new = _outcome(solve_curve_class, lat, constraints, self_sq)
+            if dense == before:
+                continue
+            tried = 0
+            old = _outcome(recursive_solve_curve_class, lat, constraints, self_sq)
+            seen["dense"] += 1
+            kind = "error" if isinstance(old, tuple) else "found" if old else "none"
+            seen[kind] += 1
+            if new != old:
+                mismatches.append((lat.names(), constraints, self_sq))
+            elif isinstance(old, list) and tried:
+                monkeypatch.setattr(sncalc.lattice, "_CANDIDATE_CAP", tried)
+                capped = _outcome(solve_curve_class, lat, constraints, self_sq)
+                monkeypatch.setattr(sncalc.lattice, "_CANDIDATE_CAP", tried + 1)
+                if capped[:1] != (LatticeError,) or _outcome(
+                    solve_curve_class, lat, constraints, self_sq
+                ) != old:
+                    mismatches.append(("cap", lat.names(), constraints, self_sq))
+                monkeypatch.setattr(sncalc.lattice, "_CANDIDATE_CAP", cap)
+    assert mismatches == []
+    assert seen["found"] > 100 and seen["none"] > 20 and seen["error"] > 5, seen

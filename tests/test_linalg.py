@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    OracleBudgetExceeded,
     bareiss_det_exact,
     bareiss_is_negative_definite,
     bench_workloads,
@@ -351,6 +352,21 @@ def test_torsion_of_the_seeded_100_vertex_tree():
     assert torsion.invariant_factors == SEEDED_100_FACTORS
 
 
+@pytest.mark.parametrize("n", [50, 100])
+def test_integer_solve_of_a_full_rank_tree_form(n):
+    # a system of full column rank has one solution, which the rational solve
+    # finds; the column Hermite form took 5-7 s here at n = 50 and did not
+    # finish in 90 s at n = 100.  b = all ones has no integer solution, and
+    # b = q x has x alone
+    q = seeded_tree_form(n)
+    x = [random.Random(n).randint(-3, 3) for _ in range(n)]
+    with time_limit(1):
+        none = solve_integer(q, [1] * n)
+        sol = solve_integer(q, _apply(q, x))
+    assert none is None and any(t.denominator != 1 for t in solve_rational(q, [1] * n))
+    assert sol == (x, [])
+
+
 def _apply(m, x):
     return [sum(a * c for a, c in zip(row, x)) for row in m]
 
@@ -395,19 +411,26 @@ def _compare_with_smith(m, b, mismatches) -> None:
             mismatches.append(("coset", m, b))
 
 
+# The Euclid oracle's budget.  On the seeded inputs below its entries
+# either stay under 87,000 bits, and it finishes in a fraction of a second,
+# or pass 380,000 bits and keep growing for seconds to minutes.  The
+# budget takes the same 3,143 of the 3,161 inputs that a 0.5 s wall-clock
+# limit took on a 2-core x86-64 host, and no longer depends on the host.
+EUCLID_MAX_BITS = 2**17
+
+
 def _compare_with_euclid(m, rng, mismatches) -> bool:
     """The Smith form against the Euclid-and-swap oracle, then torsion and
-    integer solve against the Smith-transform oracles; False when the
-    Euclid oracle does not finish within 0.5 s."""
+    integer solve against the Smith-transform oracles; False when a step
+    of the Euclid oracle writes an entry longer than EUCLID_MAX_BITS bits."""
     # b = m x is solvable; a random b mostly is not
     if rng.random() < 0.5:
         b = _apply(m, [rng.randint(-3, 3) for _ in m[0]])
     else:
         b = [rng.randint(-9, 9) for _ in m]
     try:
-        with time_limit(0.5):
-            old = euclid_smith_normal_form(m)
-    except TimeoutError:
+        old = euclid_smith_normal_form(m, EUCLID_MAX_BITS)
+    except OracleBudgetExceeded:
         return False
     with time_limit(1.0):
         new = smith_normal_form(m)
@@ -434,6 +457,7 @@ def test_smith_form_matches_the_euclid_oracle_on_matrices():
         compared += _compare_with_euclid(m, rng, mismatches)
         index += 1
     assert mismatches == []
+    assert index == 3011  # 11 inputs exceed the oracle's budget
 
 
 def test_smith_form_matches_the_euclid_oracle_on_trees():
@@ -446,7 +470,7 @@ def test_smith_form_matches_the_euclid_oracle_on_trees():
         q = forms_tree_form(rng, (8, 14, 20)[index % 3], definite=index % 2 == 0)
         compared += _compare_with_euclid(q, rng, mismatches)
     assert mismatches == []
-    assert compared > 130
+    assert compared == 143
 
 
 def test_negative_definite_examples():
@@ -809,7 +833,8 @@ def test_peel_keeps_zero_lines_for_a_determinant():
 
 
 def _record_integer_calls(run) -> tuple[list, list]:
-    """The matrices given to `torsion_of_cokernel` and the systems given to
+    """The matrices given to `torsion_of_cokernel` (or, as sparse columns,
+    to `_torsion_of_columns` by `h1_order`) and the systems given to
     `solve_integer` by the package's callers while run() runs."""
     torsions, solves = [], []
 
@@ -821,7 +846,12 @@ def _record_integer_calls(run) -> tuple[list, list]:
         solves.append(([list(row) for row in a], list(b)))
         return solve_integer(a, b)
 
+    def columns(cols, nrows):  # h1_order's sparse entry, recorded as a matrix
+        torsions.append([[col.get(r, 0) for col in cols] for r in range(nrows)])
+        return linalg._torsion_of_columns(cols, nrows)
+
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_torsion_of_columns", columns)
         for module in (lattice, scenarios, cli):
             if hasattr(module, "torsion_of_cokernel"):
                 mp.setattr(module, "torsion_of_cokernel", torsion)
