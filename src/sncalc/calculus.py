@@ -44,8 +44,10 @@ __all__ = [
 
 def _leaf_pass(g: DualGraph, support: Sequence[str]):
     """`linalg._leaf_fold` on -Q of g on the support, indexed by position in
-    it and rooted at the first id of each component: (order, parents, D, E).
-    None when an id is repeated or unknown, or the support spans a cycle."""
+    it and rooted at the first id of each component: (order, parents, D, E,
+    None).  Each edge is passed as 1: on a forest only the squares of the
+    off-diagonal entries enter D and E.  None when an id is repeated or
+    unknown, or the support spans a cycle."""
     w = g.weights
     at = {v: k for k, v in enumerate(support)}
     if len(at) != len(support) or not at.keys() <= w.keys():
@@ -62,7 +64,7 @@ def discriminant(g: DualGraph, support: Iterable[str] | None = None) -> Fraction
     fold = _leaf_pass(g, sup)
     if fold is None:
         return (-1) ** len(sup) * det_exact(g.intersection_matrix(sup))
-    order, up, minors, _ = fold
+    order, up, minors, _, _ = fold
     return Fraction(prod(minors[v] for v in order if up[v] < 0))
 
 

@@ -9,14 +9,16 @@ curve-class walk of `lattice` has a seventh for chain forms:
    forest (every form of a boundary divisor), read from a matrix or
    straight from a graph, is eliminated leaf to root with no fill-in; its
    subtree determinants give the determinant, Sylvester's test, the
-   kernel and fiber multiplicities in linear time.
+   kernel and fiber multiplicities in linear time.  The Cramer numerators
+   of its subtrees, folded the same way, and one pass from the roots down
+   give the rational solve (`_reroot`).
 2. `_bareiss`: every other square matrix (cycles, asymmetric or
    row-scaled rational ones, Gram forms that are not chains) goes through
    one fraction-free pass (determinants, Sylvester's test, unimodularity
    checks, the rows of the curve-class walk).
 3. `_echelon`: one integer echelon form with back-substitution over a
-   common denominator serves the rational solves and the kernels, and
-   builds Fractions only for the values returned.
+   common denominator serves the kernels and the rational solves of
+   every other matrix, and builds Fractions only for the values returned.
 4. `_diagonalise`: cokernel torsion diagonalises the matrix alone by
    unimodular Bezout steps, mod a nonzero minor of the size of its rank,
    and builds no Smith transform.
@@ -119,13 +121,25 @@ def _forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
     """The determinant of a symmetric integer matrix whose off-diagonal
     nonzeros form a forest, with the determinant D(v) of the principal
     submatrix on each vertex v and its descendants, listed leaf first;
-    None when the matrix is not symmetric or its graph has a cycle.
-
-    One pass over the strict lower triangle checks each nonzero against its
-    mirror and builds the adjacency of `_leaf_fold`, and a count of the
-    zeros shows that no nonzero above the diagonal lacks a mirror.  Every
+    None when the matrix is not symmetric or its graph has a cycle.  Every
     prefix of the returned order is a union of whole subtrees, whose
     leading minor is the product of their D's.
+    """
+    fold = _forest_fold(a)
+    if fold is None:
+        return None
+    order, up, minors, _, _ = fold
+    return prod(minors[v] for v in order if up[v] < 0), [minors[v] for v in reversed(order)]
+
+
+def _forest_fold(a: list[list[int]], rhs: list[int] | None = None):
+    """`_leaf_fold` of a symmetric integer matrix whose off-diagonal
+    nonzeros form a forest, with the right-hand side rhs if given; None
+    when the matrix is not symmetric or its graph has a cycle.
+
+    One pass over the strict lower triangle checks each nonzero against its
+    mirror and builds the adjacency, and a count of the zeros shows that no
+    nonzero above the diagonal lacks a mirror.
     """
     n = len(a)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -133,37 +147,41 @@ def _forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
         for j in compress(range(i), row):
             if a[j][i] != row[j]:
                 return None
-            adj[i].append((j, row[j] ** 2))
-            adj[j].append((i, row[j] ** 2))
+            adj[i].append((j, row[j]))
+            adj[j].append((i, row[j]))
     diagonal = [row[i] for i, row in enumerate(a)]
     if n * n - sum(row.count(0) for row in a) - n + diagonal.count(0) != sum(map(len, adj)):
         return None
-    fold = _leaf_fold(diagonal, adj)
-    if fold is None:
-        return None
-    order, up, minors, _ = fold
-    return prod(minors[v] for v in order if up[v] < 0), [minors[v] for v in reversed(order)]
+    return _leaf_fold(diagonal, adj, rhs)
 
 
-def _leaf_fold(diagonal: list[int], adj: list[list[tuple[int, int]]]):
+def _leaf_fold(
+    diagonal: list[int], adj: list[list[tuple[int, int]]], rhs: list[int] | None = None
+):
     """Leaf-to-root elimination of a symmetric integer form on a forest,
-    given by its diagonal and the pairs (u, a_vu^2) over the neighbours u of
+    given by its diagonal and the pairs (u, a_vu) over the neighbours u of
     each vertex v: the search order (parents first), the parents (-1 at a
-    root), and D(v) and E(v) by vertex; None when the graph has a cycle.
+    root), D(v) and E(v) by vertex, and, when an integer right-hand side b
+    is given, the Cramer numerators of the solution of (the form) x = b by
+    vertex (None without one); None when the graph has a cycle.
 
     A breadth-first search roots each component at its first vertex; the
     graph is a forest exactly when it has n minus (number of roots) edges.
     With E(v) the product of D(c) over the children c of v, the determinant
-    D(v) of the form on v and its descendants is
+    D(v) of the form on v and its descendants, and the Cramer numerator
+    N(v) of that subsystem at v (its determinant with column v replaced by
+    b), are
 
         D(v) = a_vv E(v) - sum_c a_vc^2 E(c) prod_{c' != c} D(c'),
+        N(v) = b_v E(v) - sum_c a_vc N(c) prod_{c' != c} D(c'),
 
-    which has no division, so a zero D needs no special rule.  A child folds
+    which have no division, so a zero D needs no special rule.  A child folds
     into its parent's running product and sum, so a star stays linear.  The
-    form's determinant is the product of the roots' D's.
+    form's determinant is the product of the roots' D's.  The N's and the
+    solution's numerators come from `_reroot`, with no division either.
     """
     n = len(diagonal)
-    up, square = [-2] * n, [0] * n  # square[v] = a_vp^2 for the parent p of v
+    up, entry = [-2] * n, [0] * n  # entry[v] = a_vp for the parent p of v
     order: list[int] = []
     k = roots = 0
     for r in range(n):
@@ -178,7 +196,7 @@ def _leaf_fold(diagonal: list[int], adj: list[list[tuple[int, int]]]):
             for u, s in adj[v]:
                 if up[u] == -2:
                     up[u] = v
-                    square[u] = s
+                    entry[u] = s
                     order.append(u)
     if sum(map(len, adj)) != 2 * (n - roots):
         return None
@@ -189,9 +207,68 @@ def _leaf_fold(diagonal: list[int], adj: list[list[tuple[int, int]]]):
         minors[v] = d = diagonal[v] * e - total[v]
         p = up[v]
         if p >= 0:
-            total[p] = total[p] * d + square[v] * e * product[p]
+            s = entry[v]
+            total[p] = total[p] * d + s * s * e * product[p]
             product[p] *= d
-    return order, up, minors, product
+    if rhs is None:
+        return order, up, minors, product, None
+    return order, up, minors, product, _reroot(order, up, entry, diagonal, rhs, minors, product)
+
+
+def _reroot(order, up, entry, diagonal, rhs, minors, product) -> list[int]:
+    """The Cramer numerators y(v) = det(component of v) x_v of the system
+    (a forest form) x = b, given the parents-first order, the parents and
+    parent entries, the diagonal, b, and D and E by vertex from `_leaf_fold`.
+
+    A first pass folds N(v) leaf first, as `_leaf_fold` folds D(v), with a
+    running product of its own.  Let U(v) be the determinant of the form
+    outside the subtree of v, M(v) its Cramer numerator at the parent p,
+    and F(v) the product of the determinants of p's branches there (U = 1
+    and M = F = 0 at a root).  Rerooted at v, the component's determinant times x_v is
+
+        y(v) = N(v) U(v) - a_vp E(v) M(v).
+
+    The outer form of a child c of v is v with its other children's
+    subtrees and its own outer form as branches, so U(c), M(c) and F(c)
+    are D, N and E of `_leaf_fold` at v over those branches, the outer one
+    entering with D = U(v), E = F(v) and N = M(v).  Folds over the branches
+    before c and over the children after it are joined, so nothing is
+    divided and a zero D needs no rule, and the pass is linear.
+    """
+    n = len(order)
+    cramer, partial, running = [0] * n, [0] * n, [1] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v in reversed(order):
+        cramer[v] = t = rhs[v] * product[v] - partial[v]
+        p = up[v]
+        if p >= 0:
+            children[p].append(v)
+            f = running[p]
+            partial[p] = partial[p] * minors[v] + entry[v] * t * f
+            running[p] = f * minors[v]
+    outer, outer_cramer, outer_product = [1] * n, [0] * n, [0] * n
+    y = [0] * n
+    for v in order:
+        u, s = outer[v], entry[v]
+        y[v] = cramer[v] * u - s * product[v] * outer_cramer[v]
+        cs = children[v]
+        if not cs:
+            continue
+        # a fold is (prod D, sum a^2 E prod_{others} D, sum a N prod_{others} D)
+        steps = [(minors[c], entry[c] ** 2 * product[c], entry[c] * cramer[c]) for c in cs]
+        suffix = [(1, 0, 0)]  # the folds of the last i children, i = 0, 1, ...
+        for d, e, t in reversed(steps[1:]):
+            p, q, r = suffix[-1]
+            suffix.append((p * d, q * d + e * p, r * d + t * p))
+        w, b = diagonal[v], rhs[v]
+        p1, q1, r1 = u, s * s * outer_product[v], s * outer_cramer[v]  # the outer branch
+        for c, (d, e, t), (p2, q2, r2) in zip(cs, steps, reversed(suffix)):
+            p, q, r = p1 * p2, q1 * p2 + q2 * p1, r1 * p2 + r2 * p1
+            outer_product[c] = p
+            outer[c] = w * p - q
+            outer_cramer[c] = b * p - r
+            p1, q1, r1 = p1 * d, q1 * d + e * p1, r1 * d + t * p1
+    return y
 
 
 def _bareiss(a: list[list[int]], definite: bool = False, ncols: int | None = None) -> int:
@@ -319,12 +396,38 @@ def _solve(m, b) -> tuple[int, list[Fraction] | None]:
 def solve_rational(m, b) -> list[Fraction]:
     """Unique solution of m x = b over the rationals.
 
-    Raises SingularMatrixError when the matrix is singular; the result is
-    re-checked against the inputs before returning.
+    A forest form (a symmetric integer matrix whose off-diagonal nonzeros
+    form a forest) is solved by `_leaf_fold` with b scaled to integers by
+    the lcm of its denominators: each x_v is a Cramer numerator over its
+    component's determinant, found in two linear passes with no echelon
+    form, and a zero subtree determinant needs no rule.  Every other matrix
+    (cycles, asymmetric or rational ones) falls back to the integer echelon
+    form of `_solve`.  Raises SingularMatrixError when the matrix is
+    singular.  On both paths the result is re-checked against the inputs
+    over a common denominator before returning, and Fractions are built
+    only for the values returned and to read rational entries.
     """
     rows, cols = _check_rectangular(m)
     if rows != cols:
         raise ValueError("solve requires a square matrix")
+    if len(b) != rows:
+        raise ValueError("right-hand side has wrong length")
+    a, scale = _integer_rows(m)
+    if scale == 1:
+        (rhs,), rhs_scale = _integer_rows([b])
+        fold = _forest_fold(a, rhs)
+        if fold is not None:
+            order, up, minors, _, y = fold
+            det = [0] * rows  # the determinant of each vertex's component
+            for v in order:
+                det[v] = minors[v] if up[v] < 0 else det[up[v]]
+            if 0 in det:
+                raise SingularMatrixError("matrix is singular")
+            # a row's nonzeros lie in its component, so its check is over
+            # that component's determinant
+            if any(sum(map(mul, row, y)) != t * d for row, t, d in zip(a, rhs, det)):
+                raise InvariantError("back-substitution check failed")
+            return [Fraction(t, d * rhs_scale) for t, d in zip(y, det)]
     rank, x = _solve(m, b)
     if rank < cols:
         raise SingularMatrixError("matrix is singular")

@@ -144,7 +144,7 @@ def fiber_multiplicities(g: DualGraph) -> FiberGraph:
     ok, _ = is_valid_fiber(g)
     if not ok:
         raise NotAFiberError("graph does not contract to a smooth 0-curve")
-    order, up, minors, products = _leaf_pass(g, g.ids)
+    order, up, minors, products, _ = _leaf_pass(g, g.ids)
     if minors[0] or any(d <= 0 for d in minors[1:]):
         raise InvariantError("a valid fiber's subtree determinants break Zariski's lemma")
     mu = [Fraction(1)] * len(g)

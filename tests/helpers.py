@@ -83,7 +83,6 @@ from sncalc.linalg import (
     mat_mul,
     smith_normal_form,
     solve_integer,
-    solve_rational,
 )
 from sncalc import projective
 from sncalc.projective import ProjConic, ProjLine, ProjPoint, QuadExt, incident, proj_eq
@@ -868,7 +867,7 @@ def recursive_solve_curve_class(
     # solve t' M t' = radius around center M^{-1} b
     out: list[Vector] = []
     budget = [10**6]
-    center = solve_rational(m, lin)
+    center = rref_solve_rational(m, lin)
     radius = Fraction(const - self_sq) + sum(
         Fraction(lin[i]) * center[i] for i in range(len(basis))
     )
@@ -971,7 +970,7 @@ def matrix_bark_chain(ch: Chain) -> QDivisor:
         for i in range(n)
     ]
     rhs = [-1] + [0] * (n - 1)
-    return QDivisor(ch.to_graph(), dict(zip(ch.ids, solve_rational(q, rhs))))
+    return QDivisor(ch.to_graph(), dict(zip(ch.ids, rref_solve_rational(q, rhs))))
 
 
 def min_tip_chain_order(self) -> tuple[str, ...]:
@@ -1157,7 +1156,7 @@ def dense_bark_component(g: DualGraph, comp: tuple[str, ...], whole: bool) -> di
         return {}
     q = g.intersection_matrix(support)
     rhs = [g.degree(v) - 2 for v in support]
-    x = solve_rational(q, rhs)
+    x = rref_solve_rational(q, rhs)
     coeffs = dict(zip(support, x))
     # the defining equations must hold exactly
     for i, v in enumerate(support):

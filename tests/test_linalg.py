@@ -660,6 +660,15 @@ def test_solves_and_kernels_build_fractions_only_for_the_result(monkeypatch):
     kernel = kernel_basis(m)
     assert kernel == rref_kernel_basis(m) and len(kernel) == 3
     assert len(made) == 3 * 6
+    # the forest path: n for an integer b, and n more to read a rational one
+    made.clear()
+    q = seeded_tree_form(12)
+    assert solve_rational(q, list(range(12))) == rref_solve_rational(q, list(range(12)))
+    assert len(made) == 12
+    made.clear()
+    b = [Fraction(i, 3) for i in range(12)]
+    assert solve_rational(q, b) == rref_solve_rational(q, b)
+    assert len(made) == 2 * 12
 
 
 def test_solve_integer():
@@ -1093,13 +1102,22 @@ def test_forest_forms_match_the_dense_routes():
     assert linalg._forest_minors([]) == (1, [])
 
 
-def test_off_forest_forms_keep_the_dense_routes():
+def test_off_forest_forms_keep_the_dense_routes(monkeypatch):
     # cycles, asymmetric and rational forms are not forest forms; each
     # routine falls back and agrees with its dense route, errors included,
-    # and the forest minors agree with the union-find build they replaced
+    # the forest minors agree with the union-find build they replaced, and
+    # each solve reaches the echelon form
     rng = random.Random(0xC1C)
     mismatches = []
     kinds = {"cycle": 0, "asymmetric": 0, "rational": 0}
+    echelons = []
+    real = linalg._echelon
+
+    def counted(*args):
+        echelons.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
     for index in range(3000):
         n = rng.randint(2, 9)
         m = _forest_form(rng, n)
@@ -1134,6 +1152,10 @@ def test_off_forest_forms_keep_the_dense_routes():
         if kind != "rational" and linalg._forest_minors(m) is not None:
             mismatches.append(("taken for a forest form", m))
         _compare_with_dense(m, mismatches)
+        echelons.clear()
+        outcome(solve_rational, m, [1] * n)
+        if not echelons:
+            mismatches.append(("solved without the echelon form", m))
     assert mismatches == []
     assert min(kinds.values()) > 600, kinds
 
@@ -1256,6 +1278,78 @@ def test_case_forks_match_the_dense_routes():
     assert mismatches == []
 
 
+def _forest_solve_inputs():
+    """The forest forms of the three tests above, as (family, matrix): the
+    4,000 seeded forests, the 600 `forms` trees and the 13 case forks."""
+    rng = random.Random(0xF0E)
+    inputs = [("forests", _forest_form(rng, index % 11)) for index in range(4000)]
+    rng = random.Random(0xF07)
+    for index in range(600):
+        inputs.append(("trees", forms_tree_form(rng, (8, 14, 20)[index % 3], index % 2 == 0)))
+    for case in load_cases()["cases"]:
+        g = build_fork(case["branch_weight"], case["twigs"])
+        inputs.append(("forks", g.intersection_matrix()))
+    return inputs
+
+
+def test_forest_solves_match_the_rref_oracle():
+    # old-versus-new: the leaf fold's solve against the Gauss-Jordan solve
+    # over Fraction, values and errors, with an integer and a rational b for
+    # each forest form; back-substitution down the tree would divide by a
+    # zero subtree determinant under a nonzero d, the rerooting pass does not
+    brng = random.Random(0x5017)
+    mismatches = []
+    counts = Counter()
+    for family, m in _forest_solve_inputs():
+        d, minors = linalg._forest_minors(m)
+        counts[family, "zero minor, d != 0"] += 0 in minors and d != 0
+        n = len(m)
+        integer = [brng.randint(-5, 5) for _ in range(n)]
+        rational = [Fraction(brng.randint(-9, 9), brng.randint(1, 6)) for _ in range(n)]
+        for kind, b in (("integer", integer), ("rational", rational)):
+            new = outcome(solve_rational, m, b)
+            if new != outcome(rref_solve_rational, m, b):
+                mismatches.append((m, b))
+            counts[family, kind, "singular" if isinstance(new, tuple) else "solved"] += 1
+    assert mismatches == []
+    assert counts == {
+        **{("forests", kind, "solved"): 3466 for kind in ("integer", "rational")},
+        **{("forests", kind, "singular"): 534 for kind in ("integer", "rational")},
+        **{("trees", kind, "solved"): 557 for kind in ("integer", "rational")},
+        **{("trees", kind, "singular"): 43 for kind in ("integer", "rational")},
+        **{("forks", kind, "solved"): 10 for kind in ("integer", "rational")},
+        **{("forks", kind, "singular"): 3 for kind in ("integer", "rational")},
+        ("forests", "zero minor, d != 0"): 827,
+        ("trees", "zero minor, d != 0"): 202,
+        ("forks", "zero minor, d != 0"): 0,
+    }, counts
+
+
+def test_forest_solves_never_reach_echelon(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a forest form reached the echelon form")
+
+    monkeypatch.setattr(linalg, "_echelon", refuse)
+    forms = [m for _, m in _forest_solve_inputs()[::4]]
+    forms.append([[-2 if i == j else int(abs(i - j) == 1) for j in range(200)] for i in range(200)])
+    solved = 0
+    for m in forms:
+        if det_exact(m):
+            x = solve_rational(m, list(range(len(m))))
+            solved += 1
+            assert _apply(m, x) == list(range(len(m)))
+    assert solved == 1019
+
+
+def test_solve_of_the_seeded_400_vertex_tree():
+    # the echelon form took about 5 s here and grows cubically; the two passes
+    # of the leaf fold are linear in the number of big-integer steps
+    q = seeded_tree_form(400)
+    with time_limit(1):
+        x = solve_rational(q, [1] * 400)
+    assert [sum(a * t for a, t in zip(row, x) if a) for row in q] == [1] * 400
+
+
 def test_forest_forms_never_reach_bareiss(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("a forest form reached the Bareiss pass")
@@ -1332,7 +1426,9 @@ def test_smith_postconditions_raise_under_optimization():
 
 
 def test_solve_and_kernel_postconditions_raise_under_optimization():
-    # a corrupted back-substitution must trip both re-checks even with -O
+    # a corrupted back-substitution must trip both re-checks even with -O,
+    # and so must corrupted Cramer numerators of the forest solve: a 3-cycle
+    # takes the echelon form, the 2-vertex tree the leaf fold
     code = (
         "import sncalc.linalg as la\n"
         "from sncalc.errors import InvariantError\n"
@@ -1342,8 +1438,16 @@ def test_solve_and_kernel_postconditions_raise_under_optimization():
         "    y[0] += 1\n"
         "    return y, d\n"
         "la._back_substitute = corrupted\n"
-        "for call in (lambda: la.solve_rational([[2, 1], [1, 1]], [1, 0]),\n"
-        "             lambda: la.kernel_basis([[1, -1]])):\n"
+        "fold = la._leaf_fold\n"
+        "def corrupted_fold(*args):\n"
+        "    out = fold(*args)\n"
+        "    if out is not None:\n"
+        "        out[4][0] += 1\n"
+        "    return out\n"
+        "la._leaf_fold = corrupted_fold\n"
+        "for call in (lambda: la.solve_rational([[2, 1, 1], [1, 2, 1], [1, 1, 2]], [1, 0, 0]),\n"
+        "             lambda: la.kernel_basis([[1, -1]]),\n"
+        "             lambda: la.solve_rational([[2, 1], [1, 1]], [1, 0])):\n"
         "    try:\n"
         "        call()\n"
         "    except InvariantError as exc:\n"
@@ -1357,6 +1461,7 @@ def test_solve_and_kernel_postconditions_raise_under_optimization():
     assert out.stdout.splitlines() == [
         "InvariantError: back-substitution check failed",
         "InvariantError: kernel check failed",
+        "InvariantError: back-substitution check failed",
     ]
 
 
