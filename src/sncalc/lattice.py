@@ -707,7 +707,7 @@ def _definite_center(
     """
     k = len(m)
     b = [[*row, c] for row, c in zip(m, lin)]
-    if _bareiss(b, definite=True, ncols=k) <= 0:
+    if _bareiss(b, definite=True, ncols=k)[0] <= 0:
         return None
     y, d = _back_substitute(b, list(range(k)), k, -1)
     del y[k]

@@ -1,9 +1,9 @@
 """Exact integer and rational linear algebra.
 
 Everything here is exact: integer work uses Python's arbitrary-precision
-ints, rational work uses fractions.Fraction.  No floating point.  Six
+ints, rational work uses fractions.Fraction.  No floating point.  Five
 integer elimination kernels serve every routine here, and the
-curve-class walk of `lattice` has a seventh for chain forms:
+curve-class walk of `lattice` has a sixth for chain forms:
 
 1. `_leaf_fold`: a symmetric form whose off-diagonal nonzeros form a
    forest (every form of a boundary divisor), read from a matrix or
@@ -12,26 +12,26 @@ curve-class walk of `lattice` has a seventh for chain forms:
    kernel and fiber multiplicities in linear time.  The Cramer numerators
    of its subtrees, folded the same way, and one pass from the roots down
    give the rational solve (`_reroot`).
-2. `_bareiss`: every other square matrix (cycles, asymmetric or
-   row-scaled rational ones, Gram forms that are not chains) goes through
-   one fraction-free pass (determinants, Sylvester's test, unimodularity
-   checks, the rows of the curve-class walk).
-3. `_echelon`: one integer echelon form with back-substitution over a
-   common denominator serves the kernels and the rational solves of
-   every other matrix, and builds Fractions only for the values returned.
-4. `_diagonalise`: cokernel torsion diagonalises the matrix alone by
+2. `_bareiss`: every other matrix (cycles, asymmetric or row-scaled
+   rational ones, Gram forms that are not chains) goes through one
+   fraction-free, rank-revealing pass: determinants, Sylvester's test,
+   unimodularity checks, the rows of the curve-class walk, the rank and a
+   nonzero maximal minor for cokernel torsion, and, with back-substitution
+   over a common denominator, kernels and rational solves, building
+   Fractions only for the values returned.
+3. `_diagonalise`: cokernel torsion diagonalises the matrix alone by
    unimodular Bezout steps, mod a nonzero minor of the size of its rank,
    and builds no Smith transform.
-5. The column Hermite loop of `solve_integer` tracks only its transform,
+4. The column Hermite loop of `solve_integer` tracks only its transform,
    as sparse columns; a system of full column rank skips it.
-6. `_peel`, checked step by step by `_core`: before a dense kernel runs
+5. `_peel`, checked step by step by `_core`: before a dense kernel runs
    over Z, a peel linear in the nonzeros takes out the unit pivots alone
    on their row or column and the zero lines, from sparse columns.  The
    dense kernels then see only the core: the Hermite transforms of the
    lattice's solves peel to nothing, and the boundary classes of a
    blown-up plane, handed over as their sparse columns, to a small core
    or to nothing.
-7. `lattice._chain_center`: a tridiagonal positive definite form gives
+6. `lattice._chain_center`: a tridiagonal positive definite form gives
    its leading minors, Bareiss rows and center by continuants, in a
    number of steps linear in its size.
 """
@@ -100,7 +100,7 @@ def det_exact(m) -> Fraction:
     forest = _forest_minors(a) if scale == 1 else None
     if forest is not None:
         return Fraction(forest[0])
-    return Fraction(_bareiss(a), scale)
+    return Fraction(_bareiss(a)[0], scale)
 
 
 def _integer_rows(m) -> tuple[list[list[int]], int]:
@@ -271,86 +271,69 @@ def _reroot(order, up, entry, diagonal, rhs, minors, product) -> list[int]:
     return y
 
 
-def _bareiss(a: list[list[int]], definite: bool = False, ncols: int | None = None) -> int:
-    """Fraction-free elimination (Bareiss 1968) of a square integer matrix,
-    in place; returns its determinant.  Every division is exact.  A tall
-    matrix (more rows than columns) gives, up to sign, the maximal minor on
-    the rows its exchanges bring to the top: nonzero exactly when its
-    columns are independent.  Only the first ncols columns (all by default)
-    are pivoted on; later columns are right-hand sides, carried along.
+def _bareiss(
+    a: list[list[int]], definite: bool = False, ncols: int | None = None
+) -> tuple[int, list[int]]:
+    """Fraction-free elimination (Bareiss 1968) of an integer matrix, in
+    place, pivoting on its first ncols columns (all by default; later
+    columns are right-hand sides, carried along).  Every division is exact.
 
-    Without row exchanges a[k][j] (j >= k) ends as the minor on rows 0..k
-    and columns 0..k-1, j, so a[k][k] is the (k+1)-th leading principal
-    minor.  With definite=True rows are never exchanged and 0 is returned
-    at the first pivot that is not positive: a positive result means every
-    leading principal minor is positive (Sylvester).
+    Returns (det, pivots).  A column with no nonzero left below the pivots
+    so far is skipped, so the rank is len(pivots); det is the last pivot,
+    signed by the row exchanges, when every pivoted column has one, else 0:
+    the determinant of a square matrix, and of a tall one the maximal minor
+    on the rows its exchanges bring to the top.  Pivot row r ends, from
+    column pivots[r] on, as the minors on rows 0..r and columns
+    pivots[:r], j, so without exchanges a[k][k] is the (k+1)-th leading
+    principal minor; nothing left of a row's pivot is cleared.  A row with
+    0 in the pivot column, which the update would only scale by pivot /
+    prev, is left alone and keeps the pivot it is divided by: its next
+    update divides by that, and it is scaled up to the current pivot when
+    it becomes the pivot row.  With definite=True rows are never exchanged
+    and det is 0 at the first pivot that is not positive: a positive det
+    means every leading principal minor is positive (Sylvester).
     """
     rows = len(a)
     width = len(a[0]) if rows else 0
-    sign = prev = 1
-    for k in range(width if ncols is None else ncols):
-        row = a[k]
-        pivot = row[k]
-        if definite:
-            if pivot <= 0:
-                return 0
-        elif pivot == 0:
-            swap = next((i for i in range(k + 1, rows) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], row
-            row = a[k]
-            pivot = row[k]
-            sign = -sign
-        for i in range(k + 1, rows):
-            ai = a[i]
-            f = ai[k]
-            if not f and pivot == prev:
-                continue  # the update would leave the row as it is
-            for j in range(k + 1, width):
-                ai[j] = (ai[j] * pivot - f * row[j]) // prev
-        prev = pivot
-    return sign * prev
-
-
-def _echelon(a: list[list[int]], ncols: int) -> list[int]:
-    """Forward elimination of an integer matrix over Z, in place, pivoting
-    on its first ncols columns only (later columns are right-hand sides).
-
-    Returns the pivot columns: row r starts at column pivots[r], and the
-    rows past the rank are zero in the first ncols columns.  A row below a
-    pivot p with f != 0 in its column becomes (p/g) row - (f/g) pivot row,
-    g = gcd(p, f), divided by its content; rows that are zero there are
-    not touched.  An updated row is primitive, so it equals, up to sign,
-    the row of minors of Bareiss's elimination divided by its gcd, and no
-    entry exceeds a minor of the input.
-    """
-    rows = len(a)
+    ncols = width if ncols is None else ncols
+    level = [1] * rows  # the pivot each row is divided by
     pivots: list[int] = []
+    sign = prev = 1
     for c in range(ncols):
         r = len(pivots)
-        found = next((i for i in range(r, rows) if a[i][c]), None)
-        if found is None:
-            continue
-        a[r], a[found] = a[found], a[r]
+        if r == rows:
+            break
+        if not definite:
+            found = next((i for i in range(r, rows) if a[i][c]), None)
+            if found is None:
+                continue
+            if found != r:
+                a[r], a[found] = a[found], a[r]
+                level[r], level[found] = level[found], level[r]
+                sign = -sign
         row = a[r]
-        p = row[c]
+        if level[r] != prev:
+            row[c:] = [x * prev // level[r] for x in row[c:]]
+        pivot = row[c]
+        if definite and pivot <= 0:
+            return 0, pivots
+        tail = row[c + 1 :]
         for i in range(r + 1, rows):
-            f = a[i][c]
+            ai = a[i]
+            f = ai[c]
             if f:
-                g = gcd(p, f)
-                u, v = p // g, f // g
-                new = [u * x - v * y for x, y in zip(a[i], row)]
-                h = gcd(*new)
-                a[i] = [x // h for x in new] if h > 1 else new
+                d = level[i]
+                ai[c + 1 :] = [(x * pivot - f * y) // d for x, y in zip(ai[c + 1 :], tail)]
+                level[i] = pivot
         pivots.append(c)
-    return pivots
+        prev = pivot
+    return (sign * prev if len(pivots) == ncols else 0), pivots
 
 
 def _back_substitute(
     a: list[list[int]], pivots: list[int], col: int, value: int
 ) -> tuple[list[int], int]:
-    """The solution of the echelon system a (from `_echelon`) with column
+    """The solution of the echelon system a (from `_bareiss`) with column
     col set to value and every other non-pivot column to 0, as integers y
     over one denominator d > 0: the solution is y / d and y[col] = value d.
     """
@@ -382,7 +365,7 @@ def _solve(m, b) -> tuple[int, list[Fraction] | None]:
     if not rows:
         return 0, []
     a, _ = _integer_rows([[*row, rhs] for row, rhs in zip(m, b)])
-    pivots = _echelon(a, cols)
+    pivots = _bareiss(a, ncols=cols)[1]
     rank = len(pivots)
     if rank < cols or any(row[cols] for row in a[rank:]):
         return rank, None
@@ -399,11 +382,11 @@ def solve_rational(m, b) -> list[Fraction]:
     A forest form (a symmetric integer matrix whose off-diagonal nonzeros
     form a forest) is solved by `_leaf_fold` with b scaled to integers by
     the lcm of its denominators: each x_v is a Cramer numerator over its
-    component's determinant, found in two linear passes with no echelon
-    form, and a zero subtree determinant needs no rule.  Every other matrix
-    (cycles, asymmetric or rational ones) falls back to the integer echelon
-    form of `_solve`.  Raises SingularMatrixError when the matrix is
-    singular.  On both paths the result is re-checked against the inputs
+    component's determinant, found in two linear passes with no dense
+    pass, and a zero subtree determinant needs no rule.  Every other matrix
+    (cycles, asymmetric or rational ones) falls back to the Bareiss pass
+    and back-substitution of `_solve`.  Raises SingularMatrixError when
+    the matrix is singular.  On both paths the result is re-checked against the inputs
     over a common denominator before returning, and Fractions are built
     only for the values returned and to read rational entries.
     """
@@ -506,7 +489,7 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
     diag = [s[k][k] for k in range(min(rows, cols))]
     if mat_mul(mat_mul(u, [list(row) for row in m]), v) != s:
         raise InvariantError("Smith form: u m v differs from s")
-    if any(abs(_bareiss([row[:] for row in t])) != 1 for t in (u, v)):
+    if any(abs(_bareiss([row[:] for row in t])[0]) != 1 for t in (u, v)):
         raise InvariantError("Smith form: a transform is not unimodular")
     if any(s[i][j] for i in range(rows) for j in range(cols) if i != j):
         raise InvariantError("Smith form: s is not diagonal")
@@ -610,7 +593,7 @@ def is_negative_definite(m) -> bool:
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
-    return _bareiss(a, definite=True) > 0
+    return _bareiss(a, definite=True)[0] > 0
 
 
 @dataclass(frozen=True)
@@ -761,10 +744,10 @@ def torsion_of_cokernel(m) -> TorsionGroup:
     of [s | D I] is the torsion plus rows - r copies of Z/D, one for each
     free summand, and `_diagonalise` reduces the entries mod |D|: its
     diagonal is the torsion's factors, padded with 1s, and then rows - r
-    copies of |D|.  At full rank D is the determinant of the forest kernel
-    (a square forest core) or of one Bareiss pass over the transpose;
-    otherwise the pivot columns of `_echelon` give r, and a Bareiss pass
-    over those columns gives D.
+    copies of |D|.  For a square forest core of full rank D is the
+    determinant from the forest kernel; otherwise one Bareiss pass over s
+    gives r, the number of its pivots, and D, its last pivot: the minor on
+    the pivot rows and columns.
 
     Every answer is certified, and a failed check raises InvariantError:
     each step of the peel is checked on the matrix it ran on (`_core`);
@@ -794,14 +777,14 @@ def _torsion_of_columns(columns: list[dict[int, int]], nrows: int) -> TorsionGro
         s = [[columns[j].get(i, 0) for i in keep_rows] for j in keep_cols]
     rows, cols = len(s), len(s[0])
     forest = _forest_minors(s) if rows == cols else None
-    minor = forest[0] if forest is not None else _bareiss([list(col) for col in zip(*s)])
-    rank = rows
+    rank, minor = rows, forest[0] if forest is not None else 0
     if not minor:
-        pivots = _echelon([row[:] for row in s], cols)
+        b = [row[:] for row in s]
+        pivots = _bareiss(b)[1]
         rank = len(pivots)
-        minor = _bareiss([[row[p] for p in pivots] for row in s])
+        minor = b[rank - 1][pivots[-1]]
         if not minor:
-            raise InvariantError("invariant factors: the echelon pivots give no nonzero minor")
+            raise InvariantError("invariant factors: the pivots give no nonzero minor")
     content = gcd(*chain.from_iterable(s))
     minor = abs(minor)
     _diagonalise(s, minor)
@@ -824,14 +807,14 @@ def kernel_basis(m) -> list[list[Fraction]]:
     """A basis of the rational null space of m (solutions of m x = 0): one
     vector per non-pivot column c, with 1 at c and 0 at the other
     non-pivot columns.  Each vector is re-checked against m.  A forest form
-    with a nonzero determinant has none, and needs no echelon form."""
+    with a nonzero determinant has none, and needs no dense pass."""
     rows, cols = _check_rectangular(m)
     a, scale = _integer_rows(m)
     if rows == cols and scale == 1:
         forest = _forest_minors(a)
         if forest is not None and forest[0]:
             return []
-    pivots = _echelon(a, cols)
+    pivots = _bareiss(a)[1]
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):
         y, d = _back_substitute(a, pivots, fc, 1)
@@ -950,6 +933,6 @@ def solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
     if any(sum(map(mul, row, k)) for k in basis for row in a):
         raise InvariantError("integer solve: a basis vector is not in the kernel")
     keep_rows, keep_cols = _core(v, cols, _peel(v, cols, zeros=False), "integer solve")
-    if abs(_bareiss([[v[j].get(i, 0) for j in keep_cols] for i in keep_rows])) != 1:
+    if abs(_bareiss([[v[j].get(i, 0) for j in keep_cols] for i in keep_rows])[0]) != 1:
         raise InvariantError("integer solve: the transform is not unimodular")
     return x0, basis

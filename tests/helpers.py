@@ -27,7 +27,9 @@ classes and one Gram table replaced, the Q(eps) kernels built from
 QuadExt operators (a canonical element per product and partial sum) that
 kernels canonicalising once per result entry replaced, and the torsion,
 integer solve and fiber-group solve by dense elimination that peeled unit
-pivots, a sparse Hermite transform and solves on the support replaced."""
+pivots, a sparse Hermite transform and solves on the support replaced, and
+the eager Bareiss pass, the primitive echelon form and its solve that one
+lazy, rank-revealing Bareiss pass replaced."""
 
 from __future__ import annotations
 
@@ -66,15 +68,12 @@ from sncalc.lattice import (
 from sncalc.linalg import (
     _SWAP,
     _back_substitute,
-    _bareiss,
     _bezout,
     _check_integer,
     _check_rectangular,
     _diagonalise,
-    _echelon,
     _forest_minors,
     _rows,
-    _solve,
     TorsionGroup,
     det_exact,
     identity_matrix,
@@ -632,7 +631,7 @@ def euclid_smith_normal_form(
     diag = [s[k][k] for k in range(min(rows, cols))]
     if mat_mul(mat_mul(u, [list(row) for row in m]), v) != s:
         raise InvariantError("Smith form: u m v differs from s")
-    if any(abs(_bareiss([row[:] for row in t])) != 1 for t in (u, v)):
+    if any(abs(eager_bareiss([row[:] for row in t])) != 1 for t in (u, v)):
         raise InvariantError("Smith form: a transform is not unimodular")
     if any(s[i][j] for i in range(rows) for j in range(cols) if i != j):
         raise InvariantError("Smith form: s is not diagonal")
@@ -813,7 +812,7 @@ def fraction_ldl(m) -> list[tuple[Fraction, list[Fraction]]] | None:
     c_ij = B[i][j] / B[i][i].
     """
     b = [list(row) for row in m]
-    if _bareiss(b, definite=True) <= 0:
+    if eager_bareiss(b, definite=True) <= 0:
         return None
     out = []
     prev = 1
@@ -1060,6 +1059,111 @@ def merge_vertical_groups(
     return groups
 
 
+# -- the eager Bareiss pass and the primitive echelon form ---------------------
+# `sncalc.linalg._bareiss`, `_echelon` and `_solve` before one lazy,
+# rank-revealing Bareiss pass replaced the two eliminations, kept verbatim
+# (up to names) as oracles: the other oracles here call these copies.
+
+
+def eager_bareiss(a: list[list[int]], definite: bool = False, ncols: int | None = None) -> int:
+    """Fraction-free elimination (Bareiss 1968) of a square integer matrix,
+    in place; returns its determinant.  Every division is exact.  A tall
+    matrix (more rows than columns) gives, up to sign, the maximal minor on
+    the rows its exchanges bring to the top: nonzero exactly when its
+    columns are independent.  Only the first ncols columns (all by default)
+    are pivoted on; later columns are right-hand sides, carried along.
+
+    Without row exchanges a[k][j] (j >= k) ends as the minor on rows 0..k
+    and columns 0..k-1, j, so a[k][k] is the (k+1)-th leading principal
+    minor.  With definite=True rows are never exchanged and 0 is returned
+    at the first pivot that is not positive: a positive result means every
+    leading principal minor is positive (Sylvester).
+    """
+    rows = len(a)
+    width = len(a[0]) if rows else 0
+    sign = prev = 1
+    for k in range(width if ncols is None else ncols):
+        row = a[k]
+        pivot = row[k]
+        if definite:
+            if pivot <= 0:
+                return 0
+        elif pivot == 0:
+            swap = next((i for i in range(k + 1, rows) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], row
+            row = a[k]
+            pivot = row[k]
+            sign = -sign
+        for i in range(k + 1, rows):
+            ai = a[i]
+            f = ai[k]
+            if not f and pivot == prev:
+                continue  # the update would leave the row as it is
+            for j in range(k + 1, width):
+                ai[j] = (ai[j] * pivot - f * row[j]) // prev
+        prev = pivot
+    return sign * prev
+
+
+def primitive_echelon(a: list[list[int]], ncols: int) -> list[int]:
+    """Forward elimination of an integer matrix over Z, in place, pivoting
+    on its first ncols columns only (later columns are right-hand sides).
+
+    Returns the pivot columns: row r starts at column pivots[r], and the
+    rows past the rank are zero in the first ncols columns.  A row below a
+    pivot p with f != 0 in its column becomes (p/g) row - (f/g) pivot row,
+    g = gcd(p, f), divided by its content; rows that are zero there are
+    not touched.  An updated row is primitive, so it equals, up to sign,
+    the row of minors of Bareiss's elimination divided by its gcd, and no
+    entry exceeds a minor of the input.
+    """
+    rows = len(a)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, rows) if a[i][c]), None)
+        if found is None:
+            continue
+        a[r], a[found] = a[found], a[r]
+        row = a[r]
+        p = row[c]
+        for i in range(r + 1, rows):
+            f = a[i][c]
+            if f:
+                g = gcd(p, f)
+                u, v = p // g, f // g
+                new = [u * x - v * y for x, y in zip(a[i], row)]
+                h = gcd(*new)
+                a[i] = [x // h for x in new] if h > 1 else new
+        pivots.append(c)
+    return pivots
+
+
+def echelon_solve(m, b) -> tuple[int, list[Fraction] | None]:
+    """The rank of m and the unique rational solution of m x = b, or None
+    when m has dependent columns or the system is inconsistent.
+
+    The solution is re-checked against m and b before returning.
+    """
+    rows, cols = _check_rectangular(m)
+    if len(b) != rows:
+        raise ValueError("right-hand side has wrong length")
+    if not rows:
+        return 0, []
+    a, _ = _integer_rows([[*row, rhs] for row, rhs in zip(m, b)])
+    pivots = primitive_echelon(a, cols)
+    rank = len(pivots)
+    if rank < cols or any(row[cols] for row in a[rank:]):
+        return rank, None
+    y, d = _back_substitute(a, pivots, cols, -1)
+    del y[cols]
+    if any(sum(map(mul, row, y)) != rhs * d for row, rhs in zip(m, b)):
+        raise InvariantError("back-substitution check failed")
+    return rank, [Fraction(x, d) for x in y]
+
+
 # -- forms by dense elimination -----------------------------------------------
 # `sncalc.linalg.det_exact`, `is_negative_definite`, `kernel_basis` and
 # `_integer_rows` before leaf elimination of forest forms,
@@ -1088,7 +1192,7 @@ def bareiss_det_exact(m) -> Fraction:
     if rows != cols:
         raise ValueError("determinant of a non-square matrix")
     a, scale = _integer_rows(m)
-    return Fraction(_bareiss(a), scale)
+    return Fraction(eager_bareiss(a), scale)
 
 
 def bareiss_is_negative_definite(m) -> bool:
@@ -1103,7 +1207,7 @@ def bareiss_is_negative_definite(m) -> bool:
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
     a, _ = _integer_rows(m)
-    return _bareiss([[-x for x in row] for row in a], definite=True) > 0
+    return eager_bareiss([[-x for x in row] for row in a], definite=True) > 0
 
 
 def echelon_kernel_basis(m) -> list[list[Fraction]]:
@@ -1112,7 +1216,7 @@ def echelon_kernel_basis(m) -> list[list[Fraction]]:
     non-pivot columns.  Each vector is re-checked against m."""
     _, cols = _check_rectangular(m)
     a, _ = _integer_rows(m)
-    pivots = _echelon(a, cols)
+    pivots = primitive_echelon(a, cols)
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):
         y, d = _back_substitute(a, pivots, fc, 1)
@@ -1610,7 +1714,7 @@ def dense_torsion_of_cokernel(m) -> TorsionGroup:
     is the torsion's factors, padded with 1s, and then rows - r copies of
     |D|.  At full rank D is the determinant of the forest kernel (a square
     forest form) or of one Bareiss pass over the transpose; otherwise the
-    pivot columns of `_echelon` give r, and a Bareiss pass over those
+    pivot columns of `primitive_echelon` give r, and a Bareiss pass over those
     columns gives D.
 
     Every answer is certified, and a failed check raises InvariantError:
@@ -1626,12 +1730,12 @@ def dense_torsion_of_cokernel(m) -> TorsionGroup:
     s = [list(row) for row in m] if rows <= cols else [list(col) for col in zip(*m)]
     rows, cols = len(s), len(s[0]) if s else 0
     forest = _forest_minors(s) if rows == cols else None
-    minor = forest[0] if forest is not None else _bareiss([list(col) for col in zip(*s)])
+    minor = forest[0] if forest is not None else eager_bareiss([list(col) for col in zip(*s)])
     rank = rows
     if not minor:
-        pivots = _echelon([row[:] for row in s], cols)
+        pivots = primitive_echelon([row[:] for row in s], cols)
         rank = len(pivots)
-        minor = _bareiss([[row[p] for p in pivots] for row in s])
+        minor = eager_bareiss([[row[p] for p in pivots] for row in s])
         if not minor:
             raise InvariantError("invariant factors: the echelon pivots give no nonzero minor")
     minor = abs(minor)
@@ -1702,7 +1806,7 @@ def dense_solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
         raise InvariantError("integer solve: a x0 differs from b")
     if any(sum(map(mul, row, k)) for k in basis for row in a):
         raise InvariantError("integer solve: a basis vector is not in the kernel")
-    if abs(_bareiss([col[:] for col in v])) != 1:
+    if abs(eager_bareiss([col[:] for col in v])) != 1:
         raise InvariantError("integer solve: the transform is not unimodular")
     return x0, basis
 
@@ -1796,7 +1900,7 @@ def dense_solve_rational_overdetermined(a, b) -> list[Fraction] | None:
     classes for the multiplicity question to be well-posed.
     """
     cols = len(a[0]) if a else 0
-    rank, sol = _solve(a, b)
+    rank, sol = echelon_solve(a, b)
     if rank < cols:
         raise LatticeError("fiber group classes are linearly dependent")
     return sol

@@ -383,7 +383,7 @@ def test_augmented_bareiss_center_matches_the_two_passes(curve_class_calls):
     mismatches, seen = [], Counter()
     for m, lin in systems:
         rows = [row[:] for row in m]
-        verdict = _bareiss(rows, definite=True) > 0
+        verdict = _bareiss(rows, definite=True)[0] > 0
         got = _definite_center(m, lin)
         seen[verdict] += 1
         if got is None:

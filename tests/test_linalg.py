@@ -3,6 +3,7 @@ import contextlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -19,7 +20,9 @@ from helpers import (
     bench_workloads,
     dense_solve_integer,
     dense_torsion_of_cokernel,
+    eager_bareiss,
     echelon_kernel_basis,
+    echelon_solve,
     euclid_smith_normal_form,
     forms_tree_form,
     fraction_ldl,
@@ -27,6 +30,7 @@ from helpers import (
     matrix_discriminant,
     minor_loop_is_negative_definite,
     outcome,
+    primitive_echelon,
     random_forest,
     random_tree,
     rational_cholesky,
@@ -561,15 +565,12 @@ def _solve_overdetermined(m, b):
     return None if sol is None else [Fraction(x) for x in sol]
 
 
-def test_solves_and_kernels_match_the_rref_oracle():
-    # old-versus-new: the Gauss-Jordan routines over Fraction against the
-    # integer echelon form on shapes up to 7x7; one in five rational, every
-    # third a product through a narrower middle (rank-deficient), every
-    # square one also solved and every tall one solved as an overdetermined
-    # system with b = m x (consistent) or a random b (mostly inconsistent)
+def _solve_kernel_systems():
+    """(m, b): 3,000 seeded matrices up to 7x7, one in five rational, every
+    third a product through a narrower middle (rank-deficient), with
+    b = m x half of the time (consistent), else random (mostly
+    inconsistent), and b as ints half of the time that it can be."""
     rng = random.Random(0xEC4)
-    mismatches = []
-    counts = dict.fromkeys(["singular", "solved", "kernel", "consistent", "inconsistent"], 0)
     for index in range(3000):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         if index % 7 == 0:
@@ -590,10 +591,6 @@ def test_solves_and_kernels_match_the_rref_oracle():
             m = [row or [0] * cols for row in m]
         else:
             m = [[entry() for _ in range(cols)] for _ in range(rows)]
-        kernel = _outcome(kernel_basis, m)
-        counts["kernel"] += kernel != "[]"
-        if kernel != _outcome(rref_kernel_basis, m):
-            mismatches.append(("kernel", m))
         if rng.random() < 0.5:
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
             b = [sum((a * c for a, c in zip(row, x)), Fraction(0)) for row in m]
@@ -601,6 +598,21 @@ def test_solves_and_kernels_match_the_rref_oracle():
             b = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 3])) for _ in range(rows)]
         if rng.random() < 0.5 and all(v.denominator == 1 for v in b):
             b = [int(v) for v in b]
+        yield m, b
+
+
+def test_solves_and_kernels_match_the_rref_oracle():
+    # old-versus-new: the Gauss-Jordan routines over Fraction against the
+    # Bareiss pass on the seeded systems; every square one also solved and
+    # every tall one solved as an overdetermined system
+    mismatches = []
+    counts = dict.fromkeys(["singular", "solved", "kernel", "consistent", "inconsistent"], 0)
+    for m, b in _solve_kernel_systems():
+        rows, cols = len(m), len(m[0])
+        kernel = _outcome(kernel_basis, m)
+        counts["kernel"] += kernel != "[]"
+        if kernel != _outcome(rref_kernel_basis, m):
+            mismatches.append(("kernel", m))
         solved = _outcome(solve_rational, m, b)
         if rows == cols:
             counts["singular"] += isinstance(solved, tuple)
@@ -838,7 +850,7 @@ def test_peel_keeps_zero_lines_for_a_determinant():
         rows, cols = linalg._core(columns, n, linalg._peel(columns, n, zeros=False), "test")
         assert len(rows) == len(cols)
         core = [[m[i][j] for j in cols] for i in rows]
-        assert abs(linalg._bareiss(core)) == abs(det_exact(m))
+        assert abs(linalg._bareiss(core)[0]) == abs(det_exact(m))
 
 
 def _record_integer_calls(run) -> tuple[list, list]:
@@ -914,6 +926,129 @@ def test_package_calls_match_the_dense_oracles():
     assert mismatches == []
 
 
+def _compare_pass(a, definite, ncols, mismatches) -> str:
+    """One Bareiss pass over a copy of a against the eager pass and the
+    primitive echelon form it replaced: the pivot columns (so the rank),
+    the last pivot against the eager pass over the pivot columns (the
+    torsion's minor before), and, for a square or tall a, the determinant
+    or Sylvester's verdict and, when the eager pass runs to the end, each
+    pivot row from its pivot on.  Returns the kind of pass."""
+    width = ncols if ncols is not None else len(a[0]) if a else 0
+    new = [row[:] for row in a]
+    det, pivots = linalg._bareiss(new, definite, ncols)
+    rank = len(pivots)
+    if definite:
+        kind = "definite" if det > 0 else "not definite"
+    else:
+        kind = "full rank" if rank == min(len(a), width) else "rank-deficient"
+        if pivots != primitive_echelon([row[:] for row in a], width):
+            mismatches.append(("pivots", a, ncols))
+        minor = [[row[p] for p in pivots] for row in a]
+        if rank and abs(new[rank - 1][pivots[-1]]) != abs(eager_bareiss(minor)):
+            mismatches.append(("minor", a, ncols))
+    if len(a) >= width:
+        old = [row[:] for row in a]
+        if eager_bareiss(old, definite, ncols) != det:
+            mismatches.append(("det", a, definite, ncols))
+        elif det and [r[p:] for r, p in zip(new, pivots)] != [r[p:] for r, p in zip(old, pivots)]:
+            mismatches.append(("rows", a, definite, ncols))
+    return kind
+
+
+def _record_passes(run) -> tuple[list, list]:
+    """The arguments, copied, of every Bareiss pass and every `_solve` that
+    the package makes while run() runs."""
+    passes, solves = [], []
+    real_pass, real_solve = linalg._bareiss, linalg._solve
+
+    def bareiss(a, definite=False, ncols=None):
+        passes.append(([row[:] for row in a], definite, ncols))
+        return real_pass(a, definite, ncols)
+
+    def solve(m, b):
+        solves.append(([list(row) for row in m], list(b)))
+        return real_solve(m, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (linalg, lattice):
+            mp.setattr(module, "_bareiss", bareiss)
+            mp.setattr(module, "_solve", solve)
+        run()
+    return passes, solves
+
+
+SEEDED_ROUTES = (
+    (kernel_basis, echelon_kernel_basis),
+    (det_exact, bareiss_det_exact),
+    (torsion_of_cokernel, dense_torsion_of_cokernel),
+)
+
+
+def test_bareiss_pass_matches_the_eager_pass_and_the_echelon_form():
+    # old-versus-new, exactly: every Bareiss pass, and every solve, kernel,
+    # determinant and torsion, against the eager Bareiss pass and the
+    # primitive echelon form that the one pass replaced, on the seeded
+    # systems of the rref-oracle test (square ones also through the
+    # definite pass, as given and negated), the singular trees of 3,000
+    # seed-11 `forms` items, and every call of 1,200 seed-11 `lattice` ops
+    # and of `verify all`
+    mismatches, counts = [], Counter()
+    systems = list(_solve_kernel_systems())
+    forms = bench_workloads().WORKLOADS["forms"]
+    trees = [forms.make(11, index).data for index in range(3000)]
+    singular = [data["q"] for data in trees if data["d"] == 0]
+    squares = []
+
+    def seeded():
+        for m, b in systems:
+            for new, old in SEEDED_ROUTES:
+                if outcome(new, m) != outcome(old, m):
+                    mismatches.append((new.__name__, m))
+            outcome(linalg._solve, m, b)  # recorded, and compared below
+            if len(m) == len(m[0]):
+                a, _ = linalg._integer_rows(m)
+                squares.extend([a, [[-x for x in row] for row in a]])
+
+    def forms_trees():
+        for q in singular:
+            for new, old in SEEDED_ROUTES:
+                if outcome(new, q) != outcome(old, q):
+                    mismatches.append((new.__name__, q))
+
+    runs = {
+        "seeded": seeded,
+        "forms": forms_trees,
+        "lattice": lambda: _lattice_ops(11, 1200),
+        "verify": _verify_all,
+    }
+    for family, run in runs.items():
+        passes, solves = _record_passes(run)
+        for a, definite, ncols in passes:
+            counts[family, _compare_pass(a, definite, ncols, mismatches)] += 1
+        for m, b in solves:
+            if outcome(linalg._solve, m, b) != outcome(echelon_solve, m, b):
+                mismatches.append(("solve", m, b))
+        counts[family, "solves"] = len(solves)
+    for a in squares:
+        counts["seeded", _compare_pass(a, True, None, mismatches)] += 1
+    assert mismatches == []
+    assert len(singular) == 164
+    assert counts == {
+        ("seeded", "full rank"): 5774,
+        ("seeded", "rank-deficient"): 2650,
+        ("seeded", "definite"): 138,
+        ("seeded", "not definite"): 1826,
+        ("seeded", "solves"): 3000,
+        ("forms", "rank-deficient"): 205,
+        ("forms", "solves"): 0,
+        ("lattice", "full rank"): 1296,
+        ("lattice", "solves"): 138,
+        ("verify", "full rank"): 11,
+        ("verify", "definite"): 7,
+        ("verify", "solves"): 2,
+    }, counts
+
+
 def test_no_package_path_calls_the_smith_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("smith_normal_form was called")
@@ -931,6 +1066,7 @@ def test_invariant_factor_and_hermite_certificates_raise_under_optimization():
         "import sncalc.linalg as la\n"
         "from sncalc.errors import InvariantError\n"
         "diagonalise, combine, units = la._diagonalise, la._combine, la._unit_columns\n"
+        "bareiss = la._bareiss\n"
         "def off_diagonal(s, r):\n"
         "    diagonalise(s, r)\n"
         "    s[0][1] = 1\n"
@@ -949,6 +1085,9 @@ def test_invariant_factor_and_hermite_certificates_raise_under_optimization():
         "        v[k][k] = 2\n"
         "        return v\n"
         "    return fake\n"
+        "def wrong_rank(a, *args):\n"
+        "    bareiss(a, *args)\n"
+        "    return 0, [0, 1]\n"
         "def peeling(steps):\n"
         "    return lambda columns, nrows, zeros=True: steps\n"
         "rank_one = [[2, 4, 6], [4, 8, 12]]\n"
@@ -959,7 +1098,7 @@ def test_invariant_factor_and_hermite_certificates_raise_under_optimization():
         "    ('_diagonalise', setting([2, 8]), la.torsion_of_cokernel, [[2, 0], [0, 4]]),\n"
         "    ('_diagonalise', setting([2, 8]), la.torsion_of_cokernel, [[2, 0, 0], [0, 4, 0]]),\n"
         "    ('_diagonalise', setting([2, 4]), la.torsion_of_cokernel, rank_one),\n"
-        "    ('_echelon', lambda a, n: [0, 1], la.torsion_of_cokernel, rank_one),\n"
+        "    ('_bareiss', wrong_rank, la.torsion_of_cokernel, rank_one),\n"
         "    ('_unit_columns', scaled(0), la.solve_integer, [[1, 1]], [5]),\n"
         "    ('_combine', kernel_off, la.solve_integer, [[1, 1]], [5]),\n"
         "    ('_unit_columns', scaled(1), la.solve_integer, [[1, 0]], [3]),\n"
@@ -988,7 +1127,7 @@ def test_invariant_factor_and_hermite_certificates_raise_under_optimization():
         "InvariantError: invariant factors: the product does not match the minor",
         "InvariantError: invariant factors: the product does not match the minor",
         "InvariantError: invariant factors: the free part differs from the echelon rank",
-        "InvariantError: invariant factors: the echelon pivots give no nonzero minor",
+        "InvariantError: invariant factors: the pivots give no nonzero minor",
         "InvariantError: integer solve: a x0 differs from b",
         "InvariantError: integer solve: a basis vector is not in the kernel",
         "InvariantError: integer solve: the transform is not unimodular",
@@ -1106,18 +1245,18 @@ def test_off_forest_forms_keep_the_dense_routes(monkeypatch):
     # cycles, asymmetric and rational forms are not forest forms; each
     # routine falls back and agrees with its dense route, errors included,
     # the forest minors agree with the union-find build they replaced, and
-    # each solve reaches the echelon form
+    # each solve reaches the Bareiss pass
     rng = random.Random(0xC1C)
     mismatches = []
     kinds = {"cycle": 0, "asymmetric": 0, "rational": 0}
-    echelons = []
-    real = linalg._echelon
+    passes = []
+    real = linalg._bareiss
 
-    def counted(*args):
-        echelons.append(args)
-        return real(*args)
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(linalg, "_bareiss", counted)
     for index in range(3000):
         n = rng.randint(2, 9)
         m = _forest_form(rng, n)
@@ -1152,10 +1291,10 @@ def test_off_forest_forms_keep_the_dense_routes(monkeypatch):
         if kind != "rational" and linalg._forest_minors(m) is not None:
             mismatches.append(("taken for a forest form", m))
         _compare_with_dense(m, mismatches)
-        echelons.clear()
+        passes.clear()
         outcome(solve_rational, m, [1] * n)
-        if not echelons:
-            mismatches.append(("solved without the echelon form", m))
+        if not passes:
+            mismatches.append(("solved without the Bareiss pass", m))
     assert mismatches == []
     assert min(kinds.values()) > 600, kinds
 
@@ -1325,11 +1464,11 @@ def test_forest_solves_match_the_rref_oracle():
     }, counts
 
 
-def test_forest_solves_never_reach_echelon(monkeypatch):
+def test_forest_solves_never_reach_bareiss(monkeypatch):
     def refuse(*args, **kwargs):
-        raise RuntimeError("a forest form reached the echelon form")
+        raise RuntimeError("a forest form reached the Bareiss pass")
 
-    monkeypatch.setattr(linalg, "_echelon", refuse)
+    monkeypatch.setattr(linalg, "_bareiss", refuse)
     forms = [m for _, m in _forest_solve_inputs()[::4]]
     forms.append([[-2 if i == j else int(abs(i - j) == 1) for j in range(200)] for i in range(200)])
     solved = 0
@@ -1428,7 +1567,7 @@ def test_smith_postconditions_raise_under_optimization():
 def test_solve_and_kernel_postconditions_raise_under_optimization():
     # a corrupted back-substitution must trip both re-checks even with -O,
     # and so must corrupted Cramer numerators of the forest solve: a 3-cycle
-    # takes the echelon form, the 2-vertex tree the leaf fold
+    # takes the Bareiss pass, the 2-vertex tree the leaf fold
     code = (
         "import sncalc.linalg as la\n"
         "from sncalc.errors import InvariantError\n"
@@ -1494,3 +1633,18 @@ def test_package_has_no_other_self_recursion():
             ):
                 found.add(f"{path.stem}.{fn.name}")
     assert found == SELF_RECURSIVE
+
+
+def test_backticked_private_names_resolve():
+    # a private name in backticks in these modules' sources names a routine
+    # that exists: `_name` in the module itself, `mod._name` in the
+    # package's module mod; so no reference outlives its function
+    missing, seen = [], 0
+    for module in (linalg, lattice, calculus, surgery):
+        text = Path(module.__file__).read_text()
+        for owner, name in re.findall(r"`(?:(\w+)\.)?(_\w+)`", text):
+            seen += 1
+            if not hasattr(getattr(sncalc, owner) if owner else module, name):
+                missing.append((module.__name__, f"{owner}.{name}" if owner else name))
+    assert missing == []
+    assert seen > 20
