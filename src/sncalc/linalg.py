@@ -11,7 +11,10 @@ curve-class walk of `lattice` has a sixth for chain forms:
    subtree determinants give the determinant, Sylvester's test, the
    kernel and fiber multiplicities in linear time.  The Cramer numerators
    of its subtrees, folded the same way, and one pass from the roots down
-   give the rational solve (`_reroot`).
+   give the rational solve (`_reroot`).  A matrix is recognised once
+   (`_forest_form`): its symmetric scan, adjacency and fold are held in
+   one slot keyed on its integer content, which the determinant,
+   Sylvester's test, the kernel and the solve of that matrix read in turn.
 2. `_bareiss`: every other matrix (cycles, asymmetric or row-scaled
    rational ones, Gram forms that are not chains) goes through one
    fraction-free, rank-revealing pass: determinants, Sylvester's test,
@@ -43,7 +46,7 @@ from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantError, SingularMatrixError
 
@@ -96,10 +99,10 @@ def det_exact(m) -> Fraction:
     rows, cols = _check_rectangular(m)
     if rows != cols:
         raise ValueError("determinant of a non-square matrix")
+    form = _forest_form(m)
+    if form is not None:
+        return Fraction(form.det)
     a, scale = _integer_rows(m)
-    forest = _forest_minors(a) if scale == 1 else None
-    if forest is not None:
-        return Fraction(forest[0])
     return Fraction(_bareiss(a)[0], scale)
 
 
@@ -117,25 +120,68 @@ def _integer_rows(m) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def _forest_minors(a: list[list[int]]) -> tuple[int, list[int]] | None:
-    """The determinant of a symmetric integer matrix whose off-diagonal
-    nonzeros form a forest, with the determinant D(v) of the principal
-    submatrix on each vertex v and its descendants, listed leaf first;
-    None when the matrix is not symmetric or its graph has a cycle.  Every
-    prefix of the returned order is a union of whole subtrees, whose
-    leading minor is the product of their D's.
+class _Forest(NamedTuple):
+    """A symmetric matrix whose off-diagonal nonzeros form a forest: its
+    rows, its diagonal, the pairs (u, a_vu) over the neighbours u of each
+    vertex v, the search order (parents first), the parents (-1 at a root),
+    D(v) by vertex (`_subtree_minors`) and the determinant."""
+
+    rows: Sequence[Sequence[int]]
+    diagonal: list[int]
+    adj: list[list[tuple[int, int]]]
+    order: list[int]
+    up: list[int]
+    minors: list[int]
+    det: int
+
+
+# the one recognition kept: (the integer rows of the last square matrix
+# asked about, as tuples, and its _Forest or None), replaced as one tuple
+_last_forest: tuple = (None, None)
+
+
+def _forest_form(m) -> _Forest | None:
+    """The recognition of a square matrix as a forest form, None when it is
+    not one.  Its integer content (`_integer_rows` with scale 1, else no
+    forest form) is the key of a one-slot memo, so the questions asked of
+    one matrix in turn (determinant, definiteness, kernel, solve) scan it
+    once; a matrix changed in place has a new key.  The slot holds tuples
+    of the rows, never the caller's lists, and nothing in it is changed.
     """
-    fold = _forest_fold(a)
-    if fold is None:
+    global _last_forest
+    if set(map(type, chain.from_iterable(m))) <= {int}:
+        key = tuple(map(tuple, m))
+    else:
+        a, scale = _integer_rows(m)
+        if scale != 1:
+            return None
+        key = tuple(map(tuple, a))
+    last, form = _last_forest
+    if last != key:
+        form = _recognise_forest(key)
+        _last_forest = key, form
+    return form
+
+
+def _forest_minors(a) -> tuple[int, list[int]] | None:
+    """The determinant of a symmetric matrix whose off-diagonal nonzeros
+    form a forest, with the determinant D(v) of the principal submatrix on
+    each vertex v and its descendants, listed leaf first; None when the
+    matrix is not symmetric or its graph has a cycle.  Every prefix of the
+    returned order is a union of whole subtrees, whose leading minor is the
+    product of their D's.  Recognised afresh, outside the memo of
+    `_forest_form`: cokernel torsion asks one question of each core.
+    """
+    form = _recognise_forest(a)
+    if form is None:
         return None
-    order, up, minors, _, _ = fold
-    return prod(minors[v] for v in order if up[v] < 0), [minors[v] for v in reversed(order)]
+    return form.det, [form.minors[v] for v in reversed(form.order)]
 
 
-def _forest_fold(a: list[list[int]], rhs: list[int] | None = None):
-    """`_leaf_fold` of a symmetric integer matrix whose off-diagonal
-    nonzeros form a forest, with the right-hand side rhs if given; None
-    when the matrix is not symmetric or its graph has a cycle.
+def _recognise_forest(a) -> _Forest | None:
+    """`_subtree_minors` of a symmetric matrix whose off-diagonal nonzeros
+    form a forest; None when the matrix is not symmetric or its graph has
+    a cycle.
 
     One pass over the strict lower triangle checks each nonzero against its
     mirror and builds the adjacency, and a count of the zeros shows that no
@@ -152,18 +198,38 @@ def _forest_fold(a: list[list[int]], rhs: list[int] | None = None):
     diagonal = [row[i] for i, row in enumerate(a)]
     if n * n - sum(row.count(0) for row in a) - n + diagonal.count(0) != sum(map(len, adj)):
         return None
-    return _leaf_fold(diagonal, adj, rhs)
+    fold = _subtree_minors(diagonal, adj)
+    if fold is None:
+        return None
+    order, up, _, minors, _ = fold
+    return _Forest(a, diagonal, adj, order, up, minors, prod(minors[v] for v in order if up[v] < 0))
 
 
 def _leaf_fold(
     diagonal: list[int], adj: list[list[tuple[int, int]]], rhs: list[int] | None = None
 ):
+    """`_subtree_minors` of a symmetric integer form on a forest, given by
+    its diagonal and the pairs (u, a_vu) over the neighbours u of each
+    vertex v: the search order, the parents, D(v) and E(v) by vertex, and,
+    when an integer right-hand side b is given, the Cramer numerators of the
+    solution of (the form) x = b by vertex from `_reroot` (None without
+    one); None when the graph has a cycle.
+    """
+    fold = _subtree_minors(diagonal, adj)
+    if fold is None:
+        return None
+    order, up, entry, minors, product = fold
+    if rhs is None:
+        return order, up, minors, product, None
+    return order, up, minors, product, _reroot(order, up, entry, diagonal, rhs, minors, product)
+
+
+def _subtree_minors(diagonal: list[int], adj: list[list[tuple[int, int]]]):
     """Leaf-to-root elimination of a symmetric integer form on a forest,
     given by its diagonal and the pairs (u, a_vu) over the neighbours u of
     each vertex v: the search order (parents first), the parents (-1 at a
-    root), D(v) and E(v) by vertex, and, when an integer right-hand side b
-    is given, the Cramer numerators of the solution of (the form) x = b by
-    vertex (None without one); None when the graph has a cycle.
+    root), the entry a_vp to the parent, D(v) and E(v) by vertex; None when
+    the graph has a cycle.
 
     A breadth-first search roots each component at its first vertex; the
     graph is a forest exactly when it has n minus (number of roots) edges.
@@ -210,30 +276,29 @@ def _leaf_fold(
             s = entry[v]
             total[p] = total[p] * d + s * s * e * product[p]
             product[p] *= d
-    if rhs is None:
-        return order, up, minors, product, None
-    return order, up, minors, product, _reroot(order, up, entry, diagonal, rhs, minors, product)
+    return order, up, entry, minors, product
 
 
 def _reroot(order, up, entry, diagonal, rhs, minors, product) -> list[int]:
     """The Cramer numerators y(v) = det(component of v) x_v of the system
     (a forest form) x = b, given the parents-first order, the parents and
-    parent entries, the diagonal, b, and D and E by vertex from `_leaf_fold`.
+    parent entries, the diagonal, b, and D and E by vertex from
+    `_subtree_minors`.
 
-    A first pass folds N(v) leaf first, as `_leaf_fold` folds D(v), with a
-    running product of its own.  Let U(v) be the determinant of the form
-    outside the subtree of v, M(v) its Cramer numerator at the parent p,
-    and F(v) the product of the determinants of p's branches there (U = 1
-    and M = F = 0 at a root).  Rerooted at v, the component's determinant times x_v is
+    A first pass folds N(v) leaf first, as `_subtree_minors` folds D(v),
+    with a running product of its own.  Let U(v) be the determinant of the
+    form outside the subtree of v, M(v) its Cramer numerator at the parent
+    p, and F(v) the product of the determinants of p's branches there
+    (U = 1 and M = F = 0 at a root).  Rerooted at v, the component's determinant times x_v is
 
         y(v) = N(v) U(v) - a_vp E(v) M(v).
 
     The outer form of a child c of v is v with its other children's
     subtrees and its own outer form as branches, so U(c), M(c) and F(c)
-    are D, N and E of `_leaf_fold` at v over those branches, the outer one
-    entering with D = U(v), E = F(v) and N = M(v).  Folds over the branches
-    before c and over the children after it are joined, so nothing is
-    divided and a zero D needs no rule, and the pass is linear.
+    are D, N and E of `_subtree_minors` at v over those branches, the outer
+    one entering with D = U(v), E = F(v) and N = M(v).  Folds over the
+    branches before c and over the children after it are joined, so
+    nothing is divided and a zero D needs no rule, and the pass is linear.
     """
     n = len(order)
     cramer, partial, running = [0] * n, [0] * n, [1] * n
@@ -380,10 +445,11 @@ def solve_rational(m, b) -> list[Fraction]:
     """Unique solution of m x = b over the rationals.
 
     A forest form (a symmetric integer matrix whose off-diagonal nonzeros
-    form a forest) is solved by `_leaf_fold` with b scaled to integers by
-    the lcm of its denominators: each x_v is a Cramer numerator over its
-    component's determinant, found in two linear passes with no dense
-    pass, and a zero subtree determinant needs no rule.  Every other matrix
+    form a forest) is solved by `_leaf_fold` on its recognition
+    (`_forest_form`), with b scaled to integers by the lcm of its
+    denominators: each x_v is a Cramer numerator over its component's
+    determinant, found in two linear passes with no dense pass, and a zero
+    subtree determinant needs no rule.  Every other matrix
     (cycles, asymmetric or rational ones) falls back to the Bareiss pass
     and back-substitution of `_solve`.  Raises SingularMatrixError when
     the matrix is singular.  On both paths the result is re-checked against the inputs
@@ -395,22 +461,20 @@ def solve_rational(m, b) -> list[Fraction]:
         raise ValueError("solve requires a square matrix")
     if len(b) != rows:
         raise ValueError("right-hand side has wrong length")
-    a, scale = _integer_rows(m)
-    if scale == 1:
+    form = _forest_form(m)
+    if form is not None:
         (rhs,), rhs_scale = _integer_rows([b])
-        fold = _forest_fold(a, rhs)
-        if fold is not None:
-            order, up, minors, _, y = fold
-            det = [0] * rows  # the determinant of each vertex's component
-            for v in order:
-                det[v] = minors[v] if up[v] < 0 else det[up[v]]
-            if 0 in det:
-                raise SingularMatrixError("matrix is singular")
-            # a row's nonzeros lie in its component, so its check is over
-            # that component's determinant
-            if any(sum(map(mul, row, y)) != t * d for row, t, d in zip(a, rhs, det)):
-                raise InvariantError("back-substitution check failed")
-            return [Fraction(t, d * rhs_scale) for t, d in zip(y, det)]
+        order, up, minors, _, y = _leaf_fold(form.diagonal, form.adj, rhs)
+        det = [0] * rows  # the determinant of each vertex's component
+        for v in order:
+            det[v] = minors[v] if up[v] < 0 else det[up[v]]
+        if 0 in det:
+            raise SingularMatrixError("matrix is singular")
+        # a row's nonzeros lie in its component, so its check is over
+        # that component's determinant
+        if any(sum(map(mul, row, y)) != t * d for row, t, d in zip(form.rows, rhs, det)):
+            raise InvariantError("back-substitution check failed")
+        return [Fraction(t, d * rhs_scale) for t, d in zip(y, det)]
     rank, x = _solve(m, b)
     if rank < cols:
         raise SingularMatrixError("matrix is singular")
@@ -578,21 +642,27 @@ def _diagonalise(s: list[list[int]], modulus: int = 0, u=None, v=None) -> None:
 def is_negative_definite(m) -> bool:
     """Sylvester's criterion: leading principal minors alternate in sign
     starting negative.  The matrix must be symmetric.  On a forest form -m
-    is positive definite exactly when every subtree determinant is
-    positive; otherwise the minors are read off one Bareiss pass of -m that
-    stops at the first failing one."""
+    is positive definite exactly when every subtree determinant of -m is
+    positive, and those are read off the recognition of m (`_forest_form`);
+    otherwise the minors are read off one Bareiss pass of -m that stops at
+    the first failing one."""
     rows, cols = _check_rectangular(m)
     if rows != cols:
         raise ValueError("definiteness of a non-square matrix")
-    a, scale = _integer_rows(m)
-    a = [[-x for x in row] for row in a]
-    forest = _forest_minors(a) if scale == 1 else None
-    if forest is not None:
-        return all(d > 0 for d in forest[1])
+    form = _forest_form(m)
+    if form is not None:
+        # D(v) of -m is (-1)^(size of the subtree of v) D(v) of m
+        size = [1] * rows
+        for v in reversed(form.order):
+            if form.up[v] >= 0:
+                size[form.up[v]] += size[v]
+        return all((-d if s & 1 else d) > 0 for d, s in zip(form.minors, size))
     for i in range(rows):
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
+    a, _ = _integer_rows(m)
+    a = [[-x for x in row] for row in a]
     return _bareiss(a, definite=True)[0] > 0
 
 
@@ -809,11 +879,11 @@ def kernel_basis(m) -> list[list[Fraction]]:
     non-pivot columns.  Each vector is re-checked against m.  A forest form
     with a nonzero determinant has none, and needs no dense pass."""
     rows, cols = _check_rectangular(m)
-    a, scale = _integer_rows(m)
-    if rows == cols and scale == 1:
-        forest = _forest_minors(a)
-        if forest is not None and forest[0]:
+    if rows == cols:
+        form = _forest_form(m)
+        if form is not None and form.det:
             return []
+    a, _ = _integer_rows(m)
     pivots = _bareiss(a)[1]
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -1533,11 +1534,221 @@ def test_graph_invariants_build_no_matrix(monkeypatch):
 
     monkeypatch.setattr(DualGraph, "intersection_matrix", refuse)
     for module in (linalg, calculus, surgery):
-        for name in ("det_exact", "is_negative_definite", "kernel_basis", "_forest_minors"):
+        for name in (
+            "det_exact",
+            "is_negative_definite",
+            "kernel_basis",
+            "_forest_minors",
+            "_forest_form",
+            "_recognise_forest",
+        ):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     assert run() == expected
     assert sum(isinstance(f, FiberGraph) for f in expected[3]) == 100
+
+
+# -- one recognition per matrix ------------------------------------------------
+# det_exact, is_negative_definite, kernel_basis and solve_rational share the
+# recognition of a forest form through a one-slot memo keyed on the matrix's
+# integer content (`linalg._forest_form`)
+
+
+def _count_scans(monkeypatch) -> list:
+    """Start from an empty slot and record every matrix that the O(n^2)
+    recognition scan of forest forms reads."""
+    scans = []
+    real = linalg._recognise_forest
+
+    def counted(a):
+        scans.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_last_forest", (None, None))
+    monkeypatch.setattr(linalg, "_recognise_forest", counted)
+    return scans
+
+
+def test_each_forms_matrix_is_scanned_once(monkeypatch):
+    # the four questions of one matrix read it once; each of them scanned it
+    # anew before the memo, three or four scans per matrix
+    forms = bench_workloads().WORKLOADS["forms"]
+    scans = _count_scans(monkeypatch)
+    per_matrix = Counter()
+    for index in range(3000):
+        data = forms.make(11, index).data
+        q = data["q"]
+        before = len(scans)
+        det_exact(q)
+        is_negative_definite(q)
+        kernel_basis(q)
+        outcome(solve_rational, q, data["rhs"])
+        per_matrix[len(scans) - before] += 1
+        assert scans[-1] == tuple(map(tuple, q))
+    assert per_matrix == {1: 3000}
+
+
+def test_the_contraction_gram_of_verify_is_scanned_once(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    calls = []
+    for name in ("det_exact", "is_negative_definite"):
+        real = getattr(scenarios, name)
+
+        def counted(m, real=real, name=name):
+            before = len(scans)
+            out = real(m)
+            calls.append((name, len(scans) - before))
+            return out
+
+        monkeypatch.setattr(scenarios, name, counted)
+    _verify_all()
+    assert calls == [("det_exact", 1), ("is_negative_definite", 0)]
+
+
+MEMO_QUESTIONS = (
+    det_exact,
+    is_negative_definite,
+    kernel_basis,
+    lambda m: solve_rational(m, list(range(1, len(m) + 1))),
+)
+
+
+def _asked(m, passes=None, fresh=False) -> list:
+    """Every question's answer on m, or its error, by repr (so that a
+    Fraction, an int and a bool differ), with the number of Bareiss passes
+    each took when passes records them.  With fresh=True the slot is emptied
+    before each question, as each question ran before the memo."""
+    out = []
+    for question in MEMO_QUESTIONS:
+        if fresh:
+            linalg._last_forest = (None, None)
+        before = len(passes) if passes is not None else 0
+        answer = repr(outcome(question, m))
+        out.append(answer if passes is None else (answer, len(passes) - before))
+    return out
+
+
+def _memo_forms() -> list[list[list[int]]]:
+    """Seeded forest forms of 0 to 10 vertices, a definite 14-vertex tree
+    (at 7), two singular 8-vertex trees (at 8 and 9), a cycle and an
+    asymmetric matrix."""
+    rng = random.Random(0x3E3)
+    forms = [_forest_form(rng, n) for n in (0, 1, 2, 5, 8, 8, 10)]
+    forms.append(forms_tree_form(rng, 14, True))
+    trees = (forms_tree_form(rng, 8, False) for _ in range(40))
+    forms += [q for q in trees if not det_exact(q)][:2]
+    forms.append([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    forms.append([[-2, 1, 0], [0, -2, 1], [0, 1, -2]])
+    return forms
+
+
+@pytest.fixture
+def bareiss_passes(monkeypatch) -> list:
+    passes = []
+    real = linalg._bareiss
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    monkeypatch.setattr(linalg, "_last_forest", (None, None))
+    return passes
+
+
+def test_memo_sees_a_matrix_changed_in_place(bareiss_passes):
+    mismatches = []
+    rng = random.Random(0x1A7)
+    for m in _memo_forms():
+        n = len(m)
+        for step in range(6):
+            # asked first, with the slot still holding m before the change
+            if _asked(m, bareiss_passes) != _asked(m, bareiss_passes, fresh=True):
+                mismatches.append(("asked", step, [row[:] for row in m]))
+            _compare_with_dense(m, mismatches)
+            if not n:
+                break
+            # a new weight, a new symmetric entry (a cycle, possibly) or an
+            # asymmetric one, changed in place in the list the memo saw
+            i, j = rng.randrange(n), rng.randrange(n)
+            m[i][j] = rng.choice((-3, -1, 0, 1, 2))
+            if step % 3:
+                m[j][i] = m[i][j]
+    assert mismatches == []
+
+
+def test_memo_answers_inexact_types_as_without_it(bareiss_passes):
+    # a Fraction, float or bool matrix equal in value to the int matrix in
+    # the slot gets the answer, type and route it gets from an empty slot:
+    # integer-valued entries take the int matrix's route (the forest one on
+    # a forest form), rational ones their own
+    zero_one = [[int(abs(i - j) == 1 or i == j and i % 3 > 0) for j in range(6)] for i in range(6)]
+    mismatches, forest_routes = [], 0
+    for m in [*_memo_forms(), zero_one]:
+        route = [p for _, p in _asked(m, bareiss_passes, fresh=True)]
+        forest_routes += route[0] == 0
+        kinds = [("Fraction", Fraction), ("float", float), ("half", lambda x: Fraction(x, 2))]
+        if {x for row in m for x in row} <= {0, 1}:
+            kinds.append(("bool", bool))
+        for kind, convert in kinds:
+            converted = [[convert(x) for x in row] for row in m]
+            expected = _asked(converted, bareiss_passes, fresh=True)
+            _asked(m)  # the int matrix in the slot
+            if _asked(converted, bareiss_passes) != expected:
+                mismatches.append((kind, m))
+            if kind != "half" and [p for _, p in expected] != route:
+                mismatches.append(("route", kind, m))
+    assert mismatches == []
+    assert forest_routes == 11
+
+
+def test_memo_keeps_no_answer_of_another_matrix(bareiss_passes):
+    # the sequence A, B, A answers as fresh calls do, and changing a
+    # returned kernel or solution changes no later answer
+    forms = _memo_forms()
+    singular = next(q for q in forms if q and not det_exact(q) and is_negative_definite(q) is False)
+    regular = next(q for q in forms if len(q) > 4 and det_exact(q))
+    expected = {id(q): _asked(q, fresh=True) for q in (singular, regular)}
+    for q in (singular, regular, singular, regular, regular, singular):
+        assert _asked(q) == expected[id(q)]
+    kernel = kernel_basis(singular)
+    kernel[0][0] += 1
+    kernel.append([])
+    x = solve_rational(regular, list(range(1, len(regular) + 1)))
+    x[0] += 1
+    x.append(0)
+    for q in (singular, regular):
+        assert _asked(q) == expected[id(q)]
+        assert _asked(q) == expected[id(q)]
+
+
+def test_memo_under_threads():
+    # four threads asking about two matrices in turn all get the answers
+    # of fresh calls: the slot is read and replaced as one tuple, so a
+    # thread can only scan again, never pair one matrix with another's form
+    forms = _memo_forms()
+    pair = forms[7:9]  # the definite 14-vertex tree and a singular tree
+    expected = [_asked(q, fresh=True) for q in pair]
+    mismatches = []
+
+    def ask(offset):
+        for step in range(150):
+            k = (step + offset) % 2
+            if _asked(pair[k]) != expected[k]:
+                mismatches.append((offset, step))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
 
 
 def test_smith_postconditions_raise_under_optimization():
