@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import prod
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, NonAdmissibleError, NonTreeError, NotMinimalError
 from .graphs import Chain, DualGraph, QDivisor, _walk_from_tip, maximal_twigs
-from .linalg import _leaf_fold, det_exact
+from .linalg import _subtree_minors, det_exact
 
 __all__ = [
     "ChainInvariants",
@@ -43,29 +42,28 @@ __all__ = [
 
 
 def _leaf_pass(g: DualGraph, support: Sequence[str]):
-    """`linalg._leaf_fold` on -Q of g on the support, indexed by position in
-    it and rooted at the first id of each component: (order, parents, D, E,
-    None).  Each edge is passed as 1: on a forest only the squares of the
-    off-diagonal entries enter D and E.  None when an id is repeated or
-    unknown, or the support spans a cycle."""
+    """`linalg._subtree_minors` on -Q of g on the support, indexed by
+    position in it and rooted at the first id of each component: the fold
+    record (`linalg._Forest`) with no rows.  Each edge is passed as 1: on a
+    forest only the squares of the off-diagonal entries enter D and E.
+    None when an id is repeated or unknown, or the support spans a cycle."""
     w = g.weights
     at = {v: k for k, v in enumerate(support)}
     if len(at) != len(support) or not at.keys() <= w.keys():
         return None
     adj = [[(at[u], 1) for u in g.neighbors(v) if u in at] for v in support]
-    return _leaf_fold([-w[v] for v in support], adj)
+    return _subtree_minors([-w[v] for v in support], adj)
 
 
 def discriminant(g: DualGraph, support: Iterable[str] | None = None) -> Fraction:
     """det(-Q) restricted to the given components; empty support gives 1.
-    The leaf pass gives it as the product of the roots' D's, and any other
-    support (a repeated or unknown id, a cycle) as (-1)^n det(Q)."""
+    The leaf pass gives it as the determinant of its fold record, and any
+    other support (a repeated or unknown id, a cycle) as (-1)^n det(Q)."""
     sup = list(g.ids if support is None else support)
     fold = _leaf_pass(g, sup)
     if fold is None:
         return (-1) ** len(sup) * det_exact(g.intersection_matrix(sup))
-    order, up, minors, _, _ = fold
-    return Fraction(prod(minors[v] for v in order if up[v] < 0))
+    return Fraction(fold.det)
 
 
 def _continuants(weights: Sequence[int]) -> list[int]:
@@ -312,7 +310,7 @@ def classify_boundary(g: DualGraph) -> BoundaryType:
         raise ValueError("classification needs a nonempty connected graph")
     if not g.is_tree():
         raise NonTreeError("boundaries are trees")
-    if all(d > 0 for d in _leaf_pass(g, g.ids)[2]):  # every D(v) of -Q
+    if all(d > 0 for d in _leaf_pass(g, g.ids).minors):  # every D(v) of -Q
         return BoundaryType(BoundaryTag.NEGATIVE_DEFINITE)
     branching = [v for v in g.ids if g.degree(v) >= 3]
     if len(branching) == 1:

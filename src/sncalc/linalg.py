@@ -5,16 +5,17 @@ ints, rational work uses fractions.Fraction.  No floating point.  Five
 integer elimination kernels serve every routine here, and the
 curve-class walk of `lattice` has a sixth for chain forms:
 
-1. `_leaf_fold`: a symmetric form whose off-diagonal nonzeros form a
-   forest (every form of a boundary divisor), read from a matrix or
-   straight from a graph, is eliminated leaf to root with no fill-in; its
-   subtree determinants give the determinant, Sylvester's test, the
-   kernel and fiber multiplicities in linear time.  The Cramer numerators
-   of its subtrees, folded the same way, and one pass from the roots down
-   give the rational solve (`_reroot`).  A matrix is recognised once
-   (`_forest_form`): its symmetric scan, adjacency and fold are held in
-   one slot keyed on its integer content, which the determinant,
-   Sylvester's test, the kernel and the solve of that matrix read in turn.
+1. `_subtree_minors`: a symmetric form whose off-diagonal nonzeros form
+   a forest (every form of a boundary divisor), read from a matrix or
+   straight from a graph, is eliminated leaf to root with no fill-in into
+   one fold record (`_Forest`); its subtree determinants give the
+   determinant, Sylvester's test, the kernel and fiber multiplicities in
+   linear time.  The Cramer numerators of its subtrees, folded the same
+   way, and one pass from the roots down give the rational solve
+   (`_reroot` of the record).  A matrix is recognised once
+   (`_forest_form`): its symmetric scan and fold are held in one slot
+   keyed on its integer content, which the determinant, Sylvester's test,
+   the kernel and the solve of that matrix read in turn.
 2. `_bareiss`: every other matrix (cycles, asymmetric or row-scaled
    rational ones, Gram forms that are not chains) goes through one
    fraction-free, rank-revealing pass: determinants, Sylvester's test,
@@ -74,9 +75,16 @@ def _check_rectangular(m) -> tuple[int, int]:
     return rows, cols
 
 
+def _all_int(m) -> bool:
+    """Whether every entry of m is an int and nothing else (no bool, no
+    Fraction): the exactness test of every integer fast path, read at C
+    speed."""
+    return set(map(type, chain.from_iterable(m))) <= {int}
+
+
 def _check_integer(m, what: str) -> None:
-    if set(map(type, chain.from_iterable(m))) <= {int}:
-        return  # the common case, read at C speed
+    if _all_int(m):
+        return  # the common case
     if any(not isinstance(x, int) for row in m for x in row):
         raise ValueError(f"{what} needs an integer matrix")
 
@@ -109,7 +117,7 @@ def det_exact(m) -> Fraction:
 def _integer_rows(m) -> tuple[list[list[int]], int]:
     """A copy of m with each row scaled to integers by the lcm of its
     denominators, and the product of those scales (1 for an integer m)."""
-    if set(map(type, chain.from_iterable(m))) <= {int}:
+    if _all_int(m):
         return [list(row) for row in m], 1
     out, scale = [], 1
     for row in m:
@@ -121,18 +129,20 @@ def _integer_rows(m) -> tuple[list[list[int]], int]:
 
 
 class _Forest(NamedTuple):
-    """A symmetric matrix whose off-diagonal nonzeros form a forest: its
-    rows, its diagonal, the pairs (u, a_vu) over the neighbours u of each
-    vertex v, the search order (parents first), the parents (-1 at a root),
-    D(v) by vertex (`_subtree_minors`) and the determinant."""
+    """The leaf fold of a symmetric form on a forest (`_subtree_minors`):
+    the search order (parents first), the parents (-1 at a root), the entry
+    a_vp to the parent, the diagonal, D(v) and E(v) by vertex, the
+    determinant, and the rows of the matrix it was recognised from (None
+    for a form read from a graph)."""
 
-    rows: Sequence[Sequence[int]]
-    diagonal: list[int]
-    adj: list[list[tuple[int, int]]]
     order: list[int]
     up: list[int]
+    entry: list[int]
+    diagonal: list[int]
     minors: list[int]
+    products: list[int]
     det: int
+    rows: Sequence[Sequence[int]] | None = None
 
 
 # the one recognition kept: (the integer rows of the last square matrix
@@ -149,7 +159,7 @@ def _forest_form(m) -> _Forest | None:
     of the rows, never the caller's lists, and nothing in it is changed.
     """
     global _last_forest
-    if set(map(type, chain.from_iterable(m))) <= {int}:
+    if _all_int(m):
         key = tuple(map(tuple, m))
     else:
         a, scale = _integer_rows(m)
@@ -163,25 +173,11 @@ def _forest_form(m) -> _Forest | None:
     return form
 
 
-def _forest_minors(a) -> tuple[int, list[int]] | None:
-    """The determinant of a symmetric matrix whose off-diagonal nonzeros
-    form a forest, with the determinant D(v) of the principal submatrix on
-    each vertex v and its descendants, listed leaf first; None when the
-    matrix is not symmetric or its graph has a cycle.  Every prefix of the
-    returned order is a union of whole subtrees, whose leading minor is the
-    product of their D's.  Recognised afresh, outside the memo of
-    `_forest_form`: cokernel torsion asks one question of each core.
-    """
-    form = _recognise_forest(a)
-    if form is None:
-        return None
-    return form.det, [form.minors[v] for v in reversed(form.order)]
-
-
 def _recognise_forest(a) -> _Forest | None:
     """`_subtree_minors` of a symmetric matrix whose off-diagonal nonzeros
-    form a forest; None when the matrix is not symmetric or its graph has
-    a cycle.
+    form a forest, with its rows; None when the matrix is not symmetric or
+    its graph has a cycle.  Called outside the memo of `_forest_form` by
+    cokernel torsion, which asks one question of each core.
 
     One pass over the strict lower triangle checks each nonzero against its
     mirror and builds the adjacency, and a count of the zeros shows that no
@@ -199,37 +195,14 @@ def _recognise_forest(a) -> _Forest | None:
     if n * n - sum(row.count(0) for row in a) - n + diagonal.count(0) != sum(map(len, adj)):
         return None
     fold = _subtree_minors(diagonal, adj)
-    if fold is None:
-        return None
-    order, up, _, minors, _ = fold
-    return _Forest(a, diagonal, adj, order, up, minors, prod(minors[v] for v in order if up[v] < 0))
+    return None if fold is None else fold._replace(rows=a)
 
 
-def _leaf_fold(
-    diagonal: list[int], adj: list[list[tuple[int, int]]], rhs: list[int] | None = None
-):
-    """`_subtree_minors` of a symmetric integer form on a forest, given by
-    its diagonal and the pairs (u, a_vu) over the neighbours u of each
-    vertex v: the search order, the parents, D(v) and E(v) by vertex, and,
-    when an integer right-hand side b is given, the Cramer numerators of the
-    solution of (the form) x = b by vertex from `_reroot` (None without
-    one); None when the graph has a cycle.
-    """
-    fold = _subtree_minors(diagonal, adj)
-    if fold is None:
-        return None
-    order, up, entry, minors, product = fold
-    if rhs is None:
-        return order, up, minors, product, None
-    return order, up, minors, product, _reroot(order, up, entry, diagonal, rhs, minors, product)
-
-
-def _subtree_minors(diagonal: list[int], adj: list[list[tuple[int, int]]]):
+def _subtree_minors(diagonal: list[int], adj: list[list[tuple[int, int]]]) -> _Forest | None:
     """Leaf-to-root elimination of a symmetric integer form on a forest,
     given by its diagonal and the pairs (u, a_vu) over the neighbours u of
-    each vertex v: the search order (parents first), the parents (-1 at a
-    root), the entry a_vp to the parent, D(v) and E(v) by vertex; None when
-    the graph has a cycle.
+    each vertex v, as a fold record (`_Forest`) with no rows; None when the
+    graph has a cycle.
 
     A breadth-first search roots each component at its first vertex; the
     graph is a forest exactly when it has n minus (number of roots) edges.
@@ -276,14 +249,14 @@ def _subtree_minors(diagonal: list[int], adj: list[list[tuple[int, int]]]):
             s = entry[v]
             total[p] = total[p] * d + s * s * e * product[p]
             product[p] *= d
-    return order, up, entry, minors, product
+    det = prod(minors[v] for v in order if up[v] < 0)
+    return _Forest(order, up, entry, diagonal, minors, product, det)
 
 
-def _reroot(order, up, entry, diagonal, rhs, minors, product) -> list[int]:
+def _reroot(form: _Forest, rhs: list[int]) -> list[int]:
     """The Cramer numerators y(v) = det(component of v) x_v of the system
-    (a forest form) x = b, given the parents-first order, the parents and
-    parent entries, the diagonal, b, and D and E by vertex from
-    `_subtree_minors`.
+    (a forest form) x = b, given the fold record of the form
+    (`_subtree_minors`) and b.
 
     A first pass folds N(v) leaf first, as `_subtree_minors` folds D(v),
     with a running product of its own.  Let U(v) be the determinant of the
@@ -300,6 +273,8 @@ def _reroot(order, up, entry, diagonal, rhs, minors, product) -> list[int]:
     branches before c and over the children after it are joined, so
     nothing is divided and a zero D needs no rule, and the pass is linear.
     """
+    order, up, entry, diagonal = form.order, form.up, form.entry, form.diagonal
+    minors, product = form.minors, form.products
     n = len(order)
     cramer, partial, running = [0] * n, [0] * n, [1] * n
     children: list[list[int]] = [[] for _ in range(n)]
@@ -445,7 +420,7 @@ def solve_rational(m, b) -> list[Fraction]:
     """Unique solution of m x = b over the rationals.
 
     A forest form (a symmetric integer matrix whose off-diagonal nonzeros
-    form a forest) is solved by `_leaf_fold` on its recognition
+    form a forest) is solved by `_reroot` on its recognition
     (`_forest_form`), with b scaled to integers by the lcm of its
     denominators: each x_v is a Cramer numerator over its component's
     determinant, found in two linear passes with no dense pass, and a zero
@@ -464,9 +439,10 @@ def solve_rational(m, b) -> list[Fraction]:
     form = _forest_form(m)
     if form is not None:
         (rhs,), rhs_scale = _integer_rows([b])
-        order, up, minors, _, y = _leaf_fold(form.diagonal, form.adj, rhs)
+        y = _reroot(form, rhs)
+        up, minors = form.up, form.minors
         det = [0] * rows  # the determinant of each vertex's component
-        for v in order:
+        for v in form.order:
             det[v] = minors[v] if up[v] < 0 else det[up[v]]
         if 0 in det:
             raise SingularMatrixError("matrix is singular")
@@ -846,8 +822,8 @@ def _torsion_of_columns(columns: list[dict[int, int]], nrows: int) -> TorsionGro
     else:
         s = [[columns[j].get(i, 0) for i in keep_rows] for j in keep_cols]
     rows, cols = len(s), len(s[0])
-    forest = _forest_minors(s) if rows == cols else None
-    rank, minor = rows, forest[0] if forest is not None else 0
+    forest = _recognise_forest(s) if rows == cols else None
+    rank, minor = rows, forest.det if forest is not None else 0
     if not minor:
         b = [row[:] for row in s]
         pivots = _bareiss(b)[1]

@@ -136,20 +136,22 @@ class FiberGraph:
 
 
 def fiber_multiplicities(g: DualGraph) -> FiberGraph:
-    """Multiplicities of a valid fiber from the leaf pass of -Q rooted at its
-    first component: mu(root) = 1 and mu(c) = mu(parent) E(c) / D(c) going
-    down, made a primitive integer vector.  By Zariski's lemma (Barth, Hulek,
-    Peters and Van de Ven, III.8.2) a fiber's form is singular and its proper
-    connected subgraphs are negative definite: D(root) = 0, every other D > 0."""
+    """Multiplicities of a valid fiber from the fold record of -Q
+    (`calculus._leaf_pass`), rooted at its first component: mu(root) = 1 and
+    mu(c) = mu(parent) E(c) / D(c) going down, made a primitive integer
+    vector.  By Zariski's lemma (Barth, Hulek, Peters and Van de Ven,
+    III.8.2) a fiber's form is singular and its proper connected subgraphs
+    are negative definite: D(root) = 0, every other D > 0."""
     ok, _ = is_valid_fiber(g)
     if not ok:
         raise NotAFiberError("graph does not contract to a smooth 0-curve")
-    order, up, minors, products, _ = _leaf_pass(g, g.ids)
+    fold = _leaf_pass(g, g.ids)
+    up, minors = fold.up, fold.minors
     if minors[0] or any(d <= 0 for d in minors[1:]):
         raise InvariantError("a valid fiber's subtree determinants break Zariski's lemma")
     mu = [Fraction(1)] * len(g)
-    for c in order[1:]:
-        mu[c] = mu[up[c]] * products[c] / minors[c]
+    for c in fold.order[1:]:
+        mu[c] = mu[up[c]] * fold.products[c] / minors[c]
     scale = lcm(*(m.denominator for m in mu))
     ints = [m.numerator * (scale // m.denominator) for m in mu]
     h = gcd(*ints)

@@ -72,7 +72,6 @@ from sncalc.linalg import (
     _check_integer,
     _check_rectangular,
     _diagonalise,
-    _forest_minors,
     _rows,
     TorsionGroup,
     det_exact,
@@ -1327,7 +1326,9 @@ def forms_tree_form(rng: random.Random, n: int, definite: bool) -> list[list[int
 
 
 # -- second copies that one routine replaced ----------------------------------
-# `sncalc.linalg._forest_minors` with the union-find beside its search,
+# the forest minors of `sncalc.linalg` (the determinant and leaf-first D's
+# of the fold record of `_recognise_forest`) with the union-find beside its
+# search, also the parent-torsion oracle's forest kernel below,
 # `sncalc.projective._det3` with its six written-out terms, `_mat_inv3`
 # with its nine written-out cofactors,
 # `push_conic` with its two written-out triple products, `dual_hesse_check`
@@ -1729,7 +1730,7 @@ def dense_torsion_of_cokernel(m) -> TorsionGroup:
     _check_integer(m, "the torsion of a cokernel")
     s = [list(row) for row in m] if rows <= cols else [list(col) for col in zip(*m)]
     rows, cols = len(s), len(s[0]) if s else 0
-    forest = _forest_minors(s) if rows == cols else None
+    forest = union_find_forest_minors(s) if rows == cols else None
     minor = forest[0] if forest is not None else eager_bareiss([list(col) for col in zip(*s)])
     rank = rows
     if not minor:

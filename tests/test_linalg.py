@@ -1213,6 +1213,16 @@ def _forest_form(rng, n):
     return [[m[i][j] for j in p] for i in p]
 
 
+def _forest_minors(a) -> tuple[int, list[int]] | None:
+    """The determinant and the leaf-first D's of a forest form, read off its
+    fold record (`linalg._recognise_forest`, outside the memo); None off
+    forest forms: the pair that `union_find_forest_minors` returns."""
+    form = linalg._recognise_forest(a)
+    if form is None:
+        return None
+    return form.det, [form.minors[v] for v in reversed(form.order)]
+
+
 def test_forest_forms_match_the_dense_routes():
     # old-versus-new on seeded forests, n <= 10; leaf elimination has no
     # division, so a zero subtree determinant needs no rule of its own
@@ -1226,9 +1236,9 @@ def test_forest_forms_match_the_dense_routes():
         _compare_with_dense(m, mismatches)
         neg = [[-x for x in row] for row in m]
         for a in (m, neg):
-            if linalg._forest_minors(a) != union_find_forest_minors(a):
+            if _forest_minors(a) != union_find_forest_minors(a):
                 mismatches.append(("forest minors", a))
-        d, minors = linalg._forest_minors(neg)
+        d, minors = _forest_minors(neg)
         counts["zero minor, d != 0"] += 0 in minors and d != 0
         counts["semidefinite"] += min(minors, default=1) == 0
         counts["definite"] += min(minors, default=1) > 0
@@ -1239,7 +1249,7 @@ def test_forest_forms_match_the_dense_routes():
     assert counts["zero minor, d != 0"] > 300 and counts["semidefinite"] > 100, counts
     assert counts["definite"] > 300 and counts["singular"] > 300, counts
     assert counts["components"] > 300, counts
-    assert linalg._forest_minors([]) == (1, [])
+    assert _forest_minors([]) == (1, [])
 
 
 def test_off_forest_forms_keep_the_dense_routes(monkeypatch):
@@ -1284,12 +1294,12 @@ def test_off_forest_forms_keep_the_dense_routes(monkeypatch):
                     if rng.random() < 0.5:
                         m[i][j] = m[j][i] = m[i][j] / k
             off_forest = any(x.denominator > 1 for row in m for x in row)
-        if linalg._forest_minors(m) != union_find_forest_minors(m):
+        if _forest_minors(m) != union_find_forest_minors(m):
             mismatches.append(("forest minors", m))
         if not off_forest:
             continue
         kinds[kind] += 1
-        if kind != "rational" and linalg._forest_minors(m) is not None:
+        if kind != "rational" and _forest_minors(m) is not None:
             mismatches.append(("taken for a forest form", m))
         _compare_with_dense(m, mismatches)
         passes.clear()
@@ -1441,7 +1451,7 @@ def test_forest_solves_match_the_rref_oracle():
     mismatches = []
     counts = Counter()
     for family, m in _forest_solve_inputs():
-        d, minors = linalg._forest_minors(m)
+        d, minors = _forest_minors(m)
         counts[family, "zero minor, d != 0"] += 0 in minors and d != 0
         n = len(m)
         integer = [brng.randint(-5, 5) for _ in range(n)]
@@ -1538,7 +1548,6 @@ def test_graph_invariants_build_no_matrix(monkeypatch):
             "det_exact",
             "is_negative_definite",
             "kernel_basis",
-            "_forest_minors",
             "_forest_form",
             "_recognise_forest",
         ):
@@ -1567,6 +1576,52 @@ def _count_scans(monkeypatch) -> list:
     monkeypatch.setattr(linalg, "_last_forest", (None, None))
     monkeypatch.setattr(linalg, "_recognise_forest", counted)
     return scans
+
+
+def _count_folds(monkeypatch) -> list:
+    """Start from an empty slot and record the size of every leaf fold
+    (`linalg._subtree_minors`), of a graph or of a matrix."""
+    folds = []
+    real = linalg._subtree_minors
+
+    def counted(diagonal, adj):
+        folds.append(len(diagonal))
+        return real(diagonal, adj)
+
+    monkeypatch.setattr(linalg, "_last_forest", (None, None))
+    for module in (linalg, calculus):
+        if hasattr(module, "_subtree_minors"):
+            monkeypatch.setattr(module, "_subtree_minors", counted)
+    return folds
+
+
+def test_each_forms_op_folds_twice(monkeypatch):
+    # a `forms` op folds its graph once (the discriminant) and its matrix
+    # once (the recognition that definiteness, the kernel and the solve
+    # share); the solve reroots the cached fold record and folds nothing
+    forms = bench_workloads().WORKLOADS["forms"]
+    folds = _count_folds(monkeypatch)
+    per_op = Counter()
+    for index in range(3000):
+        item = forms.make(11, index)
+        before = len(folds)
+        d = forms.run(item)[0]
+        per_op["d != 0" if d else "d = 0", len(folds) - before] += 1
+    assert per_op == {("d != 0", 2): 2836, ("d = 0", 2): 164}
+
+
+def test_a_solve_from_an_empty_slot_folds_once(monkeypatch):
+    # the recognition folds, and `_reroot` reads that record
+    forms = bench_workloads().WORKLOADS["forms"]
+    folds = _count_folds(monkeypatch)
+    per_solve = Counter()
+    for index in range(3000):
+        data = forms.make(11, index).data
+        linalg._last_forest = (None, None)
+        before = len(folds)
+        outcome(solve_rational, data["q"], data["rhs"])
+        per_solve[len(folds) - before] += 1
+    assert per_solve == {1: 3000}
 
 
 def test_each_forms_matrix_is_scanned_once(monkeypatch):
@@ -1778,7 +1833,7 @@ def test_smith_postconditions_raise_under_optimization():
 def test_solve_and_kernel_postconditions_raise_under_optimization():
     # a corrupted back-substitution must trip both re-checks even with -O,
     # and so must corrupted Cramer numerators of the forest solve: a 3-cycle
-    # takes the Bareiss pass, the 2-vertex tree the leaf fold
+    # takes the Bareiss pass, the 2-vertex tree the rerooting pass
     code = (
         "import sncalc.linalg as la\n"
         "from sncalc.errors import InvariantError\n"
@@ -1788,13 +1843,12 @@ def test_solve_and_kernel_postconditions_raise_under_optimization():
         "    y[0] += 1\n"
         "    return y, d\n"
         "la._back_substitute = corrupted\n"
-        "fold = la._leaf_fold\n"
-        "def corrupted_fold(*args):\n"
-        "    out = fold(*args)\n"
-        "    if out is not None:\n"
-        "        out[4][0] += 1\n"
-        "    return out\n"
-        "la._leaf_fold = corrupted_fold\n"
+        "reroot = la._reroot\n"
+        "def corrupted_reroot(*args):\n"
+        "    y = reroot(*args)\n"
+        "    y[0] += 1\n"
+        "    return y\n"
+        "la._reroot = corrupted_reroot\n"
         "for call in (lambda: la.solve_rational([[2, 1, 1], [1, 2, 1], [1, 1, 2]], [1, 0, 0]),\n"
         "             lambda: la.kernel_basis([[1, -1]]),\n"
         "             lambda: la.solve_rational([[2, 1], [1, 1]], [1, 0])):\n"
