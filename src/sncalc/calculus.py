@@ -47,7 +47,7 @@ def _leaf_pass(g: DualGraph, support: Sequence[str]):
     record (`linalg._Forest`) with no rows.  Each edge is passed as 1: on a
     forest only the squares of the off-diagonal entries enter D and E.
     None when an id is repeated or unknown, or the support spans a cycle."""
-    w = g.weights
+    w = g._weight_map()
     at = {v: k for k, v in enumerate(support)}
     if len(at) != len(support) or not at.keys() <= w.keys():
         return None
@@ -198,7 +198,7 @@ def bark(g: DualGraph) -> QDivisor:
     if not g.is_forest():
         raise NonTreeError("bark of a cyclic graph is undefined")
     _check_minimal(g)
-    w = g.weights
+    w = g._weight_map()
     coeffs: dict[str, Fraction] = {}
     for comp in g.components():
         twigs = [

@@ -17,13 +17,13 @@ from pathlib import Path
 
 from .calculus import bark, classify_boundary, discriminant
 from .casetable import run_case_table
-from .errors import InvariantError, SncalcError
+from .errors import InvariantError, NotAFiberError, SncalcError
 from .graphs import emit_dot, parse_graph
 from .lattice import parse_arrangement, run_program
 from .linalg import torsion_of_cokernel
 from .reports import Report, merge
 from .scenarios import SCENARIO_NAMES, run_scenario
-from .surgery import fiber_multiplicities, is_valid_fiber
+from .surgery import fiber_multiplicities
 
 
 def _read_input(path: str) -> str:
@@ -77,11 +77,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_fiber_check(args) -> int:
     g = _load_graph(args.graphfile)
-    ok, trace = is_valid_fiber(g)
-    if not ok:
+    try:  # one contraction: the fiber keeps the trace that certified it
+        fg = fiber_multiplicities(g)
+    except NotAFiberError:
         _emit({"valid": False}, "not a valid fiber\n", args.json)
         return 1
-    fg = fiber_multiplicities(g)
+    trace = list(fg.trace)
     mu = {v: fg.mu(v) for v in g.ids}
     text = (
         "valid fiber\n"

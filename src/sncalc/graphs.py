@@ -6,6 +6,13 @@ set holds no double edge, and a self-loop is rejected at construction time.
 A cycle is not: ``parse_graph`` rejects one, but ``DualGraph.build`` accepts
 it, and the routines that need a forest or a tree check ``is_forest`` or
 ``is_tree`` themselves.
+
+A ``DualGraph`` is an immutable value, so it keeps what it derives from
+itself: its ``ids`` tuple, its weight mapping and its components are built
+on first use and stored in the instance ``__dict__``, outside the dataclass
+fields, so equality, hashing and ``repr`` never see them.  ``weight`` scans
+the vertices until the mapping exists and looks up afterwards; ``weights``
+and ``components`` return fresh copies.
 """
 
 from __future__ import annotations
@@ -92,16 +99,30 @@ class DualGraph:
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.vertices)
+        ids = self.__dict__.get("_ids")
+        if ids is None:
+            ids = self.__dict__["_ids"] = tuple(v for v, _ in self.vertices)
+        return ids
+
+    def _weight_map(self) -> dict[str, int]:
+        """The kept id -> weight mapping; callers must not change it."""
+        w = self.__dict__.get("_weights")
+        if w is None:
+            w = self.__dict__["_weights"] = dict(self.vertices)
+        return w
 
     @property
     def weights(self) -> dict[str, int]:
-        return dict(self.vertices)
+        return dict(self._weight_map())
 
     def weight(self, v: str) -> int:
-        for u, w in self.vertices:
+        w = self.__dict__.get("_weights")
+        if w is not None:
+            return w[v]
+        # a fresh graph asked once (a contraction step) costs no mapping
+        for u, x in self.vertices:
             if u == v:
-                return w
+                return x
         raise KeyError(v)
 
     def __contains__(self, v: str) -> bool:
@@ -119,32 +140,38 @@ class DualGraph:
     def has_edge(self, a: str, b: str) -> bool:
         return _norm_edge(a, b) in self.edges
 
+    def _components(self) -> list[tuple[str, ...]]:
+        """The kept components; callers must not change the list."""
+        comps = self.__dict__.get("_comps")
+        if comps is None:
+            ids, adj = self.ids, self._adj
+            label: dict[str, int] = {}  # vertex -> number of its component
+            members: list[list[str]] = []
+            for v in ids:
+                if v in label:
+                    continue
+                k = label[v] = len(members)
+                members.append([])
+                stack = [v]
+                while stack:
+                    for u in adj[stack.pop()]:
+                        if u not in label:
+                            label[u] = k
+                            stack.append(u)
+            for v in ids:  # filled in vertex order, so no sort is needed
+                members[label[v]].append(v)
+            comps = self.__dict__["_comps"] = [tuple(c) for c in members]
+        return comps
+
     def components(self) -> list[tuple[str, ...]]:
         """Connected components, each as a tuple of ids in vertex order."""
-        seen: set[str] = set()
-        out: list[tuple[str, ...]] = []
-        order = {v: i for i, v in enumerate(self.ids)}
-        for v in self.ids:
-            if v in seen:
-                continue
-            comp = []
-            stack = [v]
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in self._adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            out.append(tuple(sorted(comp, key=order.__getitem__)))
-        return out
+        return list(self._components())
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(self._components()) <= 1
 
     def is_forest(self) -> bool:
-        return len(self.edges) == len(self.vertices) - len(self.components())
+        return len(self.edges) == len(self.vertices) - len(self._components())
 
     def is_tree(self) -> bool:
         return self.is_connected() and self.is_forest()
@@ -194,7 +221,7 @@ class DualGraph:
         unknown = at.keys() - self._adj.keys()
         if unknown:
             raise KeyError(f"unknown vertex ids: {sorted(unknown)}")
-        w = self.weights
+        w = self._weight_map()
         q = []
         for a in sup:
             row = [0] * len(sup)
@@ -227,7 +254,7 @@ class Chain:
     @classmethod
     def from_graph(cls, g: DualGraph, ids: Sequence[str]) -> "Chain":
         ids = tuple(ids)
-        w = g.weights
+        w = g._weight_map()
         for v in ids:
             if v not in g:
                 raise KeyError(v)
@@ -391,7 +418,7 @@ def maximal_twigs(g: DualGraph) -> list[Chain]:
     for comp in g.components():
         if all(g.degree(v) <= 2 for v in comp):
             raise ValueError(f"component {comp} is a chain; twigs undefined")
-    w = g.weights
+    w = g._weight_map()
     walks = [_walk_from_tip(g, v) for v in g.ids if g.degree(v) <= 1]
     # a walk in a forest: consecutive ids meet and no other two do
     return [Chain(tuple(walk), tuple(w[u] for u in walk)) for walk in walks]
@@ -442,7 +469,7 @@ def _ahu(g: DualGraph, root: str) -> tuple[int, ...]:
     """Flat, prefix-free preorder code of the tree hanging from root: weight,
     child count, then the sorted child codes.  Neither building nor
     comparing codes recurses."""
-    weight, parent, order = g.weights, {root: None}, [root]
+    weight, parent, order = g._weight_map(), {root: None}, [root]
     for v in order:  # breadth-first: parents come before their children
         for u in g.neighbors(v):
             if u != parent[v]:

@@ -17,11 +17,20 @@ TAGS = ("stated", "derived", "direct")
 
 
 def display(value) -> str:
-    """Stable one-line rendering for expected/actual values."""
+    """Stable one-line rendering for expected/actual values.
+
+    The exact builtin types are dispatched by ``type`` first, since the
+    ``isinstance`` test against ``Fraction`` goes through its ABC machinery;
+    subclasses (bool has none) fall through to the same rules below."""
+    t = type(value)
+    if t is int or t is str:
+        return str(value)
+    if t is bool:
+        return "true" if value else "false"
+    if t is list or t is tuple:
+        return "[" + ", ".join(map(display, value)) + "]"
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(display(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -30,7 +39,13 @@ def display(value) -> str:
 
 
 def normalize(value):
-    """Coerce to JSON-friendly primitives so fixture values compare cleanly."""
+    """Coerce to JSON-friendly primitives so fixture values compare cleanly;
+    exact builtin types are dispatched first, as in `display`."""
+    t = type(value)
+    if t is int or t is str or t is bool:
+        return value
+    if t is list or t is tuple:
+        return [normalize(v) for v in value]
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else value.numerator
     if isinstance(value, tuple):

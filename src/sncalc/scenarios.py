@@ -20,7 +20,7 @@ from operator import attrgetter
 from . import projective as pj
 from .calculus import chain_invariants, classify_boundary, discriminant, kobayashi_check
 from .errors import LatticeError
-from .graphs import DualGraph, maximal_twigs
+from .graphs import Chain, DualGraph, maximal_twigs
 from .lattice import (
     RulingDecomposition,
     SurfaceLattice,
@@ -54,7 +54,8 @@ def load_fixture(scenario: str) -> dict:
 
 @dataclass
 class _Context:
-    """One scenario run; each derived graph, class and ruling is computed at most once."""
+    """One scenario run; each derived graph, class, discriminant, twig list
+    and ruling is computed at most once."""
 
     fixture: dict
     lattice: SurfaceLattice
@@ -75,6 +76,18 @@ class _Context:
     @cached_property
     def g_full(self) -> DualGraph:
         return extract_boundary_graph(self.lattice, self.boundary + self.exceptional)
+
+    @cached_property
+    def d_boundary(self) -> Fraction:
+        return discriminant(self.g_boundary)
+
+    @cached_property
+    def d_full(self) -> Fraction:
+        return discriminant(self.g_full)
+
+    @cached_property
+    def boundary_twigs(self) -> list[Chain]:
+        return maximal_twigs(self.g_boundary)
 
     @cached_property
     def euler(self) -> tuple[int, int, int, int]:
@@ -214,8 +227,7 @@ def _eight_orthogonal(ctx: _Context, args):
 
 
 def _delta_sum_one(ctx: _Context, args):
-    twigs = maximal_twigs(ctx.g_boundary)
-    return sum((chain_invariants(t).delta for t in twigs), Fraction(0)) == 1
+    return sum((chain_invariants(t).delta for t in ctx.boundary_twigs), Fraction(0)) == 1
 
 
 # coordinate-level checks
@@ -268,16 +280,14 @@ _CHECKS = {
     "rank": lambda ctx, args: ctx.lattice.rank,
     "branch_weight": _branch_weight,
     "boundary_triple": _boundary_triple,
-    "boundary_twigs": lambda ctx, args: sorted(
-        list(t.bracket) for t in maximal_twigs(ctx.g_boundary)
-    ),
+    "boundary_twigs": lambda ctx, args: sorted(list(t.bracket) for t in ctx.boundary_twigs),
     "exceptional_bracket": lambda ctx, args: [
         -ctx.g_exceptional.weight(v) for v in ctx.g_exceptional.chain_order()
     ],
-    "d_boundary": lambda ctx, args: discriminant(ctx.g_boundary),
-    "d_boundary_negative": lambda ctx, args: discriminant(ctx.g_boundary) < 0,
-    "d_full": lambda ctx, args: discriminant(ctx.g_full),
-    "d_full_nonzero": lambda ctx, args: discriminant(ctx.g_full) != 0,
+    "d_boundary": lambda ctx, args: ctx.d_boundary,
+    "d_boundary_negative": lambda ctx, args: ctx.d_boundary < 0,
+    "d_full": lambda ctx, args: ctx.d_full,
+    "d_full_nonzero": lambda ctx, args: ctx.d_full != 0,
     "k_plus_sharp_zero": lambda ctx, args: all(x == 0 for x in ctx.k_plus_sharp),
     "chi": lambda ctx, args: list(ctx.euler),
     "chi_open": lambda ctx, args: ctx.euler[3],

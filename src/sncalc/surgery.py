@@ -6,11 +6,14 @@ an snc tree.  A graph is a valid fiber when some contraction sequence ends
 in a single 0-vertex; since any admissible contraction of a fiber leaves a
 fiber, one greedy pass decides this.  Its multiplicities, the kernel of
 the intersection form, are read off one leaf pass by Zariski's lemma.
+A ``FiberGraph`` from ``fiber_multiplicities`` keeps the trace of the
+contraction that certified it, left out of equality and ``repr``, so the
+structure checks read it instead of contracting again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -92,7 +95,7 @@ def is_valid_fiber(g: DualGraph) -> tuple[bool, list[str] | None]:
     (-1)-curves meet at most two components and contracting one leaves a
     fiber (Miyanishi, Open Algebraic Surfaces, lemma on singular fibers).
     """
-    if len(g) == 0 or len(g.components()) != 1:
+    if len(g) == 0 or not g.is_connected():
         raise ValueError("fiber candidates must be nonempty and connected")
     if len(g.edges) != len(g) - 1:
         return False, None  # a cycle never contracts to a tree
@@ -111,11 +114,15 @@ class FiberGraph:
     """A valid fiber with its component multiplicities.
 
     The weighted sum of components pairs to zero with every component, and
-    the multiplicity vector is primitive.
+    the multiplicity vector is primitive.  ``trace`` is the contraction
+    trace of `is_valid_fiber` when the fiber came from
+    `fiber_multiplicities`, None when it was built by hand; it is not
+    compared, hashed or shown.
     """
 
     graph: DualGraph
     multiplicities: dict[str, int]
+    trace: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         ids = self.graph.ids
@@ -141,8 +148,10 @@ def fiber_multiplicities(g: DualGraph) -> FiberGraph:
     mu(c) = mu(parent) E(c) / D(c) going down, made a primitive integer
     vector.  By Zariski's lemma (Barth, Hulek, Peters and Van de Ven,
     III.8.2) a fiber's form is singular and its proper connected subgraphs
-    are negative definite: D(root) = 0, every other D > 0."""
-    ok, _ = is_valid_fiber(g)
+    are negative definite: D(root) = 0, every other D > 0.  The fiber
+    keeps the contraction trace; a vector that fails the fiber's own check
+    is a defect here and raises InvariantError."""
+    ok, trace = is_valid_fiber(g)
     if not ok:
         raise NotAFiberError("graph does not contract to a smooth 0-curve")
     fold = _leaf_pass(g, g.ids)
@@ -155,7 +164,10 @@ def fiber_multiplicities(g: DualGraph) -> FiberGraph:
     scale = lcm(*(m.denominator for m in mu))
     ints = [m.numerator * (scale // m.denominator) for m in mu]
     h = gcd(*ints)
-    return FiberGraph(g, {v: x // h for v, x in zip(g.ids, ints)})
+    try:
+        return FiberGraph(g, {v: x // h for v, x in zip(g.ids, ints)}, tuple(trace))
+    except ValueError as exc:
+        raise InvariantError(f"the leaf pass gave no fiber's multiplicities: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -187,16 +199,19 @@ def unique_minus_one_checks(f: FiberGraph) -> UniqueMinusOneReport:
     The first branch consists of the components created no later than the
     first branching component in the blow-up sequence recovering the fiber
     from a 0-curve (the whole fiber when it is a chain); creation order is
-    read off a contraction trace, reversed.
+    read off the fiber's contraction trace, reversed, and only a fiber built
+    by hand, which carries none, is contracted here.
     """
     g = f.graph
     minus_ones = [v for v, w in g.vertices if w == -1]
     if len(minus_ones) != 1:
         raise ValueError(f"{len(minus_ones)} components of weight -1; report needs exactly 1")
     c = minus_ones[0]
-    ok, trace = is_valid_fiber(g)
-    if not ok:
-        raise NotAFiberError("graph does not contract to a smooth 0-curve")
+    trace = f.trace
+    if trace is None:
+        ok, trace = is_valid_fiber(g)
+        if not ok:
+            raise NotAFiberError("graph does not contract to a smooth 0-curve")
     # contracted first = created last; the surviving 0-curve has time 0
     creation = {v: len(trace) - i for i, v in enumerate(trace)}
     for v in g.ids:

@@ -1,5 +1,6 @@
 """Shared generators for randomized suites (all callers pass a seeded rng),
-the canonical degree of a fiber-like kernel vector, and oracles: a
+the canonical degree of a fiber-like kernel vector, a counter of the graph
+data a routine reads, and oracles: a
 backtracking fiber search and the eliminations that the exact linear
 algebra core replaced, the Fraction-pair arithmetic of Q(eps) that the
 integer-backed QuadExt replaced, the power-series intersection
@@ -37,6 +38,7 @@ import importlib.util
 import random
 import signal
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, compress
@@ -132,6 +134,31 @@ def outcome(f, *args):
         return f(*args)
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
+
+
+def count_graph_reads(g: DualGraph) -> Counter:
+    """Make g count the graph data read from it, in the returned counter:
+    "vertices" gains one per vertex entry iterated (so n for each `ids`
+    tuple or weight mapping built, and for a full scan), "adjacency" one
+    per adjacency lookup plus the neighbours it returns.  Call it before
+    anything is asked of g, so that no index is kept yet."""
+    reads = Counter()
+
+    class Vertices(tuple):
+        def __iter__(self):
+            for entry in tuple.__iter__(self):
+                reads["vertices"] += 1
+                yield entry
+
+    class Adjacency(dict):
+        def __getitem__(self, v):
+            neighbours = dict.__getitem__(self, v)
+            reads["adjacency"] += 1 + len(neighbours)
+            return neighbours
+
+    object.__setattr__(g, "vertices", Vertices(g.vertices))
+    object.__setattr__(g, "_adj", Adjacency(g._adj))
+    return reads
 
 
 def bench_workloads():

@@ -10,6 +10,7 @@ import pytest
 
 import sncalc
 from helpers import (
+    count_graph_reads,
     dense_bark,
     dense_bark_component,
     dense_is_admissible_chain_or_fork,
@@ -674,41 +675,21 @@ _LAYERS = {
 
 
 @pytest.mark.parametrize("layer", list(_LAYERS))
-def test_linear_layers_read_each_graph_a_linear_number_of_times(layer, monkeypatch):
+def test_linear_layers_read_each_graph_a_linear_number_of_times(layer):
     # the graph data a layer reads, counted exactly: one per adjacency lookup
-    # plus the neighbours it returns, and one per vertex for each `ids` or
-    # `weights` built and each `weight` looked up.  On each family at n, 2n
-    # and 4n vertices the count doubles with n; a rescan of the vertices per
-    # vertex, or a pass over a dense matrix, would make it grow as n^2
-    reads = 0
-
-    class CountingAdjacency(dict):
-        def __getitem__(self, v):
-            nonlocal reads
-            neighbours = dict.__getitem__(self, v)
-            reads += 1 + len(neighbours)
-            return neighbours
-
-    def counting(real):
-        def read(self, *args):
-            nonlocal reads
-            reads += len(self.vertices)
-            return real(self, *args)
-
-        return read
-
-    for name in ("ids", "weights"):
-        monkeypatch.setattr(DualGraph, name, property(counting(getattr(DualGraph, name).fget)))
-    monkeypatch.setattr(DualGraph, "weight", counting(DualGraph.weight))
+    # plus the neighbours it returns, and one per vertex entry iterated, so
+    # n for each `ids` tuple or weight mapping actually built and for each
+    # scan of the vertices.  On each family at n, 2n and 4n vertices the
+    # count doubles with n; a rescan of the vertices per vertex, or a pass
+    # over a dense matrix, would make it grow as n^2
     counts = Counter()
     for n in (200, 400, 800):
         for family, g in _growth_families(n).items():
             if layer == "maximal_twigs" and family == "chain":
                 continue  # a chain has no twigs of its own
-            object.__setattr__(g, "_adj", CountingAdjacency(g._adj))
-            reads = 0
+            reads = count_graph_reads(g)
             _LAYERS[layer](g)
-            counts[family, n] = reads
+            counts[family, n] = reads.total()
     for family, n in list(counts):
         if n < 800:
             assert 0 < counts[family, 2 * n] <= 2.05 * counts[family, n], counts

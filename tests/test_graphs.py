@@ -1,4 +1,6 @@
+import inspect
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    count_graph_reads,
     loop_maximal_twigs,
     min_tip_chain_order,
     outcome,
@@ -283,6 +286,72 @@ def test_repr_lists_the_edges_sorted_under_any_hash_seed():
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout == expected, seed
+
+
+def _two_trees():
+    """A forest of two trees, one of them branching, under shuffled ids."""
+    return DualGraph.build(
+        [("c", -2), ("a", -1), ("x", 0), ("b", -3), ("d", -2), ("y", -2)],
+        [("a", "b"), ("b", "c"), ("b", "d"), ("x", "y")],
+    )
+
+
+def test_graph_builds_its_index_at_most_once():
+    # components, connectivity, forest and tree tests, weights and weight
+    # lookups in any number: the ids tuple and the weight mapping take one
+    # pass over the vertices each, the components one adjacency read per
+    # vertex, and nothing after the first round reads the graph again
+    g = _two_trees()
+    reads = count_graph_reads(g)
+    n, m = len(g), len(g.edges)
+    for _ in range(3):
+        assert g.components() == [("c", "a", "b", "d"), ("x", "y")]
+        assert not g.is_connected() and g.is_forest() and not g.is_tree()
+        assert g.weights == {"c": -2, "a": -1, "x": 0, "b": -3, "d": -2, "y": -2}
+        assert [g.weight(v) for v in g.ids] == [-2, -1, 0, -3, -2, -2]
+        assert reads == {"vertices": 2 * n, "adjacency": n + 2 * m}
+    with pytest.raises(KeyError):
+        g.weight("ghost")
+
+
+def test_weight_scans_a_fresh_graph():
+    # a graph asked for one weight, as each contraction step asks its new
+    # graph, scans up to that vertex and keeps no mapping
+    g = _two_trees()
+    reads = count_graph_reads(g)
+    assert g.weight("x") == 0
+    assert reads == {"vertices": 3}
+    with pytest.raises(KeyError):
+        g.weight("ghost")
+
+
+def test_copies_of_the_index_are_fresh():
+    g = _two_trees()
+    g.weights["a"] = 7
+    g.components().append(("ghost",))
+    assert g.weight("a") == -1 and g.weights["a"] == -1
+    assert len(g.components()) == 2
+
+
+def test_graph_value_ignores_its_index():
+    # ==, hash, repr and a pickle round trip are those of a graph that has
+    # derived nothing yet
+    g, twin = _two_trees(), _two_trees()
+    g.components(), g.weights, g.ids, g.is_tree()
+    assert g.__dict__.keys() > twin.__dict__.keys()
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == twin and hash(back) == hash(twin) and repr(back) == repr(twin)
+    assert back.components() == twin.components() and back.weights == twin.weights
+    assert g != twin.with_weights({"a": -2})
+
+
+def test_ids_stay_a_property():
+    # the benchmark's tracer counts `ids` through the property's fget and
+    # graph construction through `__post_init__`
+    assert isinstance(DualGraph.__dict__["ids"], property)
+    assert callable(DualGraph.ids.fget)
+    assert inspect.isfunction(DualGraph.__dict__["__post_init__"])
 
 
 def test_canonical_form_is_isomorphism_invariant():

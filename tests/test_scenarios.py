@@ -12,6 +12,7 @@ import pytest
 import sncalc.cli
 import sncalc.projective
 import sncalc.scenarios
+import sncalc.surgery
 from sncalc.casetable import load_cases, run_case_table
 from sncalc.cli import main
 from sncalc.errors import InvariantError
@@ -227,6 +228,44 @@ def test_verify_all_canonicalisation_count(monkeypatch, capsys):
     assert 0 < count <= VERIFY_ALL_QUAD_CALLS
 
 
+# contractions in one `verify all`; it was 57 while the case table's
+# structure checks contracted each fiber with one (-1)-component again
+VERIFY_ALL_CONTRACTIONS = 37
+
+
+def test_verify_all_contracts_each_fiber_once(monkeypatch, capsys):
+    count = 0
+    real = sncalc.surgery.contract_minus_one
+
+    def counting(g, v):
+        nonlocal count
+        count += 1
+        return real(g, v)
+
+    monkeypatch.setattr(sncalc.surgery, "contract_minus_one", counting)
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert 0 < count <= VERIFY_ALL_CONTRACTIONS
+
+
+def test_scenario_discriminants_and_twigs_are_computed_once(monkeypatch):
+    # d_boundary and d_boundary_negative share one discriminant, d_full and
+    # d_full_nonzero another, boundary_twigs and delta_sum_one one twig list
+    calls = {"discriminant": [], "maximal_twigs": []}
+    for name, seen in calls.items():
+        real = getattr(sncalc.scenarios, name)
+        monkeypatch.setattr(
+            sncalc.scenarios, name, lambda g, real=real, seen=seen: seen.append(g) or real(g)
+        )
+    for name in SCENARIO_NAMES:
+        for seen in calls.values():
+            seen.clear()
+        assert run_scenario(name).passed
+        for fn, seen in calls.items():
+            assert len(seen) == len({id(g) for g in seen}), (name, fn)
+        assert calls["discriminant"] and calls["maximal_twigs"], name
+
+
 def test_report_tag_validation():
     rep = Report("t")
     with pytest.raises(ValueError, match="tag"):
@@ -270,6 +309,62 @@ def test_cli_fiber_check(capsys):
     out = capsys.readouterr().out
     assert "valid fiber" in out and "v2=2" in out
     assert main(["fiber-check", "y1a.graph"]) == 1
+
+
+FIBER_CHECK_OUTPUTS = {
+    ("fiber-check", "fiber212.graph"): (
+        0,
+        "valid fiber\ncontraction trace: v2, v1\nmultiplicities: v1=1 v2=2 v3=1\n",
+    ),
+    ("--json", "fiber-check", "fiber212.graph"): (
+        0,
+        json.dumps(
+            {"multiplicities": {"v1": 1, "v2": 2, "v3": 1}, "trace": ["v2", "v1"], "valid": True},
+            indent=2,
+        )
+        + "\n",
+    ),
+    ("fiber-check", "y1a.graph"): (1, "not a valid fiber\n"),
+    ("--json", "fiber-check", "y1a.graph"): (1, '{\n  "valid": false\n}\n'),
+}
+
+
+@pytest.mark.parametrize("argv", list(FIBER_CHECK_OUTPUTS), ids=" ".join)
+def test_cli_fiber_check_contracts_once(capsys, monkeypatch, argv):
+    # the trace printed is the one that certified the multiplicities: one
+    # contraction per command, and the output byte for byte as before
+    calls = 0
+    real = sncalc.surgery.is_valid_fiber
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return real(g)
+
+    for module in (sncalc.cli, sncalc.surgery):
+        if hasattr(module, "is_valid_fiber"):
+            monkeypatch.setattr(module, "is_valid_fiber", counting)
+    code, out = FIBER_CHECK_OUTPUTS[argv]
+    assert main(list(argv)) == code
+    assert capsys.readouterr().out == out
+    assert calls == 1
+
+
+def test_cli_fiber_check_internal_failure_exits_3(capsys, monkeypatch):
+    # multiplicities that fail the fiber's own check are a defect, not bad
+    # input: exit 3 with one internal-error line
+    real = sncalc.surgery._leaf_pass
+
+    def wrong(g, support):
+        fold = real(g, support)
+        return fold._replace(products=[2 * e for e in fold.products])
+
+    monkeypatch.setattr(sncalc.surgery, "_leaf_pass", wrong)
+    assert main(["fiber-check", "fiber212.graph"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: InvariantError: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_bark(capsys):

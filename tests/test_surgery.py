@@ -440,3 +440,89 @@ def test_fujita_examples():
     assert fujita_check(
         RulingBookkeeping(h=0, nu=0, sigma_excess=0, b2_surface=5, b2_boundary=3)
     )
+
+
+def _case_table_fibers(monkeypatch) -> list[DualGraph]:
+    """The f_infty graphs the case table asks multiplicities of."""
+    import sncalc.casetable
+
+    asked = []
+    real = sncalc.casetable.fiber_multiplicities
+
+    def recording(g):
+        asked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(sncalc.casetable, "fiber_multiplicities", recording)
+    sncalc.casetable.run_case_table()
+    monkeypatch.undo()
+    return asked
+
+
+def test_fiber_trace_is_the_contraction_trace(monkeypatch):
+    # the trace a FiberGraph keeps is `is_valid_fiber`'s, on the benchmark's
+    # fibers items at two seeds, the case table's fibers and two 1,200-vertex
+    # chains, and the structure report reads the same from it as from a
+    # contraction made again for a hand-built FiberGraph
+    workload = bench_workloads().WORKLOADS["fibers"]
+    graphs = [parse_graph(workload.make(seed, i).text) for seed in (5, 11) for i in range(3000)]
+    table = _case_table_fibers(monkeypatch)
+    assert len(table) == 10
+    graphs += table
+    graphs += [chain([-1] + [-2] * 1198 + [-1]), chain([-1199, -1] + [-2] * 1198)]
+    fibers = reports = 0
+    for g in graphs:
+        ok, trace = is_valid_fiber(g)
+        f = outcome(fiber_multiplicities, g)
+        if not ok:
+            assert f == (NotAFiberError, "graph does not contract to a smooth 0-curve")
+            continue
+        fibers += 1
+        assert f.trace == tuple(trace)
+        if [w for _, w in g.vertices].count(-1) == 1:
+            by_hand = FiberGraph(g, f.multiplicities)
+            assert by_hand.trace is None and by_hand == f
+            assert unique_minus_one_checks(f) == unique_minus_one_checks(by_hand)
+            reports += 1
+    assert fibers == 3000 + 10 + 2 and reports > 50
+
+
+def test_structure_checks_read_the_trace(monkeypatch):
+    # a fiber from fiber_multiplicities is not contracted again; one built
+    # by hand is
+    f = fiber_multiplicities(chain([-3, -1, -2, -2]))
+    calls = []
+    real = sncalc.surgery.is_valid_fiber
+    monkeypatch.setattr(sncalc.surgery, "is_valid_fiber", lambda g: calls.append(g) or real(g))
+    assert unique_minus_one_checks(f).passed and calls == []
+    assert unique_minus_one_checks(FiberGraph(f.graph, f.multiplicities)).passed
+    assert calls == [f.graph]
+
+
+def test_fiber_graph_value_ignores_the_trace():
+    f = fiber_multiplicities(chain([-2, -1, -2]))
+    by_hand = FiberGraph(f.graph, dict(f.multiplicities))
+    assert f.trace == ("v2", "v1") and by_hand.trace is None
+    assert f == by_hand and repr(f) == repr(by_hand)
+    assert "trace" not in repr(f)
+    with pytest.raises(TypeError):  # the multiplicities dict is unhashable
+        hash(f)
+
+
+def test_multiplicities_failing_the_fiber_check_are_a_defect(monkeypatch):
+    # a fold record that gives multiplicities with Q.mu != 0 is a defect in
+    # the package (InvariantError); the same vector given by hand is a
+    # ValueError
+    real = sncalc.surgery._leaf_pass
+
+    def doubled(g, support):
+        fold = real(g, support)
+        return fold._replace(products=[2 * e for e in fold.products])
+
+    monkeypatch.setattr(sncalc.surgery, "_leaf_pass", doubled)
+    g = chain([-2, -1, -2])
+    with pytest.raises(InvariantError, match="pair to zero") as info:
+        fiber_multiplicities(g)
+    assert isinstance(info.value.__cause__, ValueError)
+    with pytest.raises(ValueError, match="pair to zero"):
+        FiberGraph(g, {"v1": 1, "v2": 4, "v3": 4})
