@@ -17,40 +17,27 @@ TAGS = ("stated", "derived", "direct")
 
 
 def display(value) -> str:
-    """Stable one-line rendering for expected/actual values.
-
-    The exact builtin types are dispatched by ``type`` first, since the
-    ``isinstance`` test against ``Fraction`` goes through its ABC machinery;
-    subclasses (bool has none) fall through to the same rules below."""
-    t = type(value)
-    if t is int or t is str:
-        return str(value)
-    if t is bool:
+    """Stable one-line rendering for expected/actual values."""
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if t is list or t is tuple:
-        return "[" + ", ".join(map(display, value)) + "]"
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(display(v) for v in value) + "]"
+        return "[" + ", ".join(map(display, value)) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}={display(v)}" for k, v in value.items()) + "}"
     return str(value)
 
 
 def normalize(value):
-    """Coerce to JSON-friendly primitives so fixture values compare cleanly;
-    exact builtin types are dispatched first, as in `display`."""
+    """Coerce to JSON-friendly primitives so fixture values compare cleanly.
+
+    The exact scalar types return first, before the ``isinstance`` test
+    against ``Fraction``, which goes through its ABC machinery."""
     t = type(value)
     if t is int or t is str or t is bool:
         return value
-    if t is list or t is tuple:
-        return [normalize(v) for v in value]
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else value.numerator
-    if isinstance(value, tuple):
-        return [normalize(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [normalize(v) for v in value]
     if isinstance(value, dict):
         return {str(k): normalize(v) for k, v in value.items()}

@@ -116,13 +116,14 @@ class FiberGraph:
     The weighted sum of components pairs to zero with every component, and
     the multiplicity vector is primitive.  ``trace`` is the contraction
     trace of `is_valid_fiber` when the fiber came from
-    `fiber_multiplicities`, None when it was built by hand; it is not
+    `fiber_multiplicities`, which sets it, and None otherwise: it is not a
+    constructor argument, `dataclasses.replace` resets it, and it is not
     compared, hashed or shown.
     """
 
     graph: DualGraph
     multiplicities: dict[str, int]
-    trace: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+    trace: tuple[str, ...] | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         ids = self.graph.ids
@@ -165,9 +166,11 @@ def fiber_multiplicities(g: DualGraph) -> FiberGraph:
     ints = [m.numerator * (scale // m.denominator) for m in mu]
     h = gcd(*ints)
     try:
-        return FiberGraph(g, {v: x // h for v, x in zip(g.ids, ints)}, tuple(trace))
+        f = FiberGraph(g, {v: x // h for v, x in zip(g.ids, ints)})
     except ValueError as exc:
         raise InvariantError(f"the leaf pass gave no fiber's multiplicities: {exc}") from exc
+    object.__setattr__(f, "trace", tuple(trace))
+    return f
 
 
 @dataclass(frozen=True)

@@ -139,9 +139,12 @@ def outcome(f, *args):
 def count_graph_reads(g: DualGraph) -> Counter:
     """Make g count the graph data read from it, in the returned counter:
     "vertices" gains one per vertex entry iterated (so n for each `ids`
-    tuple or weight mapping built, and for a full scan), "adjacency" one
-    per adjacency lookup plus the neighbours it returns.  Call it before
-    anything is asked of g, so that no index is kept yet."""
+    tuple or kept weight mapping built, and for a full scan), "weights" n
+    for each copy that `weights` returns, and "adjacency" one per adjacency
+    lookup plus the neighbours it returns.  Call it before anything is
+    asked of g, so that no index is kept yet.  g becomes an instance of a
+    subclass for the copies' count, so it no longer equals a plain
+    DualGraph of the same data."""
     reads = Counter()
 
     class Vertices(tuple):
@@ -156,8 +159,16 @@ def count_graph_reads(g: DualGraph) -> Counter:
             reads["adjacency"] += 1 + len(neighbours)
             return neighbours
 
+    class Counted(type(g)):
+        @property
+        def weights(self):
+            copy = super().weights
+            reads["weights"] += len(copy)
+            return copy
+
     object.__setattr__(g, "vertices", Vertices(g.vertices))
     object.__setattr__(g, "_adj", Adjacency(g._adj))
+    object.__setattr__(g, "__class__", Counted)
     return reads
 
 

@@ -300,16 +300,17 @@ def test_graph_builds_its_index_at_most_once():
     # components, connectivity, forest and tree tests, weights and weight
     # lookups in any number: the ids tuple and the weight mapping take one
     # pass over the vertices each, the components one adjacency read per
-    # vertex, and nothing after the first round reads the graph again
+    # vertex, and after the first round only each `weights` copy, n entries,
+    # reads the graph again
     g = _two_trees()
     reads = count_graph_reads(g)
     n, m = len(g), len(g.edges)
-    for _ in range(3):
+    for k in range(1, 4):
         assert g.components() == [("c", "a", "b", "d"), ("x", "y")]
         assert not g.is_connected() and g.is_forest() and not g.is_tree()
         assert g.weights == {"c": -2, "a": -1, "x": 0, "b": -3, "d": -2, "y": -2}
         assert [g.weight(v) for v in g.ids] == [-2, -1, 0, -3, -2, -2]
-        assert reads == {"vertices": 2 * n, "adjacency": n + 2 * m}
+        assert reads == {"vertices": 2 * n, "weights": k * n, "adjacency": n + 2 * m}
     with pytest.raises(KeyError):
         g.weight("ghost")
 

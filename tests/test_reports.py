@@ -7,7 +7,7 @@ from sncalc.reports import display, normalize
 
 
 def isinstance_display(value) -> str:
-    """`display` as the plain isinstance chain, with no dispatch by type."""
+    """`display` as the plain isinstance chain, with a Fraction branch."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, bool):
@@ -20,7 +20,8 @@ def isinstance_display(value) -> str:
 
 
 def isinstance_normalize(value):
-    """`normalize` as the plain isinstance chain, with no dispatch by type."""
+    """`normalize` as the plain isinstance chain, with no early return for
+    the exact scalar types."""
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else value.numerator
     if isinstance(value, tuple):

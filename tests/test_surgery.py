@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -507,6 +508,20 @@ def test_fiber_graph_value_ignores_the_trace():
     assert "trace" not in repr(f)
     with pytest.raises(TypeError):  # the multiplicities dict is unhashable
         hash(f)
+
+
+def test_fiber_graph_trace_is_not_an_argument():
+    # only fiber_multiplicities sets a trace: the constructor takes none, and
+    # a replaced graph or vector drops the old one
+    f = fiber_multiplicities(chain([-2, -1, -2]))
+    with pytest.raises(TypeError):
+        FiberGraph(f.graph, dict(f.multiplicities), ("x",))
+    with pytest.raises(ValueError):
+        dataclasses.replace(f, trace=("x",))
+    g = chain([-3, -1, -2, -2])
+    other = dataclasses.replace(f, graph=g, multiplicities=fiber_multiplicities(g).multiplicities)
+    assert other.trace is None
+    assert unique_minus_one_checks(other) == unique_minus_one_checks(fiber_multiplicities(g))
 
 
 def test_multiplicities_failing_the_fiber_check_are_a_defect(monkeypatch):
