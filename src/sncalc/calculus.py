@@ -46,20 +46,33 @@ def _leaf_pass(g: DualGraph, support: Sequence[str]):
     position in it and rooted at the first id of each component: the fold
     record (`linalg._Forest`) with no rows.  Each edge is passed as 1: on a
     forest only the squares of the off-diagonal entries enter D and E.
-    None when an id is repeated or unknown, or the support spans a cycle."""
+    None when an id is repeated or unknown, or the support spans a cycle.
+
+    The record of the full support, asked for as the graph's own `ids`
+    tuple, is kept in the instance `__dict__` under '_fold' (as `DualGraph`
+    keeps its index), so `discriminant`, `classify_boundary` and
+    `fiber_multiplicities` of one graph fold it once; it lives as long as
+    the graph, is never compared, and its readers must not change it."""
+    whole = support is g.ids
+    if whole and "_fold" in g.__dict__:
+        return g.__dict__["_fold"]
     w = g._weight_map()
     at = {v: k for k, v in enumerate(support)}
     if len(at) != len(support) or not at.keys() <= w.keys():
         return None
     adj = [[(at[u], 1) for u in g.neighbors(v) if u in at] for v in support]
-    return _subtree_minors([-w[v] for v in support], adj)
+    fold = _subtree_minors([-w[v] for v in support], adj)
+    if whole:
+        g.__dict__["_fold"] = fold
+    return fold
 
 
 def discriminant(g: DualGraph, support: Iterable[str] | None = None) -> Fraction:
     """det(-Q) restricted to the given components; empty support gives 1.
     The leaf pass gives it as the determinant of its fold record, and any
-    other support (a repeated or unknown id, a cycle) as (-1)^n det(Q)."""
-    sup = list(g.ids if support is None else support)
+    other support (a repeated or unknown id, a cycle) as (-1)^n det(Q).
+    The whole graph is passed as its `ids` tuple, whose fold is kept."""
+    sup = g.ids if support is None else list(support)
     fold = _leaf_pass(g, sup)
     if fold is None:
         return (-1) ** len(sup) * det_exact(g.intersection_matrix(sup))

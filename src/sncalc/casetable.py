@@ -6,6 +6,12 @@ classification, and for the ten surviving cases the stated ruling data:
 the 0-divisor inside the boundary with its multiplicities, the fiber
 degree against the boundary, the fiber-excess count and the vertical
 leftover components.
+
+One `run_case_table` asks each question once: the multiplicities of each
+distinct f_infty graph are solved once and kept for the rest of the call,
+each fork is folded once for its discriminant and classification (the
+graph keeps its fold), and a twig triple is read off the Y classification.
+Nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .errors import NotAFiberError
 from .graphs import DualGraph, build_fork, maximal_twigs
 from .reports import Report
 from .surgery import (
+    FiberGraph,
     RulingBookkeeping,
     fiber_multiplicities,
     fujita_check,
@@ -54,6 +61,7 @@ def run_case_table(fixture: dict | None = None) -> Report:
     ok, _ = is_valid_fiber(DualGraph.from_chain_weights([-2, -1, -2]))
     report.add("pattern.[2,1,2]", True, ok, "direct")
 
+    fibers: dict[DualGraph, FiberGraph | None] = {}  # f_infty graph -> its fiber
     for case in fixture["cases"]:
         cid = case["id"]
         g = build_fork(case["branch_weight"], case["twigs"])
@@ -72,10 +80,9 @@ def run_case_table(fixture: dict | None = None) -> Report:
         bt = classify_boundary(g)
         report.add(f"{cid}.class", case["boundary_class"], bt.tag.value, "stated",
                    f"case ({cid}) boundary shape")
-        if "triple" in case:
-            twigs = maximal_twigs(g)
-            triple = sorted(chain_invariants(t).d for t in twigs)
-            report.add(f"{cid}.twig_triple", case["triple"], triple, "stated",
+        if "triple" in case:  # a Y classification carries the sorted triple
+            triple = bt.triple or sorted(chain_invariants(t).d for t in maximal_twigs(g))
+            report.add(f"{cid}.twig_triple", case["triple"], list(triple), "stated",
                        "admissible-twig discriminant triple")
         ruling = case.get("ruling")
         if not ruling:
@@ -83,10 +90,12 @@ def run_case_table(fixture: dict | None = None) -> Report:
         mu_expected = {k: int(v) for k, v in ruling["f_infty"].items()}
         support = list(mu_expected)
         sub = g.subgraph(support)
-        try:  # the multiplicities contract f_infty once, and refuse a non-fiber
-            fg = fiber_multiplicities(sub)
-        except NotAFiberError:
-            fg = None
+        if sub not in fibers:
+            try:  # the multiplicities contract f_infty once, and refuse a non-fiber
+                fibers[sub] = fiber_multiplicities(sub)
+            except NotAFiberError:
+                fibers[sub] = None
+        fg = fibers[sub]
         report.add(f"{cid}.f_infty_is_fiber", True, fg is not None, "stated", ruling["ref"])
         if fg is None:
             continue

@@ -30,10 +30,11 @@ from .linalg import (
     TorsionGroup,
     _back_substitute,
     _bareiss,
+    _dense,
     _solve,
+    _solve_integer_columns,
     _sparse_sum,
     _torsion_of_columns,
-    solve_integer,
 )
 from .surgery import RulingBookkeeping
 
@@ -134,7 +135,9 @@ class SurfaceLattice:
     position -> nonzero coefficient, and the Gram table keeps, for each
     name, its nonzero pairings with the names: a new name is paired only
     with the names that share one of its positions, the only ones it can
-    meet.
+    meet.  A registered class never changes, so the lattice also keeps the
+    dual graphs that `extract_boundary_graph` builds on it, for as long as
+    the lattice lives.
     """
 
     def __init__(self, n_blowups: int):
@@ -142,6 +145,7 @@ class SurfaceLattice:
         self._classes: dict[str, dict[int, int]] = {}
         self._gram: dict[str, dict[str, int]] = {}
         self._at: dict[int, list[str]] = {}  # position -> names nonzero there
+        self._graphs: dict[tuple[str, ...], DualGraph] = {}  # names -> dual graph
 
     @property
     def rank(self) -> int:
@@ -306,7 +310,17 @@ def extract_boundary_graph(l: SurfaceLattice, names: Sequence[str]) -> DualGraph
     is paired with every name.  The pairs are made in the order of the scan
     of all pairs (i, j), i <= j, so the first error is the one that scan
     raises.
+
+    The graph of a tuple of string names is kept on the lattice and
+    returned again for the same tuple: `register` only adds names and
+    changes no pairing among the names already there, and a name with no
+    class raises, so a kept graph equals a fresh build for as long as the
+    lattice lives.  A call that raises keeps nothing.
     """
+    key = tuple(names)
+    keep = all(isinstance(a, str) for a in key)
+    if keep and key in l._graphs:
+        return l._graphs[key]
     todo: set[tuple[int, int]] = set()
     at: dict[int, list[int]] = {}
     for i, a in enumerate(names):
@@ -335,6 +349,8 @@ def extract_boundary_graph(l: SurfaceLattice, names: Sequence[str]) -> DualGraph
     g = DualGraph.build(verts, edges)
     if not g.is_forest():
         raise NonTreeError("boundary curves form a cycle")
+    if keep:
+        l._graphs[key] = g
     return g
 
 
@@ -578,8 +594,10 @@ def solve_curve_class(
     not negative definite the solution set can be infinite and an error
     lists the free directions.
 
-    The walk runs on the successive differences b_1, b_j - b_(j-1) of the
-    solve's basis.  They span the same lattice, and their first i span the
+    The integer solve hands over x0 and its basis as the sparse columns it
+    tracks (`linalg._solve_integer_columns`), checked there as they are.
+    The walk runs on the successive differences b_1, b_j - b_(j-1) of that
+    basis.  They span the same lattice, and their first i span the
     same space as the basis's first i, so the walk tries the same
     coefficients, one for one.  Their Gram form is built from a position
     index, pairing only the differences that share a position.  When it is
@@ -599,15 +617,15 @@ def solve_curve_class(
     add(l.canonical_class, -self_sq - 2)  # adjunction, given v . v = self_sq
     for key, value in constraints:
         add(l.resolve(key), value)
-    sol = solve_integer(rows, rhs)
+    sol = _solve_integer_columns(rows, rhs)
     if sol is None:
         return []
-    x0, basis = sol
+    x0_sparse, basis = sol  # sparse columns, as the solve tracks them
+    x0 = _dense(x0_sparse, l.rank)
     if not basis:
-        out = [tuple(x0)] if _dot(x0, x0) == self_sq else []
+        out = [tuple(x0)] if _sparse_dot(x0_sparse, x0_sparse) == self_sq else []
     else:
-        sparse = [{pos: x for pos, x in enumerate(bi) if x} for bi in basis]
-        diffs = sparse[:1] + [_sparse_sum(-1, a, 1, b) for a, b in zip(sparse, sparse[1:])]
+        diffs = basis[:1] + [_sparse_sum(-1, a, 1, b) for a, b in zip(basis, basis[1:])]
         # M = -gram must be positive definite; m[i] holds row i's nonzeros
         m: list[dict[int, int]] = []
         at: dict[int, list[int]] = {}  # position -> diffs nonzero there
@@ -620,7 +638,6 @@ def solve_curve_class(
             m.append(row)
             for pos in diff:
                 at.setdefault(pos, []).append(i)
-        x0_sparse = {pos: x for pos, x in enumerate(x0) if x}
         lin = [_sparse_dot(x0_sparse, diff) for diff in diffs]
         if all(abs(i - j) < 2 for i, row in enumerate(m) for j in row):
             solved = _chain_center(m, lin)
@@ -634,7 +651,7 @@ def solve_curve_class(
             raise UnderconstrainedError(
                 "constraints leave a direction space that is not negative definite; "
                 "the solution family may be infinite",
-                free_directions=basis,
+                free_directions=[_dense(k, l.rank) for k in basis],
             )
         b, y, d = solved  # then (t - y/d)' M (t - y/d) = radius
         const = _sparse_dot(x0_sparse, x0_sparse) - self_sq

@@ -15,7 +15,8 @@ curve-class walk of `lattice` has a sixth for chain forms:
    (`_reroot` of the record).  A matrix is recognised once
    (`_forest_form`): its symmetric scan and fold are held in one slot
    keyed on its integer content, which the determinant, Sylvester's test,
-   the kernel and the solve of that matrix read in turn.
+   the kernel and the solve of that matrix read in turn; the slot keeps
+   no matrix of more than `_SLOT_ROWS` rows.
 2. `_bareiss`: every other matrix (cycles, asymmetric or row-scaled
    rational ones, Gram forms that are not chains) goes through one
    fraction-free, rank-revealing pass: determinants, Sylvester's test,
@@ -27,7 +28,8 @@ curve-class walk of `lattice` has a sixth for chain forms:
    unimodular Bezout steps, mod a nonzero minor of the size of its rank,
    and builds no Smith transform.
 4. The column Hermite loop of `solve_integer` tracks only its transform,
-   as sparse columns; a system of full column rank skips it.
+   as sparse columns, which the curve-class walk reads as they are
+   (`_solve_integer_columns`); a system of full column rank skips it.
 5. `_peel`, checked step by step by `_core`: before a dense kernel runs
    over Z, a peel linear in the nonzeros takes out the unit pivots alone
    on their row or column and the zero lines, from sparse columns.  The
@@ -145,9 +147,11 @@ class _Forest(NamedTuple):
     rows: Sequence[Sequence[int]] | None = None
 
 
-# the one recognition kept: (the integer rows of the last square matrix
-# asked about, as tuples, and its _Forest or None), replaced as one tuple
+# the one recognition kept: (the integer rows of the last square matrix of
+# at most _SLOT_ROWS rows asked about, as tuples, and its _Forest or None),
+# replaced as one tuple
 _last_forest: tuple = (None, None)
+_SLOT_ROWS = 64
 
 
 def _forest_form(m) -> _Forest | None:
@@ -157,6 +161,11 @@ def _forest_form(m) -> _Forest | None:
     one matrix in turn (determinant, definiteness, kernel, solve) scan it
     once; a matrix changed in place has a new key.  The slot holds tuples
     of the rows, never the caller's lists, and nothing in it is changed.
+    It keeps only a matrix of at most `_SLOT_ROWS` rows (about 35 kB of
+    tuples; the forms of `verify` and of the benchmark have at most 20); a
+    larger one is recognised on each call and leaves the slot as it was,
+    since building its key costs as much as its scan, and keeping it would
+    hold 11 MB after the 1,200-vertex chain.
     """
     global _last_forest
     if _all_int(m):
@@ -169,7 +178,8 @@ def _forest_form(m) -> _Forest | None:
     last, form = _last_forest
     if last != key:
         form = _recognise_forest(key)
-        _last_forest = key, form
+        if len(key) <= _SLOT_ROWS:
+            _last_forest = key, form
     return form
 
 
@@ -918,15 +928,35 @@ def solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
     not yet used becomes the pivot, and one Bezout step per entry
     (`_bezout`) clears the rest of the row.  Forward substitution through H
     gives y, the particular solution is x0 = v y, and the columns of v from
-    the rank on are the basis; both are made dense only at the end.  The
-    result is checked: a x0 = b, a kills each basis vector and |det v| = 1,
-    the last by `_peel`, which keeps zero lines here, and one Bareiss pass
-    over the core it leaves.  v changes only by the steps of its few rows,
-    and those of `solve_curve_class` pivot on the units of K and of the
-    classes, so they are plain subtractions: on its systems no entry of v
-    exceeds 3, and v peels to nothing.  Dense random 7x7 matrices with
-    entries up to 5 take v to 63 bits.
+    the rank on are the basis; both are made dense only here, at the end
+    (`_solve_integer_columns` returns them sparse).  The result is checked
+    on the sparse columns: a x0 = b, a kills each basis vector and
+    |det v| = 1, the last by `_peel`, which keeps zero lines here, and one
+    Bareiss pass over the core it leaves.  v changes only by the steps of
+    its few rows, and those of `solve_curve_class` pivot on the units of K
+    and of the classes, so they are plain subtractions: on its systems no
+    entry of v exceeds 3, and v peels to nothing.  Dense random 7x7
+    matrices with entries up to 5 take v to 63 bits.
     """
+    sol = _solve_integer_columns(a, b)
+    if sol is None:
+        return None
+    x0, basis = sol
+    cols = len(a[0]) if a else 0
+    return _dense(x0, cols), [_dense(k, cols) for k in basis]
+
+
+def _dense(column: dict[int, int], n: int) -> list[int]:
+    """A sparse column (position -> entry) as a list of length n."""
+    out = [0] * n
+    for pos, e in column.items():
+        out[pos] = e
+    return out
+
+
+def _solve_integer_columns(a, b) -> tuple[dict[int, int], list[dict[int, int]]] | None:
+    """`solve_integer` with x0 and the basis as sparse columns (position ->
+    nonzero entry), checked as they are and never made dense."""
     rows, cols = _check_rectangular(a)
     if len(b) != rows:
         raise ValueError("right-hand side has wrong length")
@@ -936,7 +966,7 @@ def solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
         if rank == cols:
             if x is None or any(t.denominator != 1 for t in x):
                 return None
-            return [t.numerator for t in x], []
+            return {pos: t.numerator for pos, t in enumerate(x) if t}, []
     h = [list(col) for col in zip(*a)]  # the columns of a v
     v = _unit_columns(cols)
     pivots: list[int] = []
@@ -964,19 +994,15 @@ def solve_integer(a, b) -> tuple[list[int], list[list[int]]] | None:
         y.append(q)
     if any(sum(h[j][i] * y[j] for j in range(rank)) != b[i] for i in range(rows)):
         return None
-    x0 = [0] * cols
+    x0: dict[int, int] = {}
     for c, t in zip(v, y):
         for pos, e in c.items():
-            x0[pos] += e * t
-    basis = []
-    for c in v[rank:]:
-        k = [0] * cols
-        for pos, e in c.items():
-            k[pos] = e
-        basis.append(k)
-    if [sum(map(mul, row, x0)) for row in a] != list(b):
+            x0[pos] = x0.get(pos, 0) + e * t
+    x0 = {pos: x for pos, x in x0.items() if x}
+    basis = v[rank:]
+    if [sum(row[pos] * e for pos, e in x0.items()) for row in a] != list(b):
         raise InvariantError("integer solve: a x0 differs from b")
-    if any(sum(map(mul, row, k)) for k in basis for row in a):
+    if any(sum(row[pos] * e for pos, e in k.items()) for k in basis for row in a):
         raise InvariantError("integer solve: a basis vector is not in the kernel")
     keep_rows, keep_cols = _core(v, cols, _peel(v, cols, zeros=False), "integer solve")
     if abs(_bareiss([[v[j].get(i, 0) for j in keep_cols] for i in keep_rows])[0]) != 1:

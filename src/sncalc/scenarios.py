@@ -5,6 +5,14 @@ curve sets, the fiber class, the auxiliary curve classes to search for, and
 an ordered list of checks with expected values.  All expected values live
 in the fixture, each with a provenance tag and (for stated values) an
 anchor string; the runner only computes actuals and compares.
+
+Each run keeps its derived facts in one `_Context` (graphs, discriminants,
+twig lists, classes, rulings), which lives as long as the run.  The checks
+that read no scenario state (the coordinate checks of `projective`) are
+kept in a table that one command passes to every scenario it runs
+(`_run_scenarios`), keyed by the full check name, so `verify all` runs the
+automorphism check once for both surfaces; the table ends with the
+command, and nothing is kept at module level.
 """
 
 from __future__ import annotations
@@ -337,11 +345,24 @@ _CHECKS = {
 }
 
 
-def _compute(name: str, ctx: _Context):
+# the checks that read no scenario state: one command computes each of
+# them once, whichever scenario asks first
+_SHARED = frozenset({
+    "uv_params", "mult", "bezout", "theorem_collinearities",
+    "collinearity_forces_u", "dual_hesse", "actions_failed", "l3_distinct_meeting",
+})
+
+
+def _compute(name: str, ctx: _Context, shared: dict):
     head, sep, arg = name.partition(":")
     if head not in _CHECKS:
         raise KeyError(f"unknown check {name!r}")
-    return _CHECKS[head](ctx, arg.split(",") if sep else [])
+    if head in _SHARED and name in shared:
+        return shared[name]
+    value = _CHECKS[head](ctx, arg.split(",") if sep else [])
+    if head in _SHARED:
+        shared[name] = value
+    return value
 
 
 def run_scenario(name: str, fixture: dict | None = None) -> Report:
@@ -350,6 +371,17 @@ def run_scenario(name: str, fixture: dict | None = None) -> Report:
     A check whose computation raises is reported as failed rather than
     aborting the run, so a broken fixture yields a readable report.
     """
+    return _run(name, fixture, {})
+
+
+def _run_scenarios(names) -> list[Report]:
+    """`run_scenario` of each bundled scenario in turn, sharing one table of
+    the scenario-independent checks, which ends with the call."""
+    shared: dict = {}
+    return [_run(name, None, shared) for name in names]
+
+
+def _run(name: str, fixture: dict | None, shared: dict) -> Report:
     fixture = load_fixture(name) if fixture is None else fixture
     report = Report(fixture.get("title", name))
     try:
@@ -361,7 +393,7 @@ def run_scenario(name: str, fixture: dict | None = None) -> Report:
         error = failure
         if error is None:
             try:
-                actual = _compute(check_name, ctx)
+                actual = _compute(check_name, ctx, shared)
             except Exception as exc:
                 error = exc
         if error is None:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import permutations
 from dataclasses import replace
 from fractions import Fraction
 
@@ -39,8 +40,10 @@ from sncalc.calculus import (
     sharp,
 )
 from sncalc.errors import InvariantError, NonAdmissibleError, NonTreeError, NotMinimalError
+from sncalc.casetable import load_cases
 from sncalc.graphs import Chain, DualGraph, QDivisor, build_fork, maximal_twigs
 from sncalc.linalg import is_negative_definite
+from sncalc.surgery import FiberGraph, fiber_multiplicities
 
 chain = DualGraph.from_chain_weights
 
@@ -693,3 +696,51 @@ def test_linear_layers_read_each_graph_a_linear_number_of_times(layer):
     for family, n in list(counts):
         if n < 800:
             assert 0 < counts[family, 2 * n] <= 2.05 * counts[family, n], counts
+
+
+def _case_table_graphs() -> list[DualGraph]:
+    """Fresh copies of the case table's forks and f_infty graphs."""
+    out = []
+    for case in load_cases()["cases"]:
+        g = build_fork(case["branch_weight"], case["twigs"])
+        out.append(g)
+        if case.get("ruling"):
+            out.append(g.subgraph(list(case["ruling"]["f_infty"])))
+    return out
+
+
+def test_kept_folds_answer_as_fresh_graphs(monkeypatch):
+    # a graph keeps the fold of its whole support, which discriminant,
+    # classify_boundary and fiber_multiplicities share: asked in every order
+    # on the case table's forks and f_infty graphs, with a discriminant on a
+    # smaller support among them, they answer as each does on a fresh graph,
+    # and each graph folds its whole support once
+    questions = {
+        "discriminant": discriminant,
+        "classify": classify_boundary,
+        "fiber": fiber_multiplicities,
+        "support": lambda g: discriminant(g, g.ids[1:]),
+    }
+    expected = [
+        {name: outcome(ask, g) for name, ask, g in zip(questions, questions.values(), fresh)}
+        for fresh in zip(*(_case_table_graphs() for _ in questions))
+    ]
+    folds = []
+    real = calculus._subtree_minors
+
+    def counted(diagonal, adj):
+        folds.append(len(diagonal))
+        return real(diagonal, adj)
+
+    monkeypatch.setattr(calculus, "_subtree_minors", counted)
+    mismatches, whole = [], Counter()
+    for order in permutations(questions):
+        for g, answers in zip(_case_table_graphs(), expected):
+            folds.clear()
+            for name in order:
+                if outcome(questions[name], g) != answers[name]:
+                    mismatches.append((order, g, name))
+            whole[folds.count(len(g))] += 1
+    assert mismatches == []
+    assert whole == {1: 24 * len(expected)}
+    assert sum(isinstance(a["fiber"], FiberGraph) for a in expected) == 10

@@ -19,6 +19,7 @@ from helpers import (
     bench_workloads,
     chain_program,
     dense_ruling_decompose,
+    dense_solve_integer,
     dense_run_program,
     fraction_integer_range,
     merge_vertical_groups,
@@ -27,6 +28,7 @@ from helpers import (
     time_limit,
 )
 from sncalc.cli import main
+from sncalc.graphs import DualGraph
 from sncalc.errors import (
     ExcessIntersectionError,
     GraphParseError,
@@ -48,7 +50,13 @@ from sncalc.lattice import (
     _definite_center,
     _dot,
 )
-from sncalc.linalg import _back_substitute, _bareiss, solve_rational
+from sncalc.linalg import (
+    _back_substitute,
+    _bareiss,
+    _solve_integer_columns,
+    solve_integer,
+    solve_rational,
+)
 
 
 def lat_of(text):
@@ -141,6 +149,65 @@ def test_extract_boundary_graph_rejects_non_snc():
     lat = lat_of("curve A degree=2\ncurve B degree=2\n")
     with pytest.raises(LatticeError, match="snc"):
         extract_boundary_graph(lat, ["A", "B"])  # two conics pair to 4
+
+
+def test_kept_boundary_graphs_equal_fresh_builds():
+    # the lattice keeps each graph it builds, by its tuple of names; after
+    # more names are registered, which pair with the old ones, the kept
+    # graph is still the one a fresh lattice with every name builds
+    rng = random.Random(0xB06)
+    texts = [sncalc.scenarios._fixture_text(f"{name}.arr") for name in ("y244", "y333")]
+    workload = bench_workloads().WORKLOADS["lattice"]
+    texts += [item.text for item in map(lambda i: workload.make(5, i), range(40)) if item.accept]
+    kept = 0
+    for text in texts:
+        lat = lat_of(text)
+        if lat.rank < 3:
+            continue
+        names = list(lat.names())
+        lists = [names, *(rng.sample(names, rng.randint(1, len(names))) for _ in range(6))]
+        first = {tuple(c): outcome(extract_boundary_graph, lat, c) for c in lists}
+        # new classes e_i - e_j: square -2 and K-degree 0, so adjunction holds
+        added = []
+        for k in range(3):
+            i, j = rng.sample(range(1, lat.rank), 2)
+            vec = [0] * lat.rank
+            vec[i], vec[j] = 1, -1
+            lat.register(f"R{k}", vec)
+            added.append((f"R{k}", vec))
+        fresh = lat_of(text)
+        for name, vec in added:
+            fresh.register(name, vec)
+        for chosen in [*lists, *([*c, "R0", "R2"] for c in lists)]:
+            again = outcome(extract_boundary_graph, lat, chosen)
+            assert again == outcome(extract_boundary_graph, fresh, chosen), chosen
+            if isinstance(again, DualGraph):
+                assert repr(again) == repr(outcome(extract_boundary_graph, fresh, chosen))
+                assert lat._graphs[tuple(chosen)] is again
+                if tuple(chosen) in first:
+                    assert first[tuple(chosen)] is again
+                    kept += 1
+    assert kept > 50
+
+
+def test_a_raising_extraction_keeps_nothing():
+    lat = lat_of("curve A degree=2\ncurve B degree=2\ncurve L degree=1\nblowup E at L\n")
+    failing = [
+        (["A", "B"], LatticeError),  # two conics pair to 4
+        (["L", "X"], KeyError),  # no class named X yet
+        (["L", "L"], ValueError),  # a repeated name
+    ]
+    for names, error in failing:
+        with pytest.raises(error):
+            extract_boundary_graph(lat, names)
+    assert lat._graphs == {}
+    # a vector among the names is answered and not kept
+    g = extract_boundary_graph(lat, ["L", (1, 0)])
+    assert g.weights == {"L": 0, "(1, 0)": 1} and lat._graphs == {}
+    lat.register("X", (1, 0))  # a line off the blown-up point, meeting L once
+    g = extract_boundary_graph(lat, ["L", "X"])
+    assert g.weights == {"L": 0, "X": 1} and g.has_edge("L", "X")
+    assert lat._graphs == {("L", "X"): g}
 
 
 def test_euler_numbers():
@@ -349,19 +416,19 @@ def test_augmented_bareiss_center_matches_the_two_passes(curve_class_calls):
     # integer Gram forms, half of them A'A + I and half symmetric with free
     # entries, which are mostly not definite
     systems = []
-    real_solve = sncalc.lattice.solve_integer
+    real_solve = sncalc.lattice._solve_integer_columns
 
     def recording(a, b):
         sol = real_solve(a, b)
         if sol is not None and sol[1]:
-            x0, basis = sol
+            x0, basis = _densified(sol, len(a[0]))
             systems.append(
                 ([[-_dot(bi, bj) for bj in basis] for bi in basis], [_dot(x0, bi) for bi in basis])
             )
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sncalc.lattice, "solve_integer", recording)
+        mp.setattr(sncalc.lattice, "_solve_integer_columns", recording)
         for lat, constraints, self_sq, _, _ in curve_class_calls:
             _outcome(solve_curve_class, lat, constraints, self_sq)
     from_calls = len(systems)
@@ -397,6 +464,50 @@ def test_augmented_bareiss_center_matches_the_two_passes(curve_class_calls):
             mismatches.append(("center", m, lin))
     assert mismatches == []
     assert from_calls > 1000 and seen[True] > 1500 and seen[False] > 300, (from_calls, seen)
+
+
+def _densified(sol, n: int) -> tuple[list[int], list[list[int]]]:
+    """x0 and the basis of a sparse integer solve as dense lists of length n."""
+    x0, basis = sol
+    return [x0.get(pos, 0) for pos in range(n)], [[k.get(pos, 0) for pos in range(n)] for k in basis]
+
+
+def test_sparse_integer_solve_matches_the_public_solve(curve_class_calls):
+    # side by side: the curve-class walk reads x0 and the basis as the sparse
+    # columns the integer solve tracks (`_solve_integer_columns`), with no
+    # zero stored; made dense, they are the public `solve_integer`'s lists,
+    # and those are the dense solve's it replaced, on every system of the
+    # fixture's calls (the benchmark's seed 7-9 programs and the queries of
+    # `verify all`)
+    systems = []
+    real_solve = sncalc.lattice._solve_integer_columns
+
+    def recording(a, b):
+        systems.append(([list(row) for row in a], list(b)))
+        return real_solve(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sncalc.lattice, "_solve_integer_columns", recording)
+        for lat, constraints, self_sq, _, _ in curve_class_calls:
+            _outcome(solve_curve_class, lat, constraints, self_sq)
+    mismatches, kinds = [], Counter()
+    for a, b in systems:
+        sparse, public = _solve_integer_columns(a, b), solve_integer(a, b)
+        if public != dense_solve_integer(a, b):
+            mismatches.append(("dense", a, b))
+        if sparse is None or public is None:
+            kinds["none"] += 1
+            if sparse is not public:
+                mismatches.append(("none", a, b))
+            continue
+        kinds["basis" if sparse[1] else "unique"] += 1
+        columns = [sparse[0], *sparse[1]]
+        if any(0 in c.values() or not c.keys() <= set(range(len(a[0]))) for c in columns):
+            mismatches.append(("stored", a, b))
+        if _densified(sparse, len(a[0])) != tuple(public):
+            mismatches.append(("public", a, b))
+    assert mismatches == []
+    assert kinds["basis"] > 1000 and kinds["none"] + kinds["unique"] > 0, kinds
 
 
 def test_chain_center_matches_the_bareiss_pass(curve_class_calls):

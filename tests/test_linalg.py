@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import io
 import os
 import random
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -857,7 +859,8 @@ def test_peel_keeps_zero_lines_for_a_determinant():
 def _record_integer_calls(run) -> tuple[list, list]:
     """The matrices given to `torsion_of_cokernel` (or, as sparse columns,
     to `_torsion_of_columns` by `h1_order`) and the systems given to
-    `solve_integer` by the package's callers while run() runs."""
+    `solve_integer` (or to its sparse entry `_solve_integer_columns` by
+    `solve_curve_class`) by the package's callers while run() runs."""
     torsions, solves = [], []
 
     def torsion(m):
@@ -868,12 +871,17 @@ def _record_integer_calls(run) -> tuple[list, list]:
         solves.append(([list(row) for row in a], list(b)))
         return solve_integer(a, b)
 
+    def sparse_solve(a, b):
+        solves.append(([list(row) for row in a], list(b)))
+        return linalg._solve_integer_columns(a, b)
+
     def columns(cols, nrows):  # h1_order's sparse entry, recorded as a matrix
         torsions.append([[col.get(r, 0) for col in cols] for r in range(nrows)])
         return linalg._torsion_of_columns(cols, nrows)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_torsion_of_columns", columns)
+        mp.setattr(lattice, "_solve_integer_columns", sparse_solve)
         for module in (lattice, scenarios, cli):
             if hasattr(module, "torsion_of_cokernel"):
                 mp.setattr(module, "torsion_of_cokernel", torsion)
@@ -1658,6 +1666,30 @@ def test_the_contraction_gram_of_verify_is_scanned_once(monkeypatch):
         monkeypatch.setattr(scenarios, name, counted)
     _verify_all()
     assert calls == [("det_exact", 1), ("is_negative_definite", 0)]
+
+
+def test_memo_slot_keeps_no_large_matrix():
+    # the slot keeps a matrix of at most _SLOT_ROWS rows; the kernel of the
+    # singular 1,200-vertex fiber chain left 11.4 MB of row tuples in it
+    n = 1200
+    m = DualGraph.from_chain_weights([-1] + [-2] * (n - 2) + [-1]).intersection_matrix()
+    linalg._last_forest = (None, None)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(kernel_basis(m)) == 1
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000, retained
+    # a form at the bound is kept, and one row more is not
+    for rows, kept in ((linalg._SLOT_ROWS, True), (linalg._SLOT_ROWS + 1, False)):
+        linalg._last_forest = (None, None)
+        q = DualGraph.from_chain_weights([-2] * rows).intersection_matrix()
+        assert det_exact(q) == (-1) ** rows * (rows + 1)
+        assert (linalg._last_forest[0] is not None) is kept, rows
 
 
 MEMO_QUESTIONS = (

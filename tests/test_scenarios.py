@@ -5,11 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import sncalc.calculus
+import sncalc.casetable
 import sncalc.cli
+import sncalc.lattice
+import sncalc.linalg
 import sncalc.projective
 import sncalc.scenarios
 import sncalc.surgery
@@ -165,6 +171,26 @@ def test_verify_all_output_is_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[key], key
 
 
+# sha256 of `verify <target>` for each single target, text and --json; a
+# single target runs without the per-command table that `verify all` shares
+VERIFY_TARGET_SHA256 = {
+    ("y244", "text"): "851f1959aafc1576892ef7ae21450e5e70d1db5eedd81d999d528c765c542a45",
+    ("y244", "json"): "e59ba185946d1bea9870d77fccd8a8a2dc20bb335e79a97a627b6c9e08cc290b",
+    ("y333", "text"): "f16b06d02cf9cc52f29c44b5b80c562d2f7fd367778fb046d5d9de463c514b84",
+    ("y333", "json"): "71286be3f80a3e8d53840f2964f9399dd531e4b42745160e1948039fa66b48a4",
+    ("cases", "text"): "f2598c1e6c377ff1560f3913717052b81aed5830c9bbe46209fd83b8a98a0a7e",
+    ("cases", "json"): "117e6e806a81d01e07267f898ddb4d173bfebcca0972ae6381520f996356de81",
+}
+
+
+@pytest.mark.parametrize("target, kind", list(VERIFY_TARGET_SHA256), ids="-".join)
+def test_verify_target_output_is_pinned(capsys, target, kind):
+    argv = ["verify", target] if kind == "text" else ["--json", "verify", target]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_TARGET_SHA256[target, kind]
+
+
 def test_python_m_sncalc_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sncalc.cli.__file__)))
     out = subprocess.run(
@@ -229,8 +255,10 @@ def test_verify_all_canonicalisation_count(monkeypatch, capsys):
 
 
 # contractions in one `verify all`; it was 57 while the case table's
-# structure checks contracted each fiber with one (-1)-component again
-VERIFY_ALL_CONTRACTIONS = 37
+# structure checks contracted each fiber with one (-1)-component again, and
+# 37 while it solved the multiplicities of each of its 10 f_infty graphs,
+# which are 7 distinct graphs
+VERIFY_ALL_CONTRACTIONS = 30
 
 
 def test_verify_all_contracts_each_fiber_once(monkeypatch, capsys):
@@ -246,6 +274,72 @@ def test_verify_all_contracts_each_fiber_once(monkeypatch, capsys):
     assert main(["verify", "all"]) == 0
     capsys.readouterr()
     assert 0 < count <= VERIFY_ALL_CONTRACTIONS
+
+
+# work per `verify all`, each counted where the package calls it; the
+# parent of the change that pinned them made 2 automorphism checks, 12
+# boundary-graph builds, 47 leaf folds, 10 multiplicity solves and 26 twig
+# searches
+VERIFY_ALL_WORK = {
+    "automorphism_action_check": 1,
+    "boundary graph builds": 6,
+    "_subtree_minors": 29,
+    "fiber_multiplicities": 7,
+    "maximal_twigs": 15,
+}
+
+
+def test_verify_all_derives_each_fact_once(monkeypatch, capsys):
+    # the two surfaces share the scenario-independent checks, the lattice
+    # keeps the boundary graphs it builds, a graph keeps its fold, and the
+    # case table solves each distinct f_infty graph once and reads its twig
+    # triples off the classification
+    counts = Counter()
+
+    def counting(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+
+        return wrapper
+
+    def patch(module, name):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+    patch(sncalc.projective, "automorphism_action_check")
+    for module in (sncalc.linalg, sncalc.calculus):
+        patch(module, "_subtree_minors")
+    patch(sncalc.casetable, "fiber_multiplicities")
+    for module in (sncalc.scenarios, sncalc.casetable, sncalc.calculus):
+        patch(module, "maximal_twigs")
+    # the lattice module builds its graphs through this one name
+    build = counting("boundary graph builds", sncalc.lattice.DualGraph.build)
+    monkeypatch.setattr(sncalc.lattice, "DualGraph", SimpleNamespace(build=build))
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    exact = ("automorphism_action_check", "boundary graph builds", "fiber_multiplicities")
+    assert {key: counts[key] for key in exact} == {key: VERIFY_ALL_WORK[key] for key in exact}
+    for key in ("_subtree_minors", "maximal_twigs"):
+        assert 0 < counts[key] <= VERIFY_ALL_WORK[key], (key, counts[key])
+
+
+def test_verify_all_shares_no_check_between_commands(monkeypatch, capsys):
+    # the table of scenario-independent checks ends with the command: a
+    # second `verify all` runs the automorphism check as often as the first,
+    # and a map changed between the commands is read by the next one
+    calls = []
+    real = sncalc.projective.automorphism_action_check
+    monkeypatch.setattr(
+        sncalc.projective, "automorphism_action_check", lambda: calls.append(1) or real()
+    )
+    assert main(["verify", "all"]) == 0
+    first = len(calls)
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * first > 0
+    monkeypatch.setattr(sncalc.projective, "ORDER_THREE", sncalc.projective.IDENTITY)
+    assert main(["verify", "all"]) == 1
+    assert "actions_failed" in capsys.readouterr().out
 
 
 def test_scenario_discriminants_and_twigs_are_computed_once(monkeypatch):
